@@ -23,7 +23,6 @@ from .exactkernel import (
     _check_prime,
     mat_kernel,
     row_space_basis,
-    subspace_contains,
 )
 
 _TABLE_LIMIT = 320  # above this dimension, products go through the Kronecker path
@@ -194,10 +193,6 @@ class _LocalAlgebraOps:
 
     def socle_basis(self) -> list[El]:
         return [El(self, v) for v in self.socle_vecs()]
-
-    def radical_vecs(self) -> list[np.ndarray]:
-        """Basis of ker(aug)."""
-        return self.radical_span_vecs()
 
     def nilpotency_exponent(self) -> int:
         """Least e with m^e = 0, computed by repeated span products."""
@@ -411,6 +406,16 @@ def tensor(A: BorelAlgebra, B: BorelAlgebra) -> TensorProduct:
     return TensorProduct(C, emb_left, emb_right, pair)
 
 
+def _intertwines(X, S, T, pairs) -> bool:
+    """X . M_S(s) = M_T(t) . X for every (s, t) in pairs: the linear map X
+    from S to T turns multiplication by s into multiplication by t."""
+    p = T.p
+    return all(
+        np.array_equal((X @ S.mult_matrix(s).a) % p, (T.mult_matrix(t).a @ X) % p)
+        for s, t in pairs
+    )
+
+
 class AlgebraMap:
     """Linear map between local algebras as a (target.dim x source.dim)
     matrix over GF(p), with flags recording verified structure."""
@@ -518,36 +523,38 @@ class AlgebraMap:
                                    self.target.one_vec()))
 
     def check_multiplicative(self) -> bool:
-        """Exhaustive multiplicativity test over basis pairs."""
-        src, tgt = self.source, self.target
+        """Is this linear map A -> B a unital algebra map?
+
+        Decided on the algebra generators g of A as f . M_A(g) = M_B(f(g)) . f:
+        then f(g a) = f(g) f(a) for every a, and induction on monomials in
+        the generators gives f(ab) = f(a) f(b).  The exhaustive check over
+        basis pairs is kept in the tests as an oracle.
+        """
+        src = self.source
         if not self.check_unital():
             return False
-        imgs = [self.apply(b) for b in src.basis_elements()]
-        for i in range(src.dim):
-            ei = np.eye(src.dim, dtype=np.int64)[i]
-            for j in range(i, src.dim):
-                ej = np.eye(src.dim, dtype=np.int64)[j]
-                prod_src = src.mul_vec(ei, ej)
-                lhs = self.apply(prod_src)
-                rhs = imgs[i] * imgs[j]
-                if lhs != rhs:
-                    return False
-        return True
+        return _intertwines(
+            self.matrix, src, self.target,
+            [(g, self.matrix @ g) for g in src.radical_span_vecs()],
+        )
 
     def check_module_map(self, f: "AlgebraMap") -> bool:
-        """Is self: B -> A an A-module map along f: A -> B?  Exhaustive over
-        basis pairs: self(f(a) b) = a self(b)."""
+        """Is self: B -> A an A-module map along the algebra map f: A -> B,
+        self(f(a) b) = a self(b)?
+
+        Decided on a = 1 and the algebra generators a = g of A as
+        X . M_B(f(a)) = M_A(a) . X for X the matrix of self; since f is
+        multiplicative, induction on monomials gives the identity for every
+        a.  The exhaustive check over basis pairs is kept in the tests as an
+        oracle.
+        """
         A, B = self.target, self.source
         if f.source != A or f.target != B:
             raise ExactKernelError("module structure map has wrong endpoints")
-        for a in A.basis_elements():
-            fa = f.apply(a)
-            for b in B.basis_elements():
-                lhs = self.apply(El(B, B.mul_vec(fa.vec, b.vec)))
-                rhs = a * self.apply(b)
-                if lhs != rhs:
-                    return False
-        return True
+        if not f.is_algebra_map:
+            raise ExactKernelError("module structure map must be an algebra map")
+        gens = [A.one_vec()] + A.radical_span_vecs()
+        return _intertwines(self.matrix, B, A, [(f.matrix @ a, a) for a in gens])
 
     def __repr__(self):
         return "AlgebraMap(%r -> %r)" % (self.source, self.target)
@@ -560,7 +567,12 @@ def algebra_map(A: BorelAlgebra, B, generator_images) -> AlgebraMap:
 
 class Subalgebra(_LocalAlgebraOps):
     """A unital, multiplicatively closed subspace of a Borel algebra, in its
-    own coordinates; the RREF basis makes coordinates a plain column pick."""
+    own coordinates; the RREF basis makes coordinates a plain column pick.
+
+    Construction verifies that 1 and every product b_i b_j of basis vectors
+    lie in the span, by the same pivot-coordinate test as to_sub (exact for
+    an RREF basis, no row reduction).
+    """
 
     def __init__(self, ambient, basis_vecs):
         self.ambient = ambient
@@ -568,18 +580,21 @@ class Subalgebra(_LocalAlgebraOps):
         rows = row_space_basis(list(basis_vecs), ambient.dim, ambient.p)
         if not rows:
             raise ExactKernelError("empty subalgebra")
-        B = FpMatrix(np.array(rows), ambient.p)
-        R, pivots = B.rref()
-        self.basis_matrix = R.a  # (dim x ambient.dim), RREF rows
-        self.pivots = pivots
-        self.dim = len(pivots)
-        if not subspace_contains(self.basis_matrix, ambient.one_vec(), self.p):
+        self.basis_matrix = np.array(rows)  # (dim x ambient.dim), RREF rows
+        self.pivots = [int(np.flatnonzero(r)[0]) for r in rows]
+        self.dim = len(rows)
+        if not self._spans([ambient.one_vec()]):
             raise ExactKernelError("subalgebra must contain 1")
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                prod = ambient.mul_vec(self.basis_matrix[i], self.basis_matrix[j])
-                if not subspace_contains(self.basis_matrix, prod, self.p):
-                    raise ExactKernelError("subspace is not closed under multiplication")
+        prods = [
+            ambient.mul_vec(rows[i], rows[j]) for i in range(self.dim) for j in range(i, self.dim)
+        ]
+        if not self._spans(prods):
+            raise ExactKernelError("subspace is not closed under multiplication")
+
+    def _spans(self, vecs) -> bool:
+        """Do the ambient vectors all lie in the span of the basis?"""
+        V = np.array(vecs) % self.p
+        return bool(np.array_equal((V[:, self.pivots] @ self.basis_matrix) % self.p, V))
 
     def __eq__(self, other):
         return (
@@ -598,10 +613,9 @@ class Subalgebra(_LocalAlgebraOps):
     # coordinates: RREF rows have identity on pivot columns
     def to_sub(self, ambient_vec) -> np.ndarray:
         v = np.asarray(ambient_vec, dtype=np.int64) % self.p
-        coords = v[self.pivots]
-        if not np.array_equal((coords @ self.basis_matrix) % self.p, v):
+        if not self._spans([v]):
             raise ExactKernelError("vector lies outside the subalgebra")
-        return coords
+        return v[self.pivots]
 
     def from_sub(self, coords) -> np.ndarray:
         c = np.asarray(coords, dtype=np.int64) % self.p
@@ -616,6 +630,13 @@ class Subalgebra(_LocalAlgebraOps):
     def mul_vec(self, u, v) -> np.ndarray:
         prod = self.ambient.mul_vec(self.from_sub(u), self.from_sub(v))
         return self.to_sub(prod)
+
+    def mult_matrix(self, vec) -> FpMatrix:
+        """Left multiplication in subalgebra coordinates: the ambient matrix
+        applied to the basis, read off at the pivots (closure was verified
+        on construction)."""
+        M = self.ambient.mult_matrix(self.from_sub(vec)).a @ self.basis_matrix.T
+        return FpMatrix(M[self.pivots], self.p)
 
     def radical_span_vecs(self) -> list[np.ndarray]:
         rows = []

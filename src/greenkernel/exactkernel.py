@@ -211,20 +211,19 @@ class FpMatrix:
         for c in range(nc):
             if r >= nr:
                 break
-            sel = None
-            for i in range(r, nr):
-                if m[i, c]:
-                    sel = i
-                    break
-            if sel is None:
+            nz = np.flatnonzero(m[r:, c])
+            if not len(nz):
                 continue
+            sel = r + int(nz[0])
             if sel != r:
                 m[[r, sel]] = m[[sel, r]]
             inv = pow(int(m[r, c]), -1, p)
             m[r] = (m[r] * inv) % p
-            for i in range(nr):
-                if i != r and m[i, c]:
-                    m[i] = (m[i] - m[i, c] * m[r]) % p
+            # the pivot row is fixed while its column is cleared, so one
+            # update over all other nonzero rows equals the row-by-row loop
+            rows = np.flatnonzero(m[:, c])
+            rows = rows[rows != r]
+            m[rows] = (m[rows] - np.outer(m[rows, c], m[r])) % p
             pivots.append(c)
             r += 1
         return FpMatrix(m, p), pivots
@@ -245,10 +244,6 @@ class FpMatrix:
                 v[c] = (-R.a[i, f]) % self.p
             basis.append(v)
         return basis
-
-    def column_space_basis(self) -> list[np.ndarray]:
-        """Canonical basis (RREF rows) of the span of the columns."""
-        return row_space_basis(list(self.a.T), self.rows, self.p)
 
     def solve(self, b) -> np.ndarray | None:
         """One solution of Ax = b, or None if inconsistent (deterministic:
@@ -311,11 +306,6 @@ def subspace_eq(b1: Sequence, b2: Sequence, d: int, p: int) -> bool:
     r1 = row_space_basis(b1, d, p)
     r2 = row_space_basis(b2, d, p)
     return len(r1) == len(r2) and all(np.array_equal(x, y) for x, y in zip(r1, r2))
-
-
-def subspace_sum(bases: Sequence[Sequence], d: int, p: int) -> list[np.ndarray]:
-    all_vecs = [v for b in bases for v in b]
-    return row_space_basis(all_vecs, d, p)
 
 
 def subspace_intersect(bases: Sequence[Sequence], d: int, p: int) -> list[np.ndarray]:

@@ -166,29 +166,17 @@ def value_for_decomposition(dec: AbelianPGroup, p: int, n: int,
 # ---------------------------------------------------------------------------
 
 
-def _psi_power_matrices(level: HondaLevel) -> list[np.ndarray]:
-    """Coefficient matrices of psi(x)^e in H (x) H for e < dim."""
-    T2 = level.hopf.square.algebra
-    pair = level.hopf.square.pair_index
-    out = [T2.one_vec()[pair]]
-    cur = T2.one_vec()
-    psi = level.hopf.coproduct_gens[0].vec
-    for _ in range(level.dim - 1):
-        cur = T2.mul_vec(cur, psi)
-        out.append(cur[pair])
-    return out
-
-
 def _iterated_coproduct(level: HondaLevel, slots: int) -> dict:
     """Terms of the (slots-1)-fold coproduct of the generator x, as a dict
-    {(e_1..e_slots): coeff}; slots >= 1."""
-    powers = _psi_power_matrices(level)
+    {(e_1..e_slots): coeff}; slots >= 1.  Column e of the memoized
+    coproduct matrix is psi(x^e) = psi(x)^e."""
+    pair = level.hopf.square.pair_index
     p = level.algebra.p
     terms = {(1,): 1}
     for _ in range(slots - 1):
         new: dict = {}
         for key, c in terms.items():
-            M = powers[key[0]]
+            M = level.hopf.coproduct.matrix[:, key[0]][pair]
             for a, b in zip(*np.nonzero(M)):
                 k2 = (int(a), int(b)) + key[1:]
                 new[k2] = (new.get(k2, 0) + c * int(M[a, b])) % p
@@ -313,7 +301,7 @@ def stable_elements(G: PermGroup, p: int, n: int,
     P = sylow(G, p)
     if not P.is_abelian():
         raise ScopeError("Sylow %d-subgroup is non-abelian: out of modeled scope" % p)
-    dec_P = abelian_decompose(P) if P.order > 1 else AbelianPGroup(P, p, (), ())
+    dec_P = abelian_decompose(P, p)
     v_P = value_for_decomposition(dec_P, p, n, budget)
     A_P: BorelAlgebra = v_P.algebra
     reps = double_cosets(G, P, P)
@@ -323,8 +311,8 @@ def stable_elements(G: PermGroup, p: int, n: int,
         gi = perm_inv(g)
         Hg = P.intersection(G.conjugate_subgroup(P, g))   # gPg^{-1} cap P
         Kg = P.intersection(G.conjugate_subgroup(P, gi))  # P cap g^{-1}Pg
-        dec_H = abelian_decompose(Hg) if Hg.order > 1 else AbelianPGroup(Hg, p, (), ())
-        dec_K = abelian_decompose(Kg) if Kg.order > 1 else AbelianPGroup(Kg, p, (), ())
+        dec_H = abelian_decompose(Hg, p)
+        dec_K = abelian_decompose(Kg, p)
         res_H = restrict(_inclusion_hom(dec_H, dec_P), p, n, budget)
         res_K = restrict(_inclusion_hom(dec_K, dec_P), p, n, budget)
         cg = restrict(_conjugation_hom(dec_H, dec_K, g), p, n, budget)  # A(Kg) -> A(Hg)
@@ -379,7 +367,7 @@ def value_general(G: PermGroup, p: int, n: int,
             kind="trivial", p=p, n=n, algebra=F, form=form, ind_one=F.one(), group=G,
         )
     if G.order == sylow(G, p).order and G.is_abelian():
-        dec = abelian_decompose(G)
+        dec = abelian_decompose(G, p)
         v = value_for_decomposition(dec, p, n, budget)
         return v
     st = stable_elements(G, p, n, budget)
@@ -464,13 +452,13 @@ def induced_map(G: PermGroup, H: PermGroup, beta: dict, v_G: GreenValue, v_H: Gr
             # A(H) -> F_p is the augmentation
             return augmentation_map(v_H.algebra)
         return AlgebraMap.identity(v_G.algebra)
-    P_G = v_G.sylow_decomp if v_G.sylow_decomp is not None else abelian_decompose(G)
+    P_G = v_G.sylow_decomp if v_G.sylow_decomp is not None else abelian_decompose(G, p)
     dec_G = P_G
     PG_grp = dec_G.group
     imgPG = H.subgroup([beta[g] for g in PG_grp.generators] or [])
     if v_H.kind == "trivial":
         raise ExactKernelError("no map: target value trivial but source Sylow nontrivial")
-    dec_H = v_H.sylow_decomp if v_H.sylow_decomp is not None else abelian_decompose(H)
+    dec_H = v_H.sylow_decomp if v_H.sylow_decomp is not None else abelian_decompose(H, p)
     PH_grp = dec_H.group
     if imgPG.order != PH_grp.order:
         raise ExactKernelError("beta does not carry the Sylow isomorphically")
@@ -520,7 +508,7 @@ class SubgroupGreenFunctor:
         if v.sylow_decomp is not None:
             return v.sylow_decomp
         P = sylow(H, self.p)
-        return abelian_decompose(P) if P.order > 1 else AbelianPGroup(P, self.p, (), ())
+        return abelian_decompose(P, self.p)
 
     def res(self, H: PermGroup, K: PermGroup) -> AlgebraMap:
         """res^H_K: A(H) -> A(K) for K <= H."""

@@ -179,9 +179,6 @@ class PermGroup:
         common = self._eset & H._eset
         return PermGroup(self.degree, sorted(common))
 
-    def centralizes(self, g: Perm) -> bool:
-        return all(perm_mul(g, h) == perm_mul(h, g) for h in self.generators)
-
 
 def group_from_generators(degree: int, perms, budget: int = DEFAULT_GROUP_BUDGET) -> PermGroup:
     return PermGroup(degree, perms, budget)
@@ -414,19 +411,21 @@ def _perm_pow(g: Perm, k: int) -> Perm:
     return out
 
 
-def abelian_decompose(A: PermGroup) -> AbelianPGroup:
+def abelian_decompose(A: PermGroup, p: int | None = None) -> AbelianPGroup:
     """Cyclic basis of an abelian p-group by greedy maximal-order extraction,
-    recursing on the regular representation of the quotient."""
+    recursing on the regular representation of the quotient.
+
+    ``p`` is the caller's prime; when omitted it is read off the order.  The
+    trivial group is a p-group for every p, so it takes the caller's p
+    (2 when none is given).
+    """
     if not A.is_abelian():
         raise ExactKernelError("group is not abelian")
     n = A.order
+    if p is None:
+        p = next((d for d in range(2, n + 1) if n % d == 0), 2)
     if n == 1:
-        return AbelianPGroup(A, 2, (), ())
-    p = None
-    for cand in range(2, n + 1):
-        if n % cand == 0:
-            p = cand
-            break
+        return AbelianPGroup(A, p, (), ())
     if not _is_p_power(n, p):
         raise ExactKernelError("group order %d is not a prime power" % n)
 

@@ -19,6 +19,9 @@ from greenkernel.borel import (
     subalgebra_close,
     tensor,
 )
+from greenkernel.audit import default_subgroup_family
+from greenkernel.green import SubgroupGreenFunctor
+from greenkernel.grp import named_group
 
 
 def test_make_algebra_dims():
@@ -229,6 +232,17 @@ def test_subalgebra_structure():
     assert inc.check_multiplicative()
 
 
+def test_subalgebra_mult_matrix_matches_products():
+    A = make_algebra(2, (4, 4))
+    S = subalgebra_close(A, [A.monomial((2, 0)), A.monomial((1, 1))])
+    rng = random.Random(3)
+    eye = np.eye(S.dim, dtype=np.int64)
+    for _ in range(5):
+        v = np.array([rng.randrange(2) for _ in range(S.dim)], dtype=np.int64)
+        cols = np.array([S.mul_vec(v, e) for e in eye]).T
+        assert np.array_equal(S.mult_matrix(v).a, cols)
+
+
 def test_subalgebra_rejects_non_closed():
     A = make_algebra(2, (4,))
     with pytest.raises(ExactKernelError):
@@ -278,3 +292,72 @@ def test_element_int_coercion():
     assert 2 * x == x * 2
     assert (1 + x) ** 3 == A.one()  # (1+x)^3 = 1 + x^3 = 1 over F_3
     assert x == 0 + x and not (x == 0)
+
+
+def test_subalgebra_rejects_subspace_without_one():
+    A = make_algebra(3, (3,))
+    # span{x^2} is closed under products (x^4 = 0) but misses 1
+    with pytest.raises(ExactKernelError, match="contain 1"):
+        Subalgebra(A, [(A.gen() ** 2).vec])
+
+
+# -- generator checks against the exhaustive oracles ---------------------------
+
+
+def _exhaustive_multiplicative(f):
+    """Oracle: unital and f(e_i e_j) = f(e_i) f(e_j) on all basis pairs."""
+    src = f.source
+    if not f.check_unital():
+        return False
+    imgs = [f.apply(b) for b in src.basis_elements()]
+    eye = np.eye(src.dim, dtype=np.int64)
+    for i in range(src.dim):
+        for j in range(i, src.dim):
+            if f.apply(src.mul_vec(eye[i], eye[j])) != imgs[i] * imgs[j]:
+                return False
+    return True
+
+
+def _exhaustive_module_map(alpha, f):
+    """Oracle: alpha(f(a) b) = a alpha(b) on all basis pairs of A x B."""
+    A, B = alpha.target, alpha.source
+    for a in A.basis_elements():
+        fa = f.apply(a)
+        for b in B.basis_elements():
+            if alpha.apply(El(B, B.mul_vec(fa.vec, b.vec))) != a * alpha.apply(b):
+                return False
+    return True
+
+
+def _perturbed(m, k):
+    """m with entry k (row-major, wrapped) raised by one."""
+    out = m.copy()
+    i, j = divmod(k % m.size, m.shape[1])
+    out[i, j] += 1
+    return out
+
+
+@pytest.mark.parametrize("group,p,n", [("S3", 3, 1), ("S3", 3, 2), ("A4", 2, 1), ("A4", 2, 2)])
+def test_generator_checks_match_exhaustive(group, p, n):
+    G = named_group(group)
+    fx = SubgroupGreenFunctor(G, p, n)
+    fam = default_subgroup_family(G)
+    rejected = 0
+    for H in fam:
+        for K in fam:
+            if not K.is_subgroup_of(H):
+                continue
+            res, ind = fx.res(H, K), fx.ind(H, K)
+            assert res.check_multiplicative() and _exhaustive_multiplicative(res)
+            assert ind.check_module_map(res) and _exhaustive_module_map(ind, res)
+            for k in (0, 1, res.matrix.size // 2, res.matrix.size - 1):
+                bad = AlgebraMap(res.source, res.target, _perturbed(res.matrix, k))
+                verdict = bad.check_multiplicative()
+                assert verdict == _exhaustive_multiplicative(bad)
+                rejected += not verdict
+            for k in (0, 1, ind.matrix.size // 2, ind.matrix.size - 1):
+                bad = AlgebraMap(ind.source, ind.target, _perturbed(ind.matrix, k))
+                verdict = bad.check_module_map(res)
+                assert verdict == _exhaustive_module_map(bad, res)
+                rejected += not verdict
+    assert rejected > 0

@@ -128,6 +128,43 @@ def test_rref_deterministic_and_solve():
     assert np.array_equal((M.a @ I.a) % 5, np.eye(2, dtype=np.int64))
 
 
+def _rref_row_loop(a, p):
+    """Reference RREF: leftmost pivot column, smallest row, row-by-row
+    elimination."""
+    m = np.array(a, dtype=np.int64) % p
+    nr, nc = m.shape
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        sel = next((i for i in range(r, nr) if m[i, c]), None)
+        if sel is None:
+            continue
+        m[[r, sel]] = m[[sel, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
+        for i in range(nr):
+            if i != r and m[i, c]:
+                m[i] = (m[i] - m[i, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def test_rref_matches_row_loop_reference():
+    rng = random.Random(7)
+    for p in (2, 3, 5, 7):
+        for _ in range(20):
+            nr, nc = rng.randrange(1, 9), rng.randrange(1, 9)
+            # sparse entries make zero pivot columns and rank drops likely
+            a = [[rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(nc)]
+                 for _ in range(nr)]
+            R, pivots = FpMatrix(a, p).rref()
+            want, want_pivots = _rref_row_loop(a, p)
+            assert pivots == want_pivots
+            assert np.array_equal(R.a, want)
+
+
 def test_singular_inverse_raises():
     with pytest.raises(ExactKernelError):
         FpMatrix([[1, 1], [1, 1]], 2).inv()

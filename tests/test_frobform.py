@@ -308,3 +308,21 @@ def test_extend_socle_map_medium_dims():
     out = extend_socle_map(f, target)
     assert out.check_module_map(f)
     assert out.apply(socle_generator(B)) == target
+
+
+def test_check_module_map_rejects_perturbed_gysin():
+    A = make_algebra(2, (4,))
+    B = make_algebra(2, (2, 2), ("y1", "y2"))
+    f = algebra_map(A, B, [B.monomial((1, 0)) + B.monomial((0, 1))])
+    alpha = gysin(f, canonical_form(A), canonical_form(B))
+    assert alpha.check_module_map(f)
+    bad = alpha.matrix.copy()
+    bad[0, 0] = (bad[0, 0] + 1) % 2
+    assert not AlgebraMap(B, A, bad).check_module_map(f)
+
+
+def test_check_module_map_requires_algebra_map():
+    A = make_algebra(2, (2,))
+    f = AlgebraMap(A, A, np.eye(2, dtype=np.int64))  # flag not set
+    with pytest.raises(ExactKernelError):
+        AlgebraMap.identity(A).check_module_map(f)

@@ -164,6 +164,15 @@ def test_abelian_decompose_examples():
     assert t.exponents == ()
 
 
+def test_abelian_decompose_trivial_group_takes_callers_prime():
+    d = abelian_decompose(PermGroup(1, []), 3)
+    assert (d.p, d.exponents) == (3, ())
+    assert abelian_decompose(named_group("S3").trivial_subgroup(), 5).p == 5
+    assert abelian_decompose(named_group("C9"), 3).exponents == (2,)
+    with pytest.raises(ExactKernelError):
+        abelian_decompose(named_group("C9"), 2)
+
+
 def test_abelian_decompose_order_product():
     for name in ("C4", "V4", "C8", "C2xC4", "C9", "C2xC2xC2"):
         d = abelian_decompose(named_group(name))
