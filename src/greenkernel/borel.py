@@ -5,9 +5,16 @@ The monomial basis is ordered graded-lexicographically on exponent vectors,
 so index 0 is the constant monomial (augmentation = coefficient 0) and the
 last index is the top monomial x_1^{q_1-1}...x_l^{q_l-1}.
 
-Element vectors are numpy int64 coordinate arrays.  Products use a cached
-dim x dim index table for small algebras and a Kronecker-substitution
-big-integer convolution for large ones (tensor squares of Hopf levels).
+Element vectors are numpy int64 coordinate arrays.  Every product comes
+from one mixed-radix Kronecker encoding of the monomials, enc[i] =
+sum_k e_k w_k with radix 2 q_k - 1 for variable k: a product of monomials is
+the sum of their codes with no carry between digits, and the code sum is a
+basis code exactly when no exponent reaches its cap.  mul_vec multiplies
+two big integers with one slot per code; mult_matrix and pairing_matrix
+gather from a vector scattered to the codes.
+
+The arithmetic envelope is dim * (p-1)^2 < 2^63, the bound on any product
+coefficient before reduction; BorelAlgebra refuses anything larger.
 """
 
 from __future__ import annotations
@@ -19,13 +26,12 @@ import numpy as np
 from .exactkernel import (
     ExactKernelError,
     FpMatrix,
+    ScopeError,
     TruncPoly,
     _check_prime,
     mat_kernel,
     row_space_basis,
 )
-
-_TABLE_LIMIT = 320  # above this dimension, products go through the Kronecker path
 
 
 def _is_p_power(q: int, p: int) -> bool:
@@ -151,7 +157,7 @@ class El:
 
 class _LocalAlgebraOps:
     """Shared derived operations; concrete classes provide p, dim, one_vec,
-    aug_vec, mul_vec and radical_span_vecs."""
+    aug_vec, mul_vec, mult_matrix, pairing_matrix and radical_span_vecs."""
 
     def one(self) -> El:
         return El(self, self.one_vec())
@@ -168,20 +174,6 @@ class _LocalAlgebraOps:
     def basis_elements(self) -> list[El]:
         return [El(self, v) for v in np.eye(self.dim, dtype=np.int64)]
 
-    def mult_matrix(self, vec) -> FpMatrix:
-        """Matrix of left multiplication by the element with these coords."""
-        vec = np.asarray(vec, dtype=np.int64) % self.p
-        table = getattr(self, "_table", None)
-        if table is not None:
-            M = np.zeros((self.dim, self.dim), dtype=np.int64)
-            for i in np.nonzero(vec)[0]:
-                row = table[i]
-                valid = row >= 0
-                np.add.at(M, (row[valid], np.nonzero(valid)[0]), int(vec[i]))
-            return FpMatrix(M, self.p)
-        cols = [self.mul_vec(vec, e) for e in np.eye(self.dim, dtype=np.int64)]
-        return FpMatrix(np.array(cols).T, self.p)
-
     def socle_vecs(self) -> list[np.ndarray]:
         """Basis of the annihilator of the maximal ideal, via the kernel of
         stacked multiplication matrices of a radical spanning set."""
@@ -197,12 +189,10 @@ class _LocalAlgebraOps:
     def nilpotency_exponent(self) -> int:
         """Least e with m^e = 0, computed by repeated span products."""
         span = self.radical_span_vecs()
+        by_gen = [self.mult_matrix(g).a for g in span]
         e = 1
         while span:
-            nxt = []
-            for u in span:
-                for g in self.radical_span_vecs():
-                    nxt.append(self.mul_vec(u, g))
+            nxt = np.vstack([np.array(span) @ M.T for M in by_gen])
             span = row_space_basis(nxt, self.dim, self.p)
             e += 1
             if e > self.dim + 1:
@@ -242,37 +232,22 @@ class BorelAlgebra(_LocalAlgebraOps):
         for q in profile:
             dim *= q
         self.dim = dim
+        bound = dim * (p - 1) ** 2  # largest product coefficient before reduction
+        if bound >= 2 ** 63:
+            raise ScopeError(
+                "dim * (p-1)^2 = %d leaves the int64 envelope (< 2^63)" % bound
+            )
         exps = [()]
         for q in profile:
             exps = [e + (k,) for e in exps for k in range(q)]
         exps.sort(key=lambda e: (sum(e), e))
         self.basis: list[tuple] = exps
         self.index: dict[tuple, int] = {e: i for i, e in enumerate(exps)}
-        # multiplication structure
-        if dim <= _TABLE_LIMIT:
-            table = np.full((dim, dim), -1, dtype=np.int64)
-            for i, ei in enumerate(exps):
-                for j, ej in enumerate(exps):
-                    e = tuple(a + b for a, b in zip(ei, ej))
-                    if all(a < q for a, q in zip(e, profile)):
-                        table[i, j] = self.index[e]
-            self._table = table
-            self._kron = None
-        else:
-            self._table = None
-            radix = [2 * q - 1 for q in profile]
-            enc = np.zeros(dim, dtype=np.int64)
-            weights = []
-            w = 1
-            for r in radix:
-                weights.append(w)
-                w *= r
-            self._kron_size = w
-            for i, e in enumerate(exps):
-                enc[i] = sum(a * wt for a, wt in zip(e, weights))
-            dec = np.full(w, -1, dtype=np.int64)
-            dec[enc] = np.arange(dim)
-            self._kron = (enc, dec)
+        # mixed-radix Kronecker codes, radix 2q-1 per variable (see module doc)
+        weights = np.cumprod([1] + [2 * q - 1 for q in profile])
+        self.enc = np.array(exps, dtype=np.int64).reshape(dim, -1) @ weights[:-1]
+        self._ncodes = int(weights[-1])
+        self._slot = next(np.dtype("<u%d" % b) for b in (1, 2, 4, 8) if bound < 256 ** b)
 
     def __eq__(self, other):
         return (
@@ -301,32 +276,33 @@ class BorelAlgebra(_LocalAlgebraOps):
     def aug_vec(self, vec) -> int:
         return int(vec[0])
 
-    def mul_vec(self, u, v) -> np.ndarray:
-        p = self.p
-        if self._table is not None:
-            outer = (np.outer(u, v) % p).ravel()
-            tgt = self._table.ravel()
-            mask = (tgt >= 0) & (outer != 0)
-            out = np.zeros(self.dim, dtype=np.int64)
-            np.add.at(out, tgt[mask], outer[mask])
-            return out % p
-        enc, dec = self._kron
-        a = np.zeros(self._kron_size, dtype=np.int64)
-        b = np.zeros(self._kron_size, dtype=np.int64)
-        a[enc] = u % p
-        b[enc] = v % p
-        ia = int.from_bytes(a.astype("<u8").tobytes(), "little")
-        ib = int.from_bytes(b.astype("<u8").tobytes(), "little")
-        prod = ia * ib
-        nbytes = 2 * self._kron_size * 8
-        raw = prod.to_bytes(nbytes, "little")
-        c = np.frombuffer(raw, dtype="<u8").astype(np.int64) % p
-        # keep positions whose mixed-radix digits all stay below the caps;
-        # digit-overflow positions are exactly the capped monomials
-        out = np.zeros(self.dim, dtype=np.int64)
-        valid = np.nonzero(dec >= 0)[0]
-        out[dec[valid]] = c[valid]
+    def _scatter(self, vec, dtype=np.int64) -> np.ndarray:
+        """vec reduced mod p and placed at the codes; other positions hold 0."""
+        out = np.zeros(self._ncodes, dtype=dtype)
+        out[self.enc] = np.asarray(vec, dtype=np.int64) % self.p
         return out
+
+    def mul_vec(self, u, v) -> np.ndarray:
+        """One big-integer product with a slot per code; every code sum is
+        below _ncodes and every slot below 256**itemsize, so nothing wraps."""
+        nbytes = self._ncodes * self._slot.itemsize
+        a, b = (int.from_bytes(self._scatter(x, self._slot).tobytes(), "little") for x in (u, v))
+        c = np.frombuffer((a * b).to_bytes(nbytes, "little"), dtype=self._slot)
+        return c[self.enc].astype(np.int64) % self.p
+
+    def mult_matrix(self, vec) -> FpMatrix:
+        """Matrix of left multiplication by vec: entry (k, j) is the
+        coefficient of vec at code enc[k] - enc[j], read modulo _ncodes (numpy
+        wraps negative indices).  When e_j does not divide e_k the difference
+        has a negative digit d; the lowest one reads as 2q-1+d >= q, so the
+        position is padding and holds 0."""
+        U = self._scatter(vec)
+        return FpMatrix(U[self.enc[:, None] - self.enc[None, :]], self.p)
+
+    def pairing_matrix(self, lam) -> FpMatrix:
+        """G[i, j] = lam(e_i e_j): lam read at the code sum enc[i] + enc[j]."""
+        L = self._scatter(lam)
+        return FpMatrix(L[self.enc[:, None] + self.enc[None, :]], self.p)
 
     def radical_span_vecs(self) -> list[np.ndarray]:
         out = []
@@ -391,19 +367,24 @@ def tensor(A: BorelAlgebra, B: BorelAlgebra) -> TensorProduct:
     if len(set(names)) != len(names):
         names = ["%sL" % v for v in A.var_names] + ["%sR" % v for v in B.var_names]
     C = BorelAlgebra(A.p, A.profile + B.profile, tuple(names))
-    zl = (0,) * B.nvars
-    zr = (0,) * A.nvars
-    emb_left = AlgebraMap.from_generator_images(
-        A, C, [C.monomial(tuple(e) + zl) for e in np.eye(A.nvars, dtype=int).tolist()] if A.nvars else []
-    )
-    emb_right = AlgebraMap.from_generator_images(
-        B, C, [C.monomial(zr + tuple(e)) for e in np.eye(B.nvars, dtype=int).tolist()] if B.nvars else []
-    )
     pair = np.zeros((A.dim, B.dim), dtype=np.int64)
     for i, ea in enumerate(A.basis):
         for j, eb in enumerate(B.basis):
             pair[i, j] = C.index[ea + eb]
+    # the embeddings send monomials to monomials: a -> a (x) 1, b -> 1 (x) b
+    left = np.zeros((C.dim, A.dim), dtype=np.int64)
+    left[pair[:, 0], np.arange(A.dim)] = 1
+    right = np.zeros((C.dim, B.dim), dtype=np.int64)
+    right[pair[0, :], np.arange(B.dim)] = 1
+    emb_left = AlgebraMap(A, C, left, is_algebra_map=True)
+    emb_right = AlgebraMap(B, C, right, is_algebra_map=True)
     return TensorProduct(C, emb_left, emb_right, pair)
+
+
+def _pair_products(A, rows) -> np.ndarray:
+    """The products rows[i] rows[j], i <= j, in A, one per output row."""
+    R = np.asarray(rows, dtype=np.int64)
+    return np.vstack([(R[i:] @ A.mult_matrix(r).a.T) % A.p for i, r in enumerate(R)])
 
 
 def _intertwines(X, S, T, pairs) -> bool:
@@ -585,10 +566,7 @@ class Subalgebra(_LocalAlgebraOps):
         self.dim = len(rows)
         if not self._spans([ambient.one_vec()]):
             raise ExactKernelError("subalgebra must contain 1")
-        prods = [
-            ambient.mul_vec(rows[i], rows[j]) for i in range(self.dim) for j in range(i, self.dim)
-        ]
-        if not self._spans(prods):
+        if not self._spans(_pair_products(ambient, rows)):
             raise ExactKernelError("subspace is not closed under multiplication")
 
     def _spans(self, vecs) -> bool:
@@ -638,6 +616,14 @@ class Subalgebra(_LocalAlgebraOps):
         M = self.ambient.mult_matrix(self.from_sub(vec)).a @ self.basis_matrix.T
         return FpMatrix(M[self.pivots], self.p)
 
+    def pairing_matrix(self, lam) -> FpMatrix:
+        """G[i, j] = lam(b_i b_j) = B . G_ambient(lam') . B^T, where lam' is
+        lam placed at the pivots, so lam'(v) = lam(to_sub(v)) on the span."""
+        amb = np.zeros(self.ambient.dim, dtype=np.int64)
+        amb[self.pivots] = np.asarray(lam, dtype=np.int64) % self.p
+        B = self.basis_matrix
+        return FpMatrix((B @ self.ambient.pairing_matrix(amb).a) % self.p @ B.T, self.p)
+
     def radical_span_vecs(self) -> list[np.ndarray]:
         rows = []
         for i in range(self.dim):
@@ -667,11 +653,7 @@ def subalgebra_close(A, vectors) -> Subalgebra:
     vecs = [v.vec if isinstance(v, El) else np.asarray(v, dtype=np.int64) for v in vectors]
     span = row_space_basis(vecs + [A.one_vec()], A.dim, A.p)
     while True:
-        prods = list(span)
-        for i in range(len(span)):
-            for j in range(i, len(span)):
-                prods.append(A.mul_vec(span[i], span[j]))
-        new = row_space_basis(prods, A.dim, A.p)
+        new = row_space_basis(np.vstack([span, _pair_products(A, span)]), A.dim, A.p)
         if len(new) == len(span):
             return Subalgebra(A, new)
         span = new

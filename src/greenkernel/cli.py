@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -402,11 +401,7 @@ def _cmd_audit_assumptions(args) -> int:
     from .audit import audit_assumptions, DEFAULT_BATTERY
 
     battery = [b.strip() for b in args.battery.split(",")] if args.battery else list(DEFAULT_BATTERY)
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(battery) <= 1:
-        rep = audit_assumptions(battery, args.p, args.n, _budget(args))
-    else:
-        rep = _parallel_assumptions(battery, args, jobs)
+    rep = audit_assumptions(battery, args.p, args.n, _budget(args))
     d = rep.as_dict()
     if args.no_timing:
         d = _strip_ms(d)
@@ -415,37 +410,6 @@ def _cmd_audit_assumptions(args) -> int:
     else:
         _emit(args, "\n".join(rep.summary_lines()))
     return EXIT_AUDIT if rep.has_failures else EXIT_OK
-
-
-def _parallel_assumptions(battery, args, jobs):
-    """Per-group audits in a thread pool; group-independent rows come from
-    the first batch only, and the merged rows are re-sorted, so the output
-    equals the sequential run."""
-    from .audit import audit_assumptions, AuditReport
-
-    budget = _budget(args)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futs = [
-            pool.submit(audit_assumptions, [nm], args.p, args.n, budget)
-            for nm in battery
-        ]
-        parts = [f.result() for f in futs]
-    merged = AuditReport(meta={
-        "p": args.p, "n": args.n, "battery": battery,
-        "version": parts[0].meta["version"], "mode": "assumptions",
-    })
-    seen_global = set()
-    global_names = {"AssumptionA-trivial-value", "pdiv-tower", "ind-image-in-radical",
-                    "automorphism-fixes-socle", "restriction-functoriality"}
-    for i, part in enumerate(parts):
-        for row in part.checks:
-            if row.name in global_names:
-                key = (row.name, row.instance)
-                if key in seen_global:
-                    continue
-                seen_global.add(key)
-            merged.add(row)
-    return merged.finalize()
 
 
 # -- dispatch ------------------------------------------------------------------
@@ -471,7 +435,6 @@ def build_parser() -> _Parser:
                         help="size budget (default %d or GREENKERNEL_BUDGET)" % DEFAULT_SIZE_BUDGET)
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--out", help="write output to this file")
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--no-timing", action="store_true",
                         help="zero the ms fields in audit reports")
 

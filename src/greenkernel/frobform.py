@@ -13,23 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .exactkernel import ExactKernelError, FpMatrix, subspace_contains
-from .borel import AlgebraMap, BorelAlgebra, El
+from .borel import AlgebraMap, El
 
 
 def pairing_matrix(A, covector) -> FpMatrix:
     """G[i, j] = lam(e_i e_j) over the coordinate basis."""
-    lam = np.asarray(covector, dtype=np.int64) % A.p
-    if isinstance(A, BorelAlgebra) and A._table is not None:
-        t = A._table
-        G = np.where(t >= 0, lam[np.clip(t, 0, None)], 0)
-        return FpMatrix(G, A.p)
-    dim = A.dim
-    eye = np.eye(dim, dtype=np.int64)
-    G = np.zeros((dim, dim), dtype=np.int64)
-    for i in range(dim):
-        for j in range(i, dim):
-            G[i, j] = G[j, i] = int(lam @ A.mul_vec(eye[i], eye[j])) % A.p
-    return FpMatrix(G, A.p)
+    return A.pairing_matrix(covector)
 
 
 class FrobeniusForm:
@@ -163,12 +152,10 @@ def form_unit(A, lam: FrobeniusForm, theta) -> El:
     winv = El(A, w)
     if not winv.is_unit():
         raise ExactKernelError("internal consistency: solved element is not a unit")
-    u = winv.inv()
-    uin = winv
-    for i, e in enumerate(np.eye(A.dim, dtype=np.int64)):
-        if int(tvec[i]) != lam.value(El(A, A.mul_vec(e, uin.vec))):
-            raise ExactKernelError("internal consistency: form_unit identity fails")
-    return u
+    # theta(e_i) = lam(e_i w) for every i, through multiplication by w
+    if not np.array_equal((A.mult_matrix(w).a.T @ lam.vec) % A.p, tvec):
+        raise ExactKernelError("internal consistency: form_unit identity fails")
+    return winv.inv()
 
 
 def gysin(f: AlgebraMap, lam_A: FrobeniusForm, lam_B: FrobeniusForm) -> AlgebraMap:
@@ -242,13 +229,10 @@ def extend_socle_map(f: AlgebraMap, socle_image: El, socle_gen_B: El | None = No
 
 def check_reciprocity(f: AlgebraMap, alpha: AlgebraMap, lam_A: FrobeniusForm) -> bool:
     """Frobenius reciprocity (f(a)|b)_B = (a|alpha(b))_A on all basis pairs,
-    where (x|y)_A = lam_A(xy) and (x'|y')_B = (lam_A o alpha)(x'y')."""
-    A, B = f.source, f.target
-    for a in A.basis_elements():
-        fa = f.apply(a)
-        for b in B.basis_elements():
-            lhs = lam_A.value(alpha.apply(El(B, B.mul_vec(fa.vec, b.vec))))
-            rhs = lam_A.value(El(A, A.mul_vec(a.vec, alpha.apply(b).vec)))
-            if lhs != rhs:
-                return False
-    return True
+    where (x|y)_A = lam_A(xy) and (x'|y')_B = (lam_A o alpha)(x'y').
+
+    As matrices over the basis pairs (a, b): f^T . G_B = G_A . alpha, with
+    G_B the pairing matrix of lam_A o alpha and G_A that of lam_A."""
+    B, p = f.target, f.source.p
+    G_B = B.pairing_matrix((alpha.matrix.T @ lam_A.vec) % p).a
+    return bool(np.array_equal((f.matrix.T @ G_B) % p, (lam_A.pairing.a @ alpha.matrix) % p))

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from greenkernel.exactkernel import ExactKernelError, TruncPoly
+from greenkernel.exactkernel import ExactKernelError, ScopeError, TruncPoly
 from greenkernel.borel import (
     AlgebraMap,
     BorelAlgebra,
@@ -20,6 +20,7 @@ from greenkernel.borel import (
     tensor,
 )
 from greenkernel.audit import default_subgroup_family
+from greenkernel.frobform import pairing_matrix
 from greenkernel.green import SubgroupGreenFunctor
 from greenkernel.grp import named_group
 
@@ -256,24 +257,67 @@ def test_subalgebra_to_sub_rejects_outside_vectors():
         S.to_sub(A.gen().vec)
 
 
-def test_kronecker_path_matches_reference():
-    # dim 1024 forces the big-integer convolution path
-    H = make_algebra(2, (32,))
-    C = tensor(H, H).algebra
-    assert C._table is None
-    rng = random.Random(1)
-    for _ in range(4):
-        u = np.array([rng.randrange(2) for _ in range(C.dim)], dtype=np.int64)
-        v = np.array([rng.randrange(2) for _ in range(C.dim)], dtype=np.int64)
-        got = C.mul_vec(u, v)
-        pu = TruncPoly(C.var_names, C.profile,
-                       {C.basis[i]: int(c) for i, c in enumerate(u) if c}, 2)
-        pv = TruncPoly(C.var_names, C.profile,
-                       {C.basis[i]: int(c) for i, c in enumerate(v) if c}, 2)
-        want = np.zeros(C.dim, dtype=np.int64)
-        for e, c in (pu * pv).coeffs.items():
-            want[C.index[e]] = c
-        assert np.array_equal(got, want)
+def _truncpoly_product(A, u, v) -> np.ndarray:
+    """u v in A computed with TruncPoly (in the ambient, for a Subalgebra)."""
+    amb = getattr(A, "ambient", A)
+    if amb is not A:
+        u, v = A.from_sub(u), A.from_sub(v)
+    pu, pv = (TruncPoly(amb.var_names, amb.profile,
+                        {amb.basis[i]: int(c) for i, c in enumerate(w) if c}, amb.p)
+              for w in (u, v))
+    want = np.zeros(amb.dim, dtype=np.int64)
+    for e, c in (pu * pv).coeffs.items():
+        want[amb.index[e]] = c
+    return want if amb is A else A.to_sub(want)
+
+
+def _subalgebra_case():
+    A = make_algebra(3, (9, 3))
+    return subalgebra_close(A, [A.monomial((3, 0)), A.monomial((1, 1))])
+
+
+KERNEL_CASES = {
+    "p3-3": lambda: make_algebra(3, (3,)),
+    "p2-4x4": lambda: make_algebra(2, (4, 4)),
+    "p2-16x16": lambda: make_algebra(2, (16, 16)),
+    "p2-4x4x4x4": lambda: make_algebra(2, (4, 4, 4, 4)),
+    "p3-27x27": lambda: make_algebra(3, (27, 27)),
+    "p2-32x32-tensor": lambda: tensor(make_algebra(2, (32,)), make_algebra(2, (32,))).algebra,
+    "p5-trivial": lambda: make_algebra(5, ()),
+    "sub-p3-9x3": _subalgebra_case,
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_product_kernel_matches_oracles(case):
+    """mul_vec against TruncPoly; mult_matrix column by column and
+    pairing_matrix pair by pair against mul_vec (every index up to dim 64,
+    a random sample with both ends above)."""
+    A = KERNEL_CASES[case]()
+    rng = np.random.default_rng(1)
+    eye = np.eye(A.dim, dtype=np.int64)
+    idx = np.arange(A.dim) if A.dim <= 64 else np.unique(
+        np.r_[0, A.dim - 1, rng.choice(A.dim, 10, replace=False)])
+    for _ in range(2):
+        u, v, lam = (rng.integers(0, A.p, A.dim) for _ in range(3))
+        assert np.array_equal(A.mul_vec(u, v), _truncpoly_product(A, u, v))
+        M = A.mult_matrix(u).a
+        for j in idx:
+            assert np.array_equal(M[:, j], A.mul_vec(u, eye[j]))
+        G = pairing_matrix(A, lam).a
+        for i in idx:
+            for j in idx:
+                assert G[i, j] == int(lam @ A.mul_vec(eye[i], eye[j])) % A.p
+
+
+def test_int64_envelope_enforced():
+    # dim * (p-1)^2 must stay below 2^63; above it products wrapped silently
+    with pytest.raises(ScopeError):
+        BorelAlgebra(4294967311, ())
+    p = 3037000493  # the largest prime with (p-1)^2 < 2^63
+    A = BorelAlgebra(p, ())
+    assert A.mul_vec([p - 1], [p - 1]).tolist() == [1]
+    assert A.mult_matrix([p - 1]).a.tolist() == [[p - 1]]
 
 
 def test_element_json_round_trip():

@@ -1,6 +1,9 @@
 """Command-line frontend: dispatch, formats, exit codes, determinism."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from greenkernel.cli import (
     EXIT_OK,
     EXIT_SCOPE,
     EXIT_USAGE,
+    build_parser,
     dispatch,
 )
 
@@ -157,14 +161,6 @@ def test_byte_identical_runs(capsys):
     assert out1 == out2
 
 
-def test_jobs_parallel_matches_sequential(capsys):
-    base = ["audit", "assumptions", "--p", "2", "--battery", "C2,C3,V4",
-            "--format", "json", "--no-timing"]
-    _, seq, _ = run(capsys, *base)
-    _, par, _ = run(capsys, *(base + ["--jobs", "3"]))
-    assert seq == par
-
-
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "green", "value", "--group", "V4", "--p", "2",
@@ -228,3 +224,22 @@ def test_frob_check_explicit_covector(capsys):
     assert code == EXIT_OK
     data = json.loads(out)
     assert data["is_frobenius"] is True and data["form"] == [1, 1]
+
+
+def _option_strings(parser) -> set:
+    out = set()
+    for action in parser._actions:
+        out.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= _option_strings(sub)
+    return out
+
+
+def test_readme_flags_are_accepted():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (line,) = re.findall(r"Flags: `([^`]*)`", readme)
+    flags = line.split()
+    assert flags and all(f.startswith("--") for f in flags)
+    missing = set(flags) - _option_strings(build_parser())
+    assert not missing, "README lists flags no subcommand accepts: %s" % sorted(missing)

@@ -265,6 +265,37 @@ def test_check_reciprocity():
     assert not check_reciprocity(f, AlgebraMap(B, A, bad), lamA)
 
 
+def _reciprocity_by_pairs(f, alpha, lam_A) -> bool:
+    """Oracle: (f(a)|b)_B = (a|alpha(b))_A checked one basis pair at a time."""
+    A, B = f.source, f.target
+    for a in A.basis_elements():
+        fa = f.apply(a)
+        for b in B.basis_elements():
+            lhs = lam_A.value(alpha.apply(El(B, B.mul_vec(fa.vec, b.vec))))
+            rhs = lam_A.value(El(A, A.mul_vec(a.vec, alpha.apply(b).vec)))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def test_check_reciprocity_matches_pair_oracle():
+    A = make_algebra(3, (9,))
+    B = make_algebra(3, (3, 3), ("y", "z"))
+    f = algebra_map(A, B, [B.gen(0) + B.gen(1)])
+    lamA = canonical_form(A)
+    alpha = gysin(f, lamA, canonical_form(B))
+    rng = np.random.default_rng(5)
+    candidates = [alpha, alpha.scale(2)]
+    for _ in range(4):
+        bad = alpha.matrix.copy()
+        bad[rng.integers(A.dim), rng.integers(B.dim)] += 1
+        candidates.append(AlgebraMap(B, A, bad))
+    candidates.append(AlgebraMap(B, A, rng.integers(0, 3, (A.dim, B.dim))))
+    verdicts = [check_reciprocity(f, c, lamA) for c in candidates]
+    assert verdicts == [_reciprocity_by_pairs(f, c, lamA) for c in candidates]
+    assert verdicts[:2] == [True, True] and not any(verdicts[2:])
+
+
 def test_socle_nonvanishing_for_frobenius_forms():
     for A in (make_algebra(2, (4,)), make_algebra(3, (3, 3))):
         lam = canonical_form(A)

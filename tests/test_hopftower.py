@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from greenkernel.exactkernel import BudgetError
-from greenkernel.borel import make_algebra, tensor
+from greenkernel.borel import AlgebraMap, make_algebra, tensor
 from greenkernel.fgl import HondaParams
 from greenkernel.frobform import canonical_form, is_frobenius_form
 from greenkernel.hopftower import (
@@ -15,6 +15,7 @@ from greenkernel.hopftower import (
     honda_level,
     hopf_check,
     integrals,
+    is_hopf_map,
     multiplication_map,
     pdiv_check,
     tower_maps,
@@ -100,6 +101,19 @@ def test_tower_maps_formulas():
     assert tm.surj_surjective and tm.inj_injective
     # the composite surj o inj factors through the augmentation on x
     assert tm.surj.apply(tm.inj.apply(H1.x())).is_zero()
+
+
+@pytest.mark.parametrize("image,verdict", [
+    ("x", True), ("x^2", True), ("0", True), ("x+x^2", False), ("x+x^3", False),
+])
+def test_is_hopf_map_verdicts(image, verdict):
+    # endomorphisms x -> image of H_2 = F_2[x]/(x^4) at height 1
+    L = honda_level(params(2, 1), 2)
+    x = L.x()
+    img = {"x": x, "x^2": x ** 2, "0": L.algebra.zero(),
+           "x+x^2": x + x ** 2, "x+x^3": x + x ** 3}[image]
+    f = AlgebraMap.from_generator_images(L.algebra, L.algebra, [img])
+    assert is_hopf_map(f, L.hopf, L.hopf) is verdict
 
 
 def test_tower_dims_multiply():
