@@ -26,8 +26,8 @@ import numpy as np
 from .exactkernel import (
     ExactKernelError,
     FpMatrix,
-    ScopeError,
     TruncPoly,
+    _check_envelope,
     _check_prime,
     mat_kernel,
     row_space_basis,
@@ -233,10 +233,7 @@ class BorelAlgebra(_LocalAlgebraOps):
             dim *= q
         self.dim = dim
         bound = dim * (p - 1) ** 2  # largest product coefficient before reduction
-        if bound >= 2 ** 63:
-            raise ScopeError(
-                "dim * (p-1)^2 = %d leaves the int64 envelope (< 2^63)" % bound
-            )
+        _check_envelope(bound, "dim * (p-1)^2")
         exps = [()]
         for q in profile:
             exps = [e + (k,) for e in exps for k in range(q)]
@@ -367,10 +364,11 @@ def tensor(A: BorelAlgebra, B: BorelAlgebra) -> TensorProduct:
     if len(set(names)) != len(names):
         names = ["%sL" % v for v in A.var_names] + ["%sR" % v for v in B.var_names]
     C = BorelAlgebra(A.p, A.profile + B.profile, tuple(names))
-    pair = np.zeros((A.dim, B.dim), dtype=np.int64)
-    for i, ea in enumerate(A.basis):
-        for j, eb in enumerate(B.basis):
-            pair[i, j] = C.index[ea + eb]
+    # C's radices are A's followed by B's, so a (x) b has code
+    # enc_A(a) + ncodes_A * enc_B(b); invert C.enc on the code range
+    pos = np.zeros(C._ncodes, dtype=np.int64)
+    pos[C.enc] = np.arange(C.dim)
+    pair = pos[A.enc[:, None] + A._ncodes * B.enc[None, :]]
     # the embeddings send monomials to monomials: a -> a (x) 1, b -> 1 (x) b
     left = np.zeros((C.dim, A.dim), dtype=np.int64)
     left[pair[:, 0], np.arange(A.dim)] = 1

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .exactkernel import BudgetError, ExactKernelError, ScopeError
+from .exactkernel import BudgetError, ExactKernelError, ScopeError, TruncPoly
 from .borel import AlgebraMap, BorelAlgebra, El, Subalgebra
 from .fgl import HondaParams, honda_fgl
 from .frobform import FrobeniusForm, canonical_form, gysin, is_frobenius_form
@@ -179,15 +179,17 @@ def _element_json(A, el: El) -> dict:
 def _cmd_fgl_show(args) -> int:
     p, n = args.p, args.n
     deg = args.deg or max(p ** n, 4)
-    f = honda_fgl(HondaParams(p, n, deg))
+    F = honda_fgl(HondaParams(p, n, deg)).F
+    terms = {(int(i), int(j)): int(F[i, j]) for i, j in zip(*np.nonzero(F))}
     if args.format == "json":
         payload = {
             "p": p, "n": n, "deg": deg,
-            "terms": {"%d,%d" % e: int(c) for e, c in sorted(f.F.coeffs.items())},
+            "terms": {"%d,%d" % e: c for e, c in terms.items()},
         }
         _emit(args, _json_dumps(payload))
     else:
-        _emit(args, "F(x, y) mod (x^%d, y^%d), p=%d, n=%d:\n  %s" % (deg, deg, p, n, f.F))
+        poly = TruncPoly(("x", "y"), (deg, deg), terms, p)
+        _emit(args, "F(x, y) mod (x^%d, y^%d), p=%d, n=%d:\n  %s" % (deg, deg, p, n, poly))
     return EXIT_OK
 
 

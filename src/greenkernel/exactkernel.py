@@ -15,6 +15,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,8 +42,15 @@ class ScopeError(ExactKernelError):
     """The request falls outside the modeled scope (e.g. non-abelian Sylow)."""
 
 
+@lru_cache(maxsize=256)
+def _is_prime(p: int) -> bool:
+    """Trial division; memoized, since every matrix and algebra checks its
+    modulus and a large prime costs milliseconds."""
+    return p >= 2 and not any(p % d == 0 for d in range(2, isqrt(p) + 1))
+
+
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if not _is_prime(p):
         raise ExactKernelError(f"modulus {p} is not prime")
 
 
@@ -122,8 +131,18 @@ class FpScalar:
 # ---------------------------------------------------------------------------
 
 
+def _check_envelope(bound: int, what: str) -> None:
+    """int64 arithmetic is exact only while every intermediate stays below
+    2^63; bound is the largest one the caller can produce."""
+    if bound >= 2 ** 63:
+        raise ScopeError("%s = %d leaves the int64 envelope (< 2^63)" % (what, bound))
+
+
 class FpMatrix:
-    """Dense matrix over GF(p) with deterministic row reduction."""
+    """Dense matrix over GF(p) with deterministic row reduction.
+
+    Products need cols * (p-1)^2 < 2^63 and row reduction (p-1)^2 < 2^63;
+    outside that envelope they raise ScopeError instead of wrapping."""
 
     __slots__ = ("a", "p")
 
@@ -172,6 +191,7 @@ class FpMatrix:
         return FpMatrix(-self.a, self.p)
 
     def __matmul__(self, other):
+        _check_envelope(self.cols * (self.p - 1) ** 2, "cols * (p-1)^2")
         if isinstance(other, FpMatrix):
             return FpMatrix(self.a @ other.a, self.p)
         v = np.asarray(other, dtype=np.int64)
@@ -204,6 +224,7 @@ class FpMatrix:
         with a nonzero entry; returns (matrix, pivot column list).
         """
         p = self.p
+        _check_envelope((p - 1) ** 2, "(p-1)^2")
         m = self.a.copy()
         nr, nc = m.shape
         pivots = []

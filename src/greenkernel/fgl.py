@@ -6,12 +6,18 @@ The construction: the height-n logarithm is
 
 its compositional inverse exp is computed degree by degree, and the group
 law is F(x, y) = exp(log x + log y).  Every coefficient of F is p-integral
-(asserted), so F reduces mod p; all downstream coproducts are generated
-from this reduction.  Its defining property mod p is [p](x) = x^q.
+(asserted; Hazewinkel's functional-equation lemma), so F reduces mod p; all
+downstream coproducts are generated from this reduction.  Its defining
+property mod p is [p](x) = x^q.
 
-The bivariate evaluation is the hot path, so it runs over scaled integers
-(mantissa dict plus a shared power-of-p denominator) rather than Fraction;
-a Fraction reference path is kept for cross-checking.
+The group law is the binomial expansion sum_{a,b} e_{a+b} C(a+b, a)
+log(x)^a log(y)^b, computed as the sandwich L^T M L of scaled-integer
+matrices (one block per residue class mod q-1, by the grading) with a
+single shared power-of-p denominator, and reduced once.  An
+Fgl owns the result as a dense (D, D) int64 residue array, and the series
+operations (formal sum, inverse, [m]-series) take and return int64
+coefficient vectors.  TruncPoly appears only on the Fraction reference path
+kept for cross-checking.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -46,12 +53,13 @@ class HondaParams:
         return self.p ** self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fgl:
-    """A computed formal group law: F in GF(p)[x, y] with caps (D, D)."""
+    """A computed formal group law: F[i, j] is the coefficient of x^i y^j
+    mod p, for i, j < D (a read-only (D, D) int64 array)."""
 
     params: HondaParams
-    F: TruncPoly
+    F: np.ndarray
 
     @property
     def p(self) -> int:
@@ -168,103 +176,71 @@ def _fgl_rational_reference(params: HondaParams) -> TruncPoly:
     return F
 
 
-def _fgl_scaled(params: HondaParams) -> TruncPoly:
-    """Scaled-integer Horner evaluation of exp(log x + log y).
+def _fgl_residues(params: HondaParams) -> np.ndarray:
+    """F mod p as a dense (D, D) array, from the binomial expansion
 
-    Intermediates are dicts {i*D+j: mantissa} with one shared denominator
-    exponent; no gcd is ever taken, only exact strips of powers of p.
+        F(x, y) = sum_{a, b < D} e_{a+b} C(a+b, a) L(x)^a L(y)^b
+
+    computed as the scaled-integer sandwich L^T M L over object arrays:
+    row a of L is p^{a ew} L(x)^a (p^ew the largest denominator of L below
+    x^D), and M[a, b] = e_{a+b} C(a+b, a) is rescaled to the shared
+    denominator p^S.  Every entry of the product must be divisible by p^S
+    (p-integrality); the quotient is reduced once.
     """
     p, q, D = params.p, params.q, params.trunc
     K = 2 * D - 2
     exp = honda_exp_coeffs(p, q, K)
-    ge = 0
-    for c in exp:
-        if c:
-            den, e = c.denominator, 0
-            while den > 1:
-                den //= p
-                e += 1
-            ge = max(ge, e)
-    gm = [int(c * p ** ge) for c in exp]
-
-    ew = 0
-    terms = []
+    # p^ew L(x) as integers: x^{q^i} / p^i scaled by p^ew, for q^i < D
+    w = {}
     e, i = 1, 0
     while e < D:
-        terms.append((e, i))
-        ew = max(ew, i)
+        w[e] = i
         e *= q
         i += 1
-    witems = []
-    for e_, i_ in terms:
-        witems.append((e_ * D, p ** (ew - i_)))
-        witems.append((e_, p ** (ew - i_)))
-
-    def mulw(acc: dict) -> dict:
-        out: dict = {}
-        get = out.get
-        for key, c in acc.items():
-            i1 = key // D
-            j1 = key - i1 * D
-            for wk, wc in witems:
-                i2 = wk // D
-                ii = i1 + i2
-                if ii >= D:
-                    continue
-                jj = j1 + (wk - i2 * D)
-                if jj >= D:
-                    continue
-                nk = ii * D + jj
-                v = get(nk)
-                out[nk] = c * wc if v is None else v + c * wc
-        return out
-
-    acc = {0: gm[K]}
-    eacc = ge
-    for k in range(K - 1, 0, -1):
-        acc = mulw(acc)
-        eacc += ew
-        vmin = eacc
-        for c in acc.values():
-            if c:
-                v = 0
-                while v < vmin and c % p == 0:
-                    c //= p
-                    v += 1
-                if v < vmin:
-                    vmin = v
-                if vmin == 0:
-                    break
-        if vmin:
-            pv = p ** vmin
-            acc = {kk: c // pv for kk, c in acc.items() if c}
-            eacc -= vmin
-        else:
-            acc = {kk: c for kk, c in acc.items() if c}
-        ck = gm[k]
-        if ck:
-            if eacc >= ge:
-                acc[0] = acc.get(0, 0) + ck * p ** (eacc - ge)
-            else:
-                f = p ** (ge - eacc)
-                acc = {kk: c * f for kk, c in acc.items()}
-                eacc = ge
-                acc[0] = acc.get(0, 0) + ck
-    acc = mulw(acc)
-    eacc += ew
-
-    scale = p ** eacc
-    coeffs = {}
-    for kk, c in acc.items():
-        if not c:
-            continue
-        if c % scale:
+    ew = i - 1
+    L = np.zeros((D, D), dtype=object)
+    L[0, 0] = 1
+    for a in range(1, D):
+        for e, i in w.items():
+            L[a, e:] += L[a - 1, : D - e] * p ** (ew - i)
+    # shared exponent: e_k / p^{k ew} = gm_k / p^S with gm_k an integer
+    S = max(_p_valuation(c.denominator, p) + k * ew for k, c in enumerate(exp) if c)
+    gm = []
+    for k, c in enumerate(exp):
+        m = c * p ** (S - k * ew)
+        if m.denominator != 1:
             raise ExactKernelError(
-                "internal consistency: non p-integral FGL coefficient at exponent %r"
-                % ((kk // D, kk % D),)
+                "internal consistency: exp coefficient %d has denominator %d" % (k, c.denominator)
             )
-        coeffs[(kk // D, kk % D)] = c // scale
-    return TruncPoly(("x", "y"), (D, D), coeffs, None)
+        gm.append(int(m))
+    # grading: L(x)^a lives in degrees = a (mod q-1), and exp(u) = u h(u^{q-1})
+    # (checked), so F[i, j] = 0 unless i + j = 1 (mod q-1); the sandwich
+    # splits into one block per residue class r of rows, paired with 1 - r
+    g = q - 1
+    if any(gm[k] for k in range(K + 1) if (k - 1) % g):
+        raise ExactKernelError("internal consistency: exp is not graded mod q-1")
+    scaled = np.zeros((D, D), dtype=object)
+    for r in range(g):
+        s = (1 - r) % g
+        M = np.array([[gm[a + b] * comb(a + b, a) for b in range(s, D, g)]
+                      for a in range(r, D, g)], dtype=object)
+        scaled[r::g, s::g] = L[r::g, r::g].T.dot(M).dot(L[s::g, s::g])
+    scale = p ** S
+    bad = np.argwhere(scaled % scale != 0)
+    if len(bad):
+        raise ExactKernelError(
+            "internal consistency: non p-integral FGL coefficient at exponent %r"
+            % (tuple(int(t) for t in bad[0]),)
+        )
+    return ((scaled // scale) % p).astype(np.int64)
+
+
+def _p_valuation(m: int, p: int) -> int:
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
 
 
 _fgl_cache: dict[tuple[int, int], Fgl] = {}
@@ -276,7 +252,7 @@ def honda_fgl(params: HondaParams) -> Fgl:
 
     Requires trunc >= q so the level-1 reduction is faithful.  Results are
     cached per (p, n) at the largest truncation computed so far; smaller
-    requests are served by re-truncation.
+    requests are served by slicing the residue array.
     """
     if params.trunc < params.q:
         raise ExactKernelError("truncation %d below q = %d" % (params.trunc, params.q))
@@ -287,25 +263,12 @@ def honda_fgl(params: HondaParams) -> Fgl:
             if hit.params.trunc == params.trunc:
                 return hit
             D = params.trunc
-            coeffs = {e: c for e, c in hit.F.coeffs.items() if e[0] < D and e[1] < D}
-            return Fgl(params, TruncPoly(("x", "y"), (D, D), coeffs, params.p))
-        Fq = _fgl_scaled(params)
-        F = Fq.reduce_mod(params.p)
+            return Fgl(params, hit.F[:D, :D])
+        F = _fgl_residues(params)
+        F.flags.writeable = False
         out = Fgl(params, F)
         _fgl_cache[key] = out
         return out
-
-
-def _uni_to_vec(f: TruncPoly, cap: int) -> "np.ndarray":
-    v = np.zeros(cap, dtype=np.int64)
-    for (e,), c in f.coeffs.items():
-        if e < cap:
-            v[e] = c
-    return v
-
-
-def _vec_to_uni(v, cap: int, p: int) -> TruncPoly:
-    return TruncPoly(("x",), (cap,), {(e,): int(c) for e, c in enumerate(v) if c}, p)
 
 
 def _conv(a, b, cap: int, p: int):
@@ -314,71 +277,72 @@ def _conv(a, b, cap: int, p: int):
     return np.convolve(a, b)[:cap] % p
 
 
+def _powers(vec, top: int, cap: int, p: int) -> np.ndarray:
+    """Rows vec^0 .. vec^(top-1) truncated at x^cap, stopping before the
+    first zero power."""
+    one = np.zeros(cap, dtype=np.int64)
+    one[0] = 1
+    pw = [one]
+    while len(pw) < top:
+        cur = _conv(pw[-1], vec, cap, p)
+        if not cur.any():
+            break
+        pw.append(cur)
+    return np.array(pw)
+
+
 def _eval_bivariate(fgl: Fgl, avec, bvec, cap: int):
-    """F(a(x), b(x)) as a coefficient vector of length cap."""
-    p = fgl.p
-    by_i: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), c in fgl.F.coeffs.items():
-        by_i.setdefault(i, []).append((j, c))
-    max_i = max(by_i, default=0)
-    max_j = max((j for terms in by_i.values() for j, _ in terms), default=0)
-
-    def powers(vec, top):
-        pw = [np.zeros(cap, dtype=np.int64)]
-        pw[0][0] = 1
-        cur = pw[0]
-        for _ in range(top):
-            cur = _conv(cur, vec, cap, p)
-            pw.append(cur)
-            if not cur.any():
-                break
-        return pw
-
-    apow = powers(avec, max_i)
-    bpow = powers(bvec, max_j)
+    """F(a(x), b(x)) as a coefficient vector of length cap: the inner sums
+    sum_j F[i, j] b^j are the rows of one product F @ powers(b)."""
+    p, F = fgl.p, fgl.F
+    # only the nonzero rows of F count; F is symmetric, so the last one also
+    # bounds the powers of b
+    rows = np.flatnonzero(F.any(axis=1))
+    apow = _powers(avec, rows[-1] + 1, cap, p)
+    bpow = _powers(bvec, rows[-1] + 1, cap, p)
+    rows = rows[rows < len(apow)]
+    inner = (F[rows, : len(bpow)] @ bpow) % p
     out = np.zeros(cap, dtype=np.int64)
-    for i, terms in by_i.items():
-        if i >= len(apow):
-            continue
-        binner = np.zeros(cap, dtype=np.int64)
-        for j, c in terms:
-            if j < len(bpow):
-                binner = (binner + c * bpow[j]) % p
-        if binner.any():
-            out = (out + _conv(apow[i], binner, cap, p)) % p
+    for ai, bi in zip(apow[rows], inner):
+        if bi.any():
+            out = (out + _conv(ai, bi, cap, p)) % p
     return out
 
 
-def formal_sum(fgl: Fgl, a: TruncPoly, b: TruncPoly) -> TruncPoly:
-    """F(a, b) for univariate series a, b in the same capped ring."""
-    if a.caps != b.caps or a.modulus != b.modulus or a.modulus != fgl.p:
+def _x(cap: int) -> np.ndarray:
+    x = np.zeros(cap, dtype=np.int64)
+    if cap > 1:
+        x[1] = 1
+    return x
+
+
+def formal_sum(fgl: Fgl, a, b) -> np.ndarray:
+    """F(a, b) for univariate coefficient vectors a, b of one length."""
+    a = np.asarray(a, dtype=np.int64) % fgl.p
+    b = np.asarray(b, dtype=np.int64) % fgl.p
+    if a.shape != b.shape or a.ndim != 1:
         raise ExactKernelError("formal_sum arguments live in different rings")
-    cap = a.caps[0]
-    return _vec_to_uni(_eval_bivariate(fgl, _uni_to_vec(a, cap), _uni_to_vec(b, cap), cap), cap, fgl.p)
+    return _eval_bivariate(fgl, a, b, len(a))
 
 
-def formal_inverse(fgl: Fgl, cap: int) -> TruncPoly:
+def formal_inverse(fgl: Fgl, cap: int) -> np.ndarray:
     """The series i(x) with F(x, i(x)) = 0, to exponents < cap.
 
     Fixed-point iteration i <- i - F(x, i) gains one correct degree per
     step because F(x, y) = x + y + higher terms.
     """
     p = fgl.p
-    x = np.zeros(cap, dtype=np.int64)
-    if cap > 1:
-        x[1] = 1
+    x = _x(cap)
     inv = (-x) % p
     for _ in range(cap + 1):
         err = _eval_bivariate(fgl, x, inv, cap)
         if not err.any():
-            break
+            return inv
         inv = (inv - err) % p
-    else:
-        raise ExactKernelError("internal consistency: formal inverse did not converge")
-    return _vec_to_uni(inv, cap, p)
+    raise ExactKernelError("internal consistency: formal inverse did not converge")
 
 
-def m_series(fgl: Fgl, m: int, cap: int) -> TruncPoly:
+def m_series(fgl: Fgl, m: int, cap: int) -> np.ndarray:
     """The multiplication-by-m series of the group law, truncated at x^cap.
 
     [0] = 0, [k+1](x) = F([k](x), x), and [-m](x) = i([m](x)).
@@ -386,27 +350,14 @@ def m_series(fgl: Fgl, m: int, cap: int) -> TruncPoly:
     if cap > fgl.params.trunc:
         raise ExactKernelError("cap %d exceeds computed truncation %d" % (cap, fgl.params.trunc))
     p = fgl.p
-    x = np.zeros(cap, dtype=np.int64)
-    if cap > 1:
-        x[1] = 1
+    x = _x(cap)
     if m == 0:
-        return _vec_to_uni(np.zeros(cap, dtype=np.int64), cap, p)
-    series = x.copy()
+        return np.zeros(cap, dtype=np.int64)
+    series = x
     for _ in range(abs(m) - 1):
         series = _eval_bivariate(fgl, series, x, cap)
     if m < 0:
-        invpoly = formal_inverse(fgl, cap)
-        # compose: inv(series(x)) by Horner on powers of series
-        out = np.zeros(cap, dtype=np.int64)
-        spow = np.zeros(cap, dtype=np.int64)
-        spow[0] = 1
-        top = max((e for (e,) in invpoly.coeffs), default=0)
-        pw = [spow]
-        cur = spow
-        for _ in range(top):
-            cur = _conv(cur, series, cap, p)
-            pw.append(cur)
-        for (e,), c in invpoly.coeffs.items():
-            out = (out + c * pw[e]) % p
-        series = out
-    return _vec_to_uni(series, cap, p)
+        inv = formal_inverse(fgl, cap)
+        spow = _powers(series, int(np.flatnonzero(inv).max(initial=0)) + 1, cap, p)
+        series = (inv[: len(spow)] @ spow) % p
+    return series

@@ -198,10 +198,8 @@ def _component_power_table(src_level: HondaLevel, r_i: int, s_j: int, m: int, p:
     u = max(r_i - s_j, 0)
     series = m_series(src_level.fgl, m_prime, out_cap)
     vec = np.zeros(out_cap, dtype=np.int64)
-    for (e,), c in series.coeffs.items():
-        ee = e * (q ** u)
-        if ee < out_cap:
-            vec[ee] = c
+    spread = vec[:: q ** u]  # x^e -> x^{e q^u}
+    spread[:] = series[: len(spread)]
     # power table up to slots_cap - 1
     table = [np.zeros(out_cap, dtype=np.int64)]
     table[0][0] = 1

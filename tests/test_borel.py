@@ -81,6 +81,18 @@ def test_tensor_profile_concat():
     assert T.algebra.dim == 4
 
 
+@pytest.mark.parametrize("p,pa,pb", [
+    (2, (128,), (128,)), (2, (4, 2), (8,)), (3, (9,), (3, 3)), (2, (2, 2), (2, 4)),
+    (5, (), (5,)), (3, (3,), ()),
+])
+def test_tensor_pair_index_matches_lookup_loop(p, pa, pb):
+    A, B = make_algebra(p, pa), make_algebra(p, pb)
+    T = tensor(A, B)
+    C = T.algebra
+    want = np.array([[C.index[ea + eb] for eb in B.basis] for ea in A.basis], dtype=np.int64)
+    assert np.array_equal(T.pair_index, want)
+
+
 def test_tensor_mismatched_prime():
     with pytest.raises(ExactKernelError):
         tensor(make_algebra(2, (2,)), make_algebra(3, (3,)))

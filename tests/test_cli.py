@@ -1,6 +1,7 @@
 """Command-line frontend: dispatch, formats, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -30,6 +31,28 @@ def test_fgl_show(capsys):
     code, out, _ = run(capsys, "fgl", "show", "--p", "2", "--deg", "2", "--format", "json")
     data = json.loads(out)
     assert data["terms"] == {"0,1": 1, "1,0": 1, "1,1": 1}
+
+
+# SHA-256 of `fgl show` output, recorded before the group law moved from a
+# TruncPoly to a residue array; the text and JSON must stay byte-identical.
+FGL_SHOW_DIGESTS = {
+    ("--p", "2", "--deg", "8", "text"): "100462e1704a3fb9a961e6e3b4419b5dc71f9172f97c0d35a1860a6fd37749e5",
+    ("--p", "2", "--deg", "8", "json"): "adcd284881424c5580a318821cfde7be97e1a8462761c313e315bdc13f5590f8",
+    ("--p", "3", "--deg", "9", "text"): "c324220790767de7efc9b525c7c5e8b2ace67bae25d4d05502dbc4f6fb7994a6",
+    ("--p", "3", "--deg", "9", "json"): "910ece2ed0e746509f6b779cebdb07124fe6ba3deeb7c51f5363a7f3052f5ead",
+    ("--p", "2", "--n", "2", "--deg", "16", "text"):
+        "1509660a452f77d01252aabaedd1dad3d9e427a06fe51b8d63e516e278a0bdf2",
+    ("--p", "2", "--n", "2", "--deg", "16", "json"):
+        "c48b8a70d02efb6a7e19b5c2dc251932853f89b4ea28194f754558e29fe5b856",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FGL_SHOW_DIGESTS))
+def test_fgl_show_output_is_byte_identical(capsys, key):
+    *flags, fmt = key
+    code, out, _ = run(capsys, "fgl", "show", *flags, "--format", fmt, "--no-timing")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == FGL_SHOW_DIGESTS[key]
 
 
 def test_tower_show_prints_coproduct(capsys):

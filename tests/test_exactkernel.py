@@ -12,6 +12,7 @@ from greenkernel.exactkernel import (
     ExactKernelError,
     FpMatrix,
     FpScalar,
+    ScopeError,
     TruncPoly,
     mat_kernel,
     poly_mul_trunc,
@@ -50,6 +51,25 @@ def test_fpscalar_rejects_composite_modulus():
         FpScalar(1, 6)
     with pytest.raises(ExactKernelError):
         FpScalar(1, 1)
+
+
+@pytest.mark.parametrize("prime,composite", [(7, 49), (3037000493, 3037000493 * 3), (5, 1)])
+def test_composite_modulus_rejected_after_a_prime_is_cached(prime, composite):
+    # the primality test is memoized; a cached prime must not let a
+    # composite through, and a composite stays rejected on the second try
+    from greenkernel.borel import BorelAlgebra
+
+    FpMatrix([[1]], prime)
+    FpScalar(1, prime)
+    for _ in range(2):
+        with pytest.raises(ExactKernelError):
+            FpMatrix([[1]], composite)
+        with pytest.raises(ExactKernelError):
+            FpScalar(1, composite)
+        with pytest.raises(ExactKernelError):
+            TruncPoly(("x",), (3,), {(1,): 1}, composite)
+        with pytest.raises(ExactKernelError):
+            BorelAlgebra(composite, ())
 
 
 def test_fpscalar_mixed_modulus_rejected():
@@ -163,6 +183,29 @@ def test_rref_matches_row_loop_reference():
             want, want_pivots = _rref_row_loop(a, p)
             assert pivots == want_pivots
             assert np.array_equal(R.a, want)
+
+
+def test_fpmatrix_int64_envelope_enforced():
+    # cols * (p-1)^2 must stay below 2^63 for a product, (p-1)^2 for rref;
+    # at p = 3037000507 the product once wrapped silently to 290948288
+    p = 3037000507
+    big = FpMatrix([[p - 1] * 2] * 2, p)
+    with pytest.raises(ScopeError):
+        big @ big
+    with pytest.raises(ScopeError):
+        big @ [1, 1]
+    with pytest.raises(ScopeError):
+        big.rref()
+    p = 2147483647  # 2 (p-1)^2 < 2^63: exact
+    m = FpMatrix([[p - 1] * 2] * 2, p)
+    assert (m @ m).a.tolist() == [[2, 2], [2, 2]]
+    assert m.rank() == 1
+    p = 3037000493  # the largest prime with (p-1)^2 < 2^63: rref is in, a 2-column product is out
+    m = FpMatrix([[p - 1] * 2] * 2, p)
+    assert m.rank() == 1
+    assert (FpMatrix([[p - 1]], p) @ FpMatrix([[p - 1]], p)).a.tolist() == [[1]]
+    with pytest.raises(ScopeError):
+        m @ m
 
 
 def test_singular_inverse_raises():

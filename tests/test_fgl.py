@@ -1,8 +1,9 @@
 """Honda formal group laws: logarithm, group law, inverse, [m]-series."""
 
+import hashlib
 from fractions import Fraction
-from itertools import product
 
+import numpy as np
 import pytest
 
 from greenkernel.exactkernel import ExactKernelError, TruncPoly
@@ -17,6 +18,17 @@ from greenkernel.fgl import (
     honda_log,
     m_series,
 )
+
+
+def poly2(F, p: int) -> TruncPoly:
+    """The residue array F as a TruncPoly in x, y (the test oracle's ring)."""
+    D = F.shape[0]
+    return TruncPoly(("x", "y"), (D, D), {(i, j): int(F[i, j]) for i, j in zip(*np.nonzero(F))}, p)
+
+
+def poly1(v, p: int) -> TruncPoly:
+    """A coefficient vector as a univariate TruncPoly."""
+    return TruncPoly(("x",), (len(v),), {(e,): int(c) for e, c in enumerate(v) if c}, p)
 
 
 def level1_coproduct(p: int, n: int) -> dict:
@@ -37,7 +49,7 @@ def level1_coproduct(p: int, n: int) -> dict:
 def fgl_reduced_to_level1(p: int, n: int) -> dict:
     q = p ** n
     f = honda_fgl(HondaParams(p, n, q))
-    return {e: c for e, c in f.F.coeffs.items()}
+    return poly2(f.F, p).coeffs
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1)])
@@ -66,16 +78,34 @@ def test_exp_inverts_log():
 
 
 def test_scaled_path_matches_rational_reference():
-    for (p, n, D) in [(2, 1, 8), (3, 1, 9), (2, 2, 8), (5, 1, 6)]:
-        fast = honda_fgl(HondaParams(p, n, D)).F
+    for (p, n, D) in [(2, 1, 8), (3, 1, 9), (2, 2, 8), (5, 1, 6), (2, 1, 16), (3, 1, 27)]:
+        fast = poly2(honda_fgl(HondaParams(p, n, D)).F, p)
         slow = _fgl_rational_reference(HondaParams(p, n, D)).reduce_mod(p)
         assert fast == slow
+
+
+# SHA-256 of the little-endian int64 bytes of the (D, D) residue array F[i, j]
+# (row i = exponent of x), recorded from the dict-Horner evaluation that the
+# sandwich L^T M L replaced.
+GOLDEN_F = {
+    (2, 1, 64): "7c27e2c602730d4e7570611d241b637258827d85cb1ebbcb45ec650d9ff78258",
+    (3, 1, 81): "d2b68cf480ed23b6daa0dd6921fdb5bef4709f54c24259b57f3abcd1a9b73b5f",
+    (2, 2, 64): "481054ad7888b7f00423ab2947a48d3772b85fccb5298a08c96ce1eb12829522",
+}
+
+
+@pytest.mark.parametrize("p,n,D", sorted(GOLDEN_F))
+def test_residue_array_matches_golden_digest(p, n, D):
+    F = honda_fgl(HondaParams(p, n, D)).F
+    assert F.shape == (D, D) and F.dtype == np.int64
+    digest = hashlib.sha256(np.ascontiguousarray(F, dtype="<i8").tobytes()).hexdigest()
+    assert digest == GOLDEN_F[(p, n, D)]
 
 
 @pytest.mark.parametrize("p,n,D", [(2, 1, 8), (3, 1, 9), (2, 2, 16)])
 def test_unit_and_commutativity(p, n, D):
     f = honda_fgl(HondaParams(p, n, D))
-    F = f.F
+    F = poly2(f.F, p)
     # F(x, 0) = x and F(0, y) = y
     for (i, j), c in F.coeffs.items():
         if j == 0:
@@ -94,7 +124,7 @@ def test_associativity_within_truncation(p, n, D):
     y = TruncPoly.variable("y", *ring, modulus=p)
     z = TruncPoly.variable("z", *ring, modulus=p)
     def F(a, b):
-        return f.F.substitute({"x": a, "y": b})
+        return poly2(f.F, p).substitute({"x": a, "y": b})
     assert F(F(x, y), z) == F(x, F(y, z))
 
 
@@ -102,18 +132,33 @@ def test_formal_inverse_property():
     for (p, n, D) in [(2, 1, 8), (3, 1, 9), (2, 2, 16)]:
         f = honda_fgl(HondaParams(p, n, D))
         inv = formal_inverse(f, D)
-        x = TruncPoly(("x",), (D,), {(1,): 1}, p)
-        assert formal_sum(f, x, inv).is_zero()
+        assert inv.shape == (D,) and inv.dtype == np.int64
+        x = np.eye(D, dtype=np.int64)[1]
+        assert not formal_sum(f, x, inv).any()
+        # the oracle: F(x, i(x)) by substitution into the TruncPoly of F
+        ring = (("x",), (D,))
+        xp = TruncPoly.variable("x", *ring, modulus=p)
+        assert poly2(f.F, p).substitute({"x": xp, "y": poly1(inv, p)}).is_zero()
+
+
+def test_formal_sum_matches_substitution():
+    f = honda_fgl(HondaParams(3, 1, 9))
+    a = np.array([0, 1, 2, 0, 1, 0, 0, 2, 1])
+    b = np.array([0, 2, 0, 1, 0, 0, 1, 0, 0])
+    want = poly2(f.F, 3).substitute({"x": poly1(a, 3), "y": poly1(b, 3)})
+    assert poly1(formal_sum(f, a, b), 3) == want
+    with pytest.raises(ExactKernelError):
+        formal_sum(f, a, b[:5])
 
 
 def test_m_series_examples():
     f2 = honda_fgl(HondaParams(2, 1, 4))
-    x = TruncPoly(("x",), (4,), {(1,): 1}, 2)
-    assert m_series(f2, 1, 4) == x
-    assert m_series(f2, 2, 4) == TruncPoly(("x",), (4,), {(2,): 1}, 2)
+    assert m_series(f2, 1, 4).tolist() == [0, 1, 0, 0]
+    assert m_series(f2, 2, 4).tolist() == [0, 0, 1, 0]
     f3 = honda_fgl(HondaParams(3, 1, 9))
-    assert m_series(f3, 3, 9) == TruncPoly(("x",), (9,), {(3,): 1}, 3)
-    assert m_series(f3, 0, 9).is_zero()
+    assert m_series(f3, 3, 9).tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0]
+    s0 = m_series(f3, 0, 9)
+    assert s0.shape == (9,) and not s0.any()
 
 
 def test_p_power_series_kills_q_power():
@@ -123,23 +168,23 @@ def test_p_power_series_kills_q_power():
         for r in (1, 2):
             D = q ** r
             f = honda_fgl(HondaParams(p, n, D))
-            assert m_series(f, p ** r, D).is_zero()
+            assert not m_series(f, p ** r, D).any()
 
 
 def test_m_series_linear_term():
     f = honda_fgl(HondaParams(3, 1, 9))
     for m in range(-3, 4):
         s = m_series(f, m, 9)
-        assert s.coeff((1,)) == m % 3
+        assert s[1] == m % 3
 
 
 def test_m_series_multiplicativity():
     f = honda_fgl(HondaParams(2, 1, 8))
     for m1 in range(-3, 4):
         for m2 in range(-3, 4):
-            lhs = m_series(f, m1 * m2, 8)
-            inner = m_series(f, m2, 8)
-            outer = m_series(f, m1, 8)
+            lhs = poly1(m_series(f, m1 * m2, 8), 2)
+            inner = poly1(m_series(f, m2, 8), 2)
+            outer = poly1(m_series(f, m1, 8), 2)
             comp = outer.substitute({"x": inner})
             assert comp == lhs, (m1, m2)
 
@@ -147,7 +192,11 @@ def test_m_series_multiplicativity():
 def test_negative_m_series_is_formal_inverse_composite():
     f = honda_fgl(HondaParams(3, 1, 9))
     s = m_series(f, -1, 9)
-    assert s == formal_inverse(f, 9)
+    assert np.array_equal(s, formal_inverse(f, 9))
+    # [-2] = i([2]) by TruncPoly substitution
+    inv = poly1(formal_inverse(f, 9), 3)
+    two = poly1(m_series(f, 2, 9), 3)
+    assert poly1(m_series(f, -2, 9), 3) == inv.substitute({"x": two})
 
 
 def test_fgl_requires_trunc_at_least_q():
@@ -167,9 +216,36 @@ def test_params_validation():
 def test_cache_serves_truncations():
     big = honda_fgl(HondaParams(2, 1, 16))
     small = honda_fgl(HondaParams(2, 1, 8))
-    assert small.F.caps == (8, 8)
-    for e, c in small.F.coeffs.items():
-        assert big.F.coeff(e) == c
+    assert small.F.shape == (8, 8)
+    assert np.array_equal(small.F, big.F[:8, :8])
+    assert not small.F.flags.writeable and not big.F.flags.writeable
+
+
+def test_sandwich_refuses_inconsistent_exp(monkeypatch):
+    # a denominator prime to p in exp, a coefficient of F that is not
+    # p-integral, or an exp that breaks the grading must raise instead of
+    # truncating, reducing or skipping blocks silently
+    import greenkernel.fgl as fgl
+
+    real = fgl.honda_exp_coeffs
+
+    def perturbed(k, c):
+        def coeffs(p, q, K):
+            exp = real(p, q, K)
+            exp[k] += c
+            return exp
+        return coeffs
+
+    monkeypatch.setattr(fgl, "honda_exp_coeffs", perturbed(3, Fraction(1, 3)))
+    with pytest.raises(ExactKernelError, match="denominator"):
+        fgl._fgl_residues(HondaParams(2, 1, 8))
+    monkeypatch.setattr(fgl, "honda_exp_coeffs", perturbed(2, Fraction(1, 2 ** 40)))
+    with pytest.raises(ExactKernelError, match="non p-integral"):
+        fgl._fgl_residues(HondaParams(2, 1, 8))
+    # at q = 3 only odd exponents of exp may be nonzero; the blocks rely on it
+    monkeypatch.setattr(fgl, "honda_exp_coeffs", perturbed(2, Fraction(1)))
+    with pytest.raises(ExactKernelError, match="graded"):
+        fgl._fgl_residues(HondaParams(3, 1, 9))
 
 
 def test_all_fgl_coefficients_are_p_integral():

@@ -68,6 +68,38 @@ def test_hopf_check_detects_fake_coproduct():
     assert not rep.all_pass
 
 
+def antipode_law_oracle(H: HopfStructure) -> bool:
+    """mu (chi (x) id) psi(x_i) = 0 by one mul_vec per basis vector."""
+    A, p = H.algebra, H.algebra.p
+    chi = H.antipode.matrix
+    eye = np.eye(A.dim, dtype=np.int64)
+    for i in range(A.nvars):
+        M = H.gen_coeff_matrix(i)
+        acc = np.zeros(A.dim, dtype=np.int64)
+        for b in range(A.dim):
+            acc = (acc + A.mul_vec((chi @ M[:, b]) % p, eye[b])) % p
+        if acc.any():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p,n,r", [(2, 1, 5), (3, 1, 3), (2, 2, 2)])
+def test_hopf_check_detects_fake_antipode(p, n, r):
+    H = honda_level(params(p, n), r).hopf
+    A = H.algebra
+    assert hopf_check(H).antipode_law and antipode_law_oracle(H)
+    chi = H.antipode_gens[0]
+    fakes = [A.gen(), chi + A.gen() ** 2, chi + A.top_monomial(), chi * 2]
+    for fake in fakes:
+        if fake == chi:
+            continue
+        F = HopfStructure(A, H.coproduct_gens, [fake])
+        rep = hopf_check(F)
+        assert not rep.antipode_law, (p, n, r, fake)
+        assert rep.antipode_law == antipode_law_oracle(F)
+        assert rep.coassociative and rep.counital and rep.cocommutative
+
+
 def test_hopf_check_trivial_algebra():
     A = make_algebra(5, ())
     triv = HopfStructure(A, [], [])
