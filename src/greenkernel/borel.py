@@ -11,7 +11,8 @@ sum_k e_k w_k with radix 2 q_k - 1 for variable k: a product of monomials is
 the sum of their codes with no carry between digits, and the code sum is a
 basis code exactly when no exponent reaches its cap.  mul_vec multiplies
 two big integers with one slot per code; mult_matrix and pairing_matrix
-gather from a vector scattered to the codes.
+gather from a vector scattered to the codes, and sum_of_products is the
+matching scatter-add.
 
 The arithmetic envelope is dim * (p-1)^2 < 2^63, the bound on any product
 coefficient before reduction; BorelAlgebra refuses anything larger.
@@ -300,6 +301,14 @@ class BorelAlgebra(_LocalAlgebraOps):
         """G[i, j] = lam(e_i e_j): lam read at the code sum enc[i] + enc[j]."""
         L = self._scatter(lam)
         return FpMatrix(L[self.enc[:, None] + self.enc[None, :]], self.p)
+
+    def sum_of_products(self, C) -> np.ndarray:
+        """sum_{i, j} C[i, j] e_i e_j, the adjoint of pairing_matrix's gather:
+        C scatter-added at the code sums enc[i] + enc[j] and read back at the
+        codes (each code gets at most dim terms below p, inside the envelope)."""
+        acc = np.zeros(self._ncodes, dtype=np.int64)
+        np.add.at(acc, self.enc[:, None] + self.enc[None, :], np.asarray(C, dtype=np.int64) % self.p)
+        return acc[self.enc] % self.p
 
     def radical_span_vecs(self) -> list[np.ndarray]:
         out = []

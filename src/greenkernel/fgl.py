@@ -207,6 +207,10 @@ def _fgl_residues(params: HondaParams) -> np.ndarray:
     S = max(_p_valuation(c.denominator, p) + k * ew for k, c in enumerate(exp) if c)
     gm = []
     for k, c in enumerate(exp):
+        if not c:
+            # S bounds only the nonzero coefficients; S - k ew may be negative here
+            gm.append(0)
+            continue
         m = c * p ** (S - k * ew)
         if m.denominator != 1:
             raise ExactKernelError(

@@ -322,6 +322,22 @@ def test_product_kernel_matches_oracles(case):
                 assert G[i, j] == int(lam @ A.mul_vec(eye[i], eye[j])) % A.p
 
 
+@pytest.mark.parametrize("case", [c for c in KERNEL_CASES if not c.startswith("sub")])
+def test_sum_of_products_matches_mul_vec(case):
+    """sum_of_products(C) against sum_i e_i * C[i, :] by mul_vec, with C
+    supported on a sample of rows."""
+    A = KERNEL_CASES[case]()
+    rng = np.random.default_rng(2)
+    eye = np.eye(A.dim, dtype=np.int64)
+    rows = np.unique(np.r_[0, A.dim - 1, rng.choice(A.dim, min(A.dim, 12), replace=False)])
+    C = np.zeros((A.dim, A.dim), dtype=np.int64)
+    C[rows] = rng.integers(0, A.p, (len(rows), A.dim))
+    want = np.zeros(A.dim, dtype=np.int64)
+    for i in rows:
+        want = (want + A.mul_vec(eye[i], C[i])) % A.p
+    assert np.array_equal(A.sum_of_products(C), want)
+
+
 def test_int64_envelope_enforced():
     # dim * (p-1)^2 must stay below 2^63; above it products wrapped silently
     with pytest.raises(ScopeError):
