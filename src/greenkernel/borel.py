@@ -21,6 +21,7 @@ coefficient before reduction; BorelAlgebra refuses anything larger.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -203,13 +204,28 @@ class _LocalAlgebraOps:
 
 @dataclass(frozen=True)
 class TensorProduct:
-    """Result of a Kuenneth tensor: the product algebra, the two canonical
-    embeddings, and the (i, j) -> basis-index table used by coproducts."""
+    """Result of a Kuenneth tensor A (x) B: the product algebra and the
+    (i, j) -> basis-index table used by coproducts.  The two canonical
+    embeddings are dense (dim of the product x dim of the factor) matrices
+    that coproducts never read, so they are built on first access."""
 
     algebra: "BorelAlgebra"
-    emb_left: "AlgebraMap"
-    emb_right: "AlgebraMap"
+    left: "BorelAlgebra"
+    right: "BorelAlgebra"
     pair_index: np.ndarray
+
+    # the embeddings send monomials to monomials: a -> a (x) 1, b -> 1 (x) b
+    @cached_property
+    def emb_left(self) -> "AlgebraMap":
+        M = np.zeros((self.algebra.dim, self.left.dim), dtype=np.int64)
+        M[self.pair_index[:, 0], np.arange(self.left.dim)] = 1
+        return AlgebraMap(self.left, self.algebra, M, is_algebra_map=True)
+
+    @cached_property
+    def emb_right(self) -> "AlgebraMap":
+        M = np.zeros((self.algebra.dim, self.right.dim), dtype=np.int64)
+        M[self.pair_index[0, :], np.arange(self.right.dim)] = 1
+        return AlgebraMap(self.right, self.algebra, M, is_algebra_map=True)
 
 
 class BorelAlgebra(_LocalAlgebraOps):
@@ -378,14 +394,7 @@ def tensor(A: BorelAlgebra, B: BorelAlgebra) -> TensorProduct:
     pos = np.zeros(C._ncodes, dtype=np.int64)
     pos[C.enc] = np.arange(C.dim)
     pair = pos[A.enc[:, None] + A._ncodes * B.enc[None, :]]
-    # the embeddings send monomials to monomials: a -> a (x) 1, b -> 1 (x) b
-    left = np.zeros((C.dim, A.dim), dtype=np.int64)
-    left[pair[:, 0], np.arange(A.dim)] = 1
-    right = np.zeros((C.dim, B.dim), dtype=np.int64)
-    right[pair[0, :], np.arange(B.dim)] = 1
-    emb_left = AlgebraMap(A, C, left, is_algebra_map=True)
-    emb_right = AlgebraMap(B, C, right, is_algebra_map=True)
-    return TensorProduct(C, emb_left, emb_right, pair)
+    return TensorProduct(C, A, B, pair)
 
 
 def _pair_products(A, rows) -> np.ndarray:

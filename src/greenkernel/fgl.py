@@ -1,11 +1,12 @@
-"""Honda formal group law of height n over GF(p), by exact rational arithmetic.
+"""Honda formal group law of height n over GF(p), by exact integer arithmetic.
 
 The construction: the height-n logarithm is
 
     log(x) = sum_{i >= 0} x^{q^i} / p^i,        q = p^n,
 
-its compositional inverse exp is computed degree by degree, and the group
-law is F(x, y) = exp(log x + log y).  Every coefficient of F is p-integral
+its compositional inverse is exp(u) = u phi(u^{q-1}/p) with phi an integer
+series, solved degree by degree over Python ints, and the group law is
+F(x, y) = exp(log x + log y).  Every coefficient of F is p-integral
 (asserted; Hazewinkel's functional-equation lemma), so F reduces mod p; all
 downstream coproducts are generated from this reduction.  Its defining
 property mod p is [p](x) = x^q.
@@ -13,19 +14,22 @@ property mod p is [p](x) = x^q.
 The group law is the binomial expansion sum_{a,b} e_{a+b} C(a+b, a)
 log(x)^a log(y)^b, computed as the sandwich L^T M L of scaled-integer
 matrices (one block per residue class mod q-1, by the grading) with a
-single shared power-of-p denominator, and reduced once.  An
-Fgl owns the result as a dense (D, D) int64 residue array, and the series
-operations (formal sum, inverse, [m]-series) take and return int64
-coefficient vectors.  TruncPoly appears only on the Fraction reference path
-kept for cross-checking.
+single shared power-of-p denominator, and reduced once.  An Fgl owns the
+result as a dense (D, D) int64 residue array, and keeps the scaled log
+powers L with the scaled exp coefficients: every [m]-series, the formal
+inverse [-1] among them, is exp(m log x), one vector-matrix product with L.
+The formal sum F(a, b) evaluates the residue array.  TruncPoly appears only
+in honda_log; the Fraction reference paths live in the tests.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,13 +57,25 @@ class HondaParams:
         return self.p ** self.n
 
 
+class _LogPowers(NamedTuple):
+    """Row k of L is p^{k ew} L(x)^k below x^D (p^ew the largest denominator
+    of L(x) there), an object array, and e_k / p^{k ew} = gm[k] / p^S for the
+    exp coefficients e_k, with every gm[k] an integer."""
+
+    L: np.ndarray
+    gm: list
+    S: int
+
+
 @dataclass(frozen=True, eq=False)
 class Fgl:
     """A computed formal group law: F[i, j] is the coefficient of x^i y^j
-    mod p, for i, j < D (a read-only (D, D) int64 array)."""
+    mod p, for i, j < D (a read-only (D, D) int64 array).  The scaled log
+    powers it was built from serve the series; cached truncations share them."""
 
     params: HondaParams
     F: np.ndarray
+    _logs: _LogPowers = field(repr=False)
 
     @property
     def p(self) -> int:
@@ -105,88 +121,56 @@ def _power_chain_ops(q: int):
 def honda_exp_coeffs(p: int, q: int, K: int) -> list[Fraction]:
     """Coefficients e_0..e_K of the compositional inverse of the logarithm.
 
-    Degree-by-degree solve of g = u - sum_{i>=1} g^{q^i}/p^i.  The q-powers
-    of g are maintained through a binary multiplication chain whose degree-d
-    coefficients only involve g-coefficients below d, so one left-to-right
-    pass is exact.
+    exp(u) = u phi(s) with s = u^{q-1}/p: substituting into
+    g = u - sum_{i>=1} g^{q^i}/p^i gives
+
+        phi = 1 - sum_{i>=1} p^{m_i - i} s^{m_i} phi^{q^i},   m_i = (q^i - 1)/(q - 1),
+
+    and m_i >= i, so phi has integer coefficients.  They are solved degree
+    by degree over Python ints (no division): the q^i-th powers of phi are
+    kept through the binary multiplication chain, each level's base being
+    the q-th power of the level below, and phi_j only reads their
+    coefficients of degree j - m_i < j.  Then e_{1+j(q-1)} = phi_j / p^j and
+    every other e_k is 0.
     """
-    imax, e = 0, q
-    while e <= K:
-        imax += 1
-        e *= q
+    e = [Fraction(0)] * (K + 1)
+    if K < 1:
+        return e
+    J = (K - 1) // (q - 1)
+    ms = []  # m_1, m_2, .. up to J
+    m = 1
+    while m <= J:
+        ms.append(m)
+        m = m * q + 1
     ops = _power_chain_ops(q)
-    zero = Fraction(0)
-    g = [zero] * (K + 1)
-    if K >= 1:
-        g[1] = Fraction(1)
-    # chain[i] holds the series g^{q^i * e} for the chain exponents e
-    chain: list[dict[int, list[Fraction]]] = []
-    for _ in range(imax):
-        lvl: dict[int, list[Fraction]] = {1: [zero] * (K + 1)}
+    phi = [1] + [0] * J
+    # chain[t][c] holds the coefficients of phi^{q^t c}; level t reaches
+    # phi^{q^(t+1)}, needed only up to degree J - m_{t+1}
+    chain = []
+    base = phi
+    for _ in ms:
+        lvl = {1: base}
         for (_, _, c) in ops:
-            lvl[c] = [zero] * (K + 1)
+            lvl[c] = [1] + [0] * J
         chain.append(lvl)
-    if imax:
-        chain[0][1] = g
-    for d in range(2, K + 1):
-        for i in range(imax):
-            lvl = chain[i]
-            if i > 0:
-                lvl[1] = chain[i - 1][q]
+        base = lvl[q]
+    scale = [p ** (m - i) for i, m in enumerate(ms, 1)]
+    for j in range(1, J + 1):
+        phi[j] = -sum(f * lvl[q][j - m] for f, m, lvl in zip(scale, ms, chain) if m <= j)
+        for m, lvl in zip(ms, chain):
+            if j > J - m:
+                break
             for (a, b, c) in ops:
-                ma, mb = lvl[a], lvl[b]
-                tot = zero
-                for t in range(1, d):
-                    ca = ma[t]
-                    if ca:
-                        cb = mb[d - t]
-                        if cb:
-                            tot += ca * cb
-                lvl[c][d] = tot
-        val = zero
-        pe, ee = p, q
-        for i in range(imax):
-            if ee <= d:
-                val += chain[i][q][d] / pe
-            pe *= p
-            ee *= q
-        g[d] = -val
-    return g
+                lvl[c][j] = sum(map(mul, lvl[a][: j + 1], lvl[b][j::-1]))
+    for j in range(J + 1):
+        e[1 + j * (q - 1)] = Fraction(phi[j], p ** j)
+    return e
 
 
-def _fgl_rational_reference(params: HondaParams) -> TruncPoly:
-    """Fraction-arithmetic evaluation of exp(log x + log y); slow, used for
-    cross-checks at small truncation."""
-    D = params.trunc
-    K = 2 * D - 2
-    exp = honda_exp_coeffs(params.p, params.q, K)
-    caps = (D, D)
-    log = honda_log(params)
-    w = TruncPoly(("x", "y"), caps, {}, None)
-    for (e,), c in log.coeffs.items():
-        w = w + TruncPoly(("x", "y"), caps, {(e, 0): c, (0, e): c}, None)
-    F = TruncPoly.zero(("x", "y"), caps, None)
-    wp = TruncPoly.const(("x", "y"), caps, 1, None)
-    for k in range(1, K + 1):
-        wp = wp * w
-        if wp.is_zero():
-            break
-        if exp[k]:
-            F = F + wp.scale(exp[k])
-    return F
-
-
-def _fgl_residues(params: HondaParams) -> np.ndarray:
-    """F mod p as a dense (D, D) array, from the binomial expansion
-
-        F(x, y) = sum_{a, b < D} e_{a+b} C(a+b, a) L(x)^a L(y)^b
-
-    computed as the scaled-integer sandwich L^T M L over object arrays:
-    row a of L is p^{a ew} L(x)^a (p^ew the largest denominator of L below
-    x^D), and M[a, b] = e_{a+b} C(a+b, a) is rescaled to the shared
-    denominator p^S.  Every entry of the product must be divisible by p^S
-    (p-integrality); the quotient is reduced once.
-    """
+def _log_powers(params: HondaParams) -> _LogPowers:
+    """The scaled log powers L and exp coefficients gm / p^S below x^D; each
+    scaled exp coefficient is checked to be an integer, and exp to be graded
+    mod q-1."""
     p, q, D = params.p, params.q, params.trunc
     K = 2 * D - 2
     exp = honda_exp_coeffs(p, q, K)
@@ -217,24 +201,45 @@ def _fgl_residues(params: HondaParams) -> np.ndarray:
                 "internal consistency: exp coefficient %d has denominator %d" % (k, c.denominator)
             )
         gm.append(int(m))
-    # grading: L(x)^a lives in degrees = a (mod q-1), and exp(u) = u h(u^{q-1})
-    # (checked), so F[i, j] = 0 unless i + j = 1 (mod q-1); the sandwich
-    # splits into one block per residue class r of rows, paired with 1 - r
-    g = q - 1
-    if any(gm[k] for k in range(K + 1) if (k - 1) % g):
+    # grading: exp(u) = u h(u^{q-1}), so e_k = 0 unless k = 1 (mod q-1)
+    if any(gm[k] for k in range(K + 1) if (k - 1) % (q - 1)):
         raise ExactKernelError("internal consistency: exp is not graded mod q-1")
+    return _LogPowers(L, gm, S)
+
+
+def _fgl_residues(params: HondaParams, logs: _LogPowers | None = None) -> np.ndarray:
+    """F mod p as a dense (D, D) array, from the binomial expansion
+
+        F(x, y) = sum_{a, b < D} e_{a+b} C(a+b, a) L(x)^a L(y)^b
+
+    computed as the scaled-integer sandwich L^T M L over object arrays
+    (see _LogPowers), with M[a, b] = gm_{a+b} C(a+b, a) over the shared
+    denominator p^S.  Every entry of the product must be divisible by p^S
+    (p-integrality); the quotient is reduced once.
+    """
+    p, q, D = params.p, params.q, params.trunc
+    L, gm, S = logs if logs is not None else _log_powers(params)
+    # grading: L(x)^a lives in degrees = a (mod q-1) and so does exp, hence
+    # F[i, j] = 0 unless i + j = 1 (mod q-1); the sandwich splits into one
+    # block per residue class r of rows, paired with 1 - r
+    g = q - 1
     scaled = np.zeros((D, D), dtype=object)
     for r in range(g):
         s = (1 - r) % g
         M = np.array([[gm[a + b] * comb(a + b, a) for b in range(s, D, g)]
                       for a in range(r, D, g)], dtype=object)
         scaled[r::g, s::g] = L[r::g, r::g].T.dot(M).dot(L[s::g, s::g])
+    return _divide_reduce(scaled, S, p, "FGL coefficient")
+
+
+def _divide_reduce(scaled: np.ndarray, S: int, p: int, what: str) -> np.ndarray:
+    """scaled / p^S mod p as int64, refusing an entry that p^S does not divide."""
     scale = p ** S
     bad = np.argwhere(scaled % scale != 0)
     if len(bad):
         raise ExactKernelError(
-            "internal consistency: non p-integral FGL coefficient at exponent %r"
-            % (tuple(int(t) for t in bad[0]),)
+            "internal consistency: non p-integral %s at exponent %r"
+            % (what, tuple(int(t) for t in bad[0]))
         )
     return ((scaled // scale) % p).astype(np.int64)
 
@@ -267,12 +272,18 @@ def honda_fgl(params: HondaParams) -> Fgl:
             if hit.params.trunc == params.trunc:
                 return hit
             D = params.trunc
-            return Fgl(params, hit.F[:D, :D])
-        F = _fgl_residues(params)
+            return Fgl(params, hit.F[:D, :D], hit._logs)
+        logs = _log_powers(params)
+        F = _fgl_residues(params, logs)
         F.flags.writeable = False
-        out = Fgl(params, F)
+        out = Fgl(params, F, logs)
         _fgl_cache[key] = out
         return out
+
+
+def _check_cap(fgl: Fgl, cap: int) -> None:
+    if cap > fgl.params.trunc:
+        raise ExactKernelError("cap %d exceeds computed truncation %d" % (cap, fgl.params.trunc))
 
 
 def _conv(a, b, cap: int, p: int):
@@ -295,15 +306,22 @@ def _powers(vec, top: int, cap: int, p: int) -> np.ndarray:
     return np.array(pw)
 
 
-def _eval_bivariate(fgl: Fgl, avec, bvec, cap: int):
-    """F(a(x), b(x)) as a coefficient vector of length cap: the inner sums
-    sum_j F[i, j] b^j are the rows of one product F @ powers(b)."""
+def formal_sum(fgl: Fgl, a, b) -> np.ndarray:
+    """F(a, b) for univariate coefficient vectors a, b of one length, at
+    most the computed truncation.  The inner sums sum_j F[i, j] b^j are the
+    rows of one product F @ powers(b)."""
     p, F = fgl.p, fgl.F
+    a = np.asarray(a, dtype=np.int64) % p
+    b = np.asarray(b, dtype=np.int64) % p
+    if a.shape != b.shape or a.ndim != 1:
+        raise ExactKernelError("formal_sum arguments live in different rings")
+    cap = len(a)
+    _check_cap(fgl, cap)
     # only the nonzero rows of F count; F is symmetric, so the last one also
     # bounds the powers of b
     rows = np.flatnonzero(F.any(axis=1))
-    apow = _powers(avec, rows[-1] + 1, cap, p)
-    bpow = _powers(bvec, rows[-1] + 1, cap, p)
+    apow = _powers(a, rows[-1] + 1, cap, p)
+    bpow = _powers(b, rows[-1] + 1, cap, p)
     rows = rows[rows < len(apow)]
     inner = (F[rows, : len(bpow)] @ bpow) % p
     out = np.zeros(cap, dtype=np.int64)
@@ -313,55 +331,24 @@ def _eval_bivariate(fgl: Fgl, avec, bvec, cap: int):
     return out
 
 
-def _x(cap: int) -> np.ndarray:
-    x = np.zeros(cap, dtype=np.int64)
-    if cap > 1:
-        x[1] = 1
-    return x
-
-
-def formal_sum(fgl: Fgl, a, b) -> np.ndarray:
-    """F(a, b) for univariate coefficient vectors a, b of one length."""
-    a = np.asarray(a, dtype=np.int64) % fgl.p
-    b = np.asarray(b, dtype=np.int64) % fgl.p
-    if a.shape != b.shape or a.ndim != 1:
-        raise ExactKernelError("formal_sum arguments live in different rings")
-    return _eval_bivariate(fgl, a, b, len(a))
+def _series(fgl: Fgl, m: int, cap: int) -> np.ndarray:
+    """[m](x) = exp(m log x) = p^{-S} sum_k gm_k m^k L[k] below x^cap: one
+    object-integer vector-matrix product, checked divisible by p^S entry by
+    entry and reduced once.  formal_inverse and m_series both call it, not
+    each other, so per-layer traces count each entry point on its own."""
+    _check_cap(fgl, cap)
+    L, gm, S = fgl._logs
+    coef = np.array([gm[k] * m ** k for k in range(cap)], dtype=object)
+    return _divide_reduce(coef.dot(L[:cap, :cap]), S, fgl.p, "series coefficient")
 
 
 def formal_inverse(fgl: Fgl, cap: int) -> np.ndarray:
-    """The series i(x) with F(x, i(x)) = 0, to exponents < cap.
-
-    Fixed-point iteration i <- i - F(x, i) gains one correct degree per
-    step because F(x, y) = x + y + higher terms.
-    """
-    p = fgl.p
-    x = _x(cap)
-    inv = (-x) % p
-    for _ in range(cap + 1):
-        err = _eval_bivariate(fgl, x, inv, cap)
-        if not err.any():
-            return inv
-        inv = (inv - err) % p
-    raise ExactKernelError("internal consistency: formal inverse did not converge")
+    """The series i(x) with F(x, i(x)) = 0, to exponents < cap: the
+    [-1]-series exp(-log x)."""
+    return _series(fgl, -1, cap)
 
 
 def m_series(fgl: Fgl, m: int, cap: int) -> np.ndarray:
-    """The multiplication-by-m series of the group law, truncated at x^cap.
-
-    [0] = 0, [k+1](x) = F([k](x), x), and [-m](x) = i([m](x)).
-    """
-    if cap > fgl.params.trunc:
-        raise ExactKernelError("cap %d exceeds computed truncation %d" % (cap, fgl.params.trunc))
-    p = fgl.p
-    x = _x(cap)
-    if m == 0:
-        return np.zeros(cap, dtype=np.int64)
-    series = x
-    for _ in range(abs(m) - 1):
-        series = _eval_bivariate(fgl, series, x, cap)
-    if m < 0:
-        inv = formal_inverse(fgl, cap)
-        spow = _powers(series, int(np.flatnonzero(inv).max(initial=0)) + 1, cap, p)
-        series = (inv[: len(spow)] @ spow) % p
-    return series
+    """The multiplication-by-m series [m](x) = exp(m log x) of the group law,
+    truncated at x^cap (at most the computed truncation)."""
+    return _series(fgl, m, cap)

@@ -93,6 +93,20 @@ def test_tensor_pair_index_matches_lookup_loop(p, pa, pb):
     assert np.array_equal(T.pair_index, want)
 
 
+@pytest.mark.parametrize("p,pa,pb", [(2, (4, 2), (8,)), (3, (9,), (3, 3)), (5, (), (5,))])
+def test_tensor_embeddings_built_on_first_access(p, pa, pb):
+    A, B = make_algebra(p, pa), make_algebra(p, pb)
+    T = tensor(A, B)
+    assert "emb_left" not in vars(T) and "emb_right" not in vars(T)
+    # every monomial lands on its pair: a -> a (x) 1, b -> 1 (x) b
+    for emb, src, col in ((T.emb_left, A, T.pair_index[:, 0]), (T.emb_right, B, T.pair_index[0])):
+        assert emb.source is src and emb.target is T.algebra
+        want = np.zeros((T.algebra.dim, src.dim), dtype=np.int64)
+        want[col, np.arange(src.dim)] = 1
+        assert np.array_equal(emb.matrix, want)
+    assert T.emb_left is T.emb_left
+
+
 def test_tensor_mismatched_prime():
     with pytest.raises(ExactKernelError):
         tensor(make_algebra(2, (2,)), make_algebra(3, (3,)))

@@ -1,4 +1,8 @@
-"""Honda formal group laws: logarithm, group law, inverse, [m]-series."""
+"""Honda formal group laws: logarithm, group law, inverse, [m]-series.
+
+The Fraction recursion for exp, the fixed-point inverse and the composition
+[k+1](x) = F([k](x), x) are kept here as oracles for the integer phi
+recursion and the one-dot series of the library."""
 
 import hashlib
 from fractions import Fraction
@@ -6,12 +10,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import greenkernel.fgl as fgl
 from greenkernel.exactkernel import ExactKernelError, TruncPoly
 from greenkernel.fgl import (
     Fgl,
     HondaParams,
-    _fgl_rational_reference,
     _fgl_residues,
+    _power_chain_ops,
     formal_inverse,
     formal_sum,
     honda_exp_coeffs,
@@ -30,6 +35,105 @@ def poly2(F, p: int) -> TruncPoly:
 def poly1(v, p: int) -> TruncPoly:
     """A coefficient vector as a univariate TruncPoly."""
     return TruncPoly(("x",), (len(v),), {(e,): int(c) for e, c in enumerate(v) if c}, p)
+
+
+def sha(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<i8").tobytes()).hexdigest()
+
+
+def exp_coeffs_fraction(p: int, q: int, K: int) -> list[Fraction]:
+    """Oracle: e_0..e_K by the Fraction solve of g = u - sum_{i>=1} g^{q^i}/p^i,
+    degree by degree, with the q-powers of g kept through the binary chain."""
+    imax, e = 0, q
+    while e <= K:
+        imax += 1
+        e *= q
+    ops = _power_chain_ops(q)
+    zero = Fraction(0)
+    g = [zero] * (K + 1)
+    if K >= 1:
+        g[1] = Fraction(1)
+    # chain[i] holds the series g^{q^i * e} for the chain exponents e
+    chain = []
+    for _ in range(imax):
+        lvl = {1: [zero] * (K + 1)}
+        for (_, _, c) in ops:
+            lvl[c] = [zero] * (K + 1)
+        chain.append(lvl)
+    if imax:
+        chain[0][1] = g
+    for d in range(2, K + 1):
+        for i in range(imax):
+            lvl = chain[i]
+            if i > 0:
+                lvl[1] = chain[i - 1][q]
+            for (a, b, c) in ops:
+                ma, mb = lvl[a], lvl[b]
+                lvl[c][d] = sum((ma[t] * mb[d - t] for t in range(1, d)), zero)
+        val = zero
+        pe, ee = p, q
+        for i in range(imax):
+            if ee <= d:
+                val += chain[i][q][d] / pe
+            pe *= p
+            ee *= q
+        g[d] = -val
+    return g
+
+
+def fgl_rational_reference(params: HondaParams) -> TruncPoly:
+    """Oracle: exp(log x + log y) in Fraction arithmetic, from the Fraction
+    exp recursion; slow, for small truncations."""
+    D = params.trunc
+    K = 2 * D - 2
+    exp = exp_coeffs_fraction(params.p, params.q, K)
+    caps = (D, D)
+    log = honda_log(params)
+    w = TruncPoly(("x", "y"), caps, {}, None)
+    for (e,), c in log.coeffs.items():
+        w = w + TruncPoly(("x", "y"), caps, {(e, 0): c, (0, e): c}, None)
+    F = TruncPoly.zero(("x", "y"), caps, None)
+    wp = TruncPoly.const(("x", "y"), caps, 1, None)
+    for k in range(1, K + 1):
+        wp = wp * w
+        if wp.is_zero():
+            break
+        if exp[k]:
+            F = F + wp.scale(exp[k])
+    return F
+
+
+def inverse_fixed_point(f: Fgl, cap: int) -> np.ndarray:
+    """Oracle: i <- i - F(x, i) gains one correct degree per pass."""
+    x = np.eye(cap, dtype=np.int64)[1]
+    inv = (-x) % f.p
+    for _ in range(cap + 1):
+        err = formal_sum(f, x, inv)
+        if not err.any():
+            return inv
+        inv = (inv - err) % f.p
+    raise AssertionError("fixed point did not converge")
+
+
+def compose(outer, inner, p: int) -> np.ndarray:
+    """outer(inner(x)) truncated at the common length."""
+    out = np.zeros(len(inner), dtype=np.int64)
+    pw = np.eye(len(inner), dtype=np.int64)[0]
+    for c in outer:
+        out = (out + c * pw) % p
+        pw = np.convolve(pw, inner)[: len(inner)] % p
+    return out
+
+
+def m_series_composed(f: Fgl, ms, cap: int) -> dict:
+    """Oracle: [0] = 0, [k+1](x) = F([k](x), x), [-k](x) = i([k](x))."""
+    x = np.eye(cap, dtype=np.int64)[1]
+    top = max(abs(m) for m in ms)
+    series = [np.zeros(cap, dtype=np.int64), x]
+    while len(series) <= top:
+        series.append(formal_sum(f, series[-1], x))
+    inv = inverse_fixed_point(f, cap)
+    return {m: series[m] if m >= 0 else compose(inv, series[-m], f.p) for m in ms}
 
 
 def level1_coproduct(p: int, n: int) -> dict:
@@ -67,8 +171,16 @@ def test_honda_log_examples():
     assert f.coeffs == {(1,): Fraction(1), (4,): Fraction(1, 2)}
 
 
+@pytest.mark.parametrize("p,n,K", [(2, 1, 126), (3, 1, 160), (2, 2, 126), (5, 1, 100),
+                                   (3, 2, 100), (2, 1, 0), (2, 1, 1), (2, 1, 2), (3, 1, 2)])
+def test_integer_exp_matches_fraction_recursion(p, n, K):
+    exp = honda_exp_coeffs(p, p ** n, K)
+    assert len(exp) == K + 1 and all(isinstance(c, Fraction) for c in exp)
+    assert exp == exp_coeffs_fraction(p, p ** n, K)
+
+
 def test_exp_inverts_log():
-    for (p, n, K) in [(2, 1, 16), (3, 1, 12), (2, 2, 10)]:
+    for (p, n, K) in [(2, 1, 16), (3, 1, 12), (2, 2, 10), (2, 1, 40), (3, 1, 30)]:
         q = p ** n
         exp = honda_exp_coeffs(p, q, K)
         # compose: log(exp(u)) must be u up to degree K
@@ -85,7 +197,7 @@ def test_scaled_path_matches_rational_reference():
     for (p, n, D) in [(2, 1, 8), (3, 1, 9), (2, 2, 8), (5, 1, 6), (2, 1, 16), (3, 1, 27),
                       (2, 2, 5), (3, 2, 10)]:
         fast = poly2(_fgl_residues(HondaParams(p, n, D)), p)
-        slow = _fgl_rational_reference(HondaParams(p, n, D)).reduce_mod(p)
+        slow = fgl_rational_reference(HondaParams(p, n, D)).reduce_mod(p)
         assert fast == slow
 
 
@@ -204,6 +316,120 @@ def test_negative_m_series_is_formal_inverse_composite():
     assert poly1(m_series(f, -2, 9), 3) == inv.substitute({"x": two})
 
 
+SERIES_LAWS = [(2, 1, 64), (3, 1, 81), (2, 2, 64)]
+
+
+@pytest.mark.parametrize("p,n,D", SERIES_LAWS)
+def test_series_match_composition_oracles(p, n, D):
+    f = honda_fgl(HondaParams(p, n, D))
+    ms = list(range(-3, 10)) + [p ** r for r in range(1, 4) if (p ** n) ** (r - 1) < D]
+    want = m_series_composed(f, ms, D)
+    for m in ms:
+        assert np.array_equal(m_series(f, m, D), want[m]), m
+    assert np.array_equal(formal_inverse(f, D), inverse_fixed_point(f, D))
+
+
+# SHA-256 of the little-endian int64 bytes of series vectors, recorded from
+# the fixed-point inverse and the composition [k+1](x) = F([k](x), x) that the
+# one-dot series replaced; "m" stacks the rows m = -3..9.
+GOLDEN_SERIES = {
+    ("inverse", 2, 1, 128): "59dffb2d5d7d6f337cf852646256331c90d3db5a9ef3ee030957bddfba4b6970",
+    ("p^1", 2, 1, 64): "f60983e21c9cca08114b490d798ca0c0435a6857fd6176a2da8222694af0e852",
+    ("p^2", 2, 1, 64): "4cc35b09bb70c96bd57b369962e01866530ad0e39094d2d9c8f327c87517bf85",
+    ("p^3", 2, 1, 64): "df05edb4611960f1f7a0dc8ae36bf0784aa023c86ea7d9937df0125f062a88f0",
+    ("p^1", 3, 1, 81): "38cb7da623cf67f8cfcb9e627743d01799437045167f72bdc834328eaad6f1ff",
+    ("p^2", 3, 1, 81): "19c6902369b085648d4d29b6aa6f342256a10c80169841ffc54fa16b9eb40d99",
+    ("p^3", 3, 1, 81): "8032a60f08fbf41cc8031724e1a383ed91537088bcf765af80c8ada3c669a702",
+    ("m", 2, 1, 64): "7f8f54211ca6ed582bbb0a105c31471ec0f7515fdabfe4fc22f15caee4a9b031",
+    ("m", 3, 1, 81): "ac1f5c957ae9eb215511b001b622756da2123bb9ba281e61c809654665e5e871",
+    ("m", 2, 2, 64): "82598ef504202d401d6ca765edd2d9ab57fb4a2c39732ee15363dc7ea83bf33d",
+}
+
+
+@pytest.mark.parametrize("kind,p,n,D", sorted(GOLDEN_SERIES))
+def test_series_match_golden_digest(kind, p, n, D):
+    f = honda_fgl(HondaParams(p, n, D))
+    if kind == "inverse":
+        s = formal_inverse(f, D)
+    elif kind == "m":
+        s = np.stack([m_series(f, m, D) for m in range(-3, 10)])
+    else:
+        s = m_series(f, p ** int(kind[2:]), D)
+    assert s.dtype == np.int64
+    assert sha(s) == GOLDEN_SERIES[(kind, p, n, D)]
+
+
+def test_series_refuse_cap_beyond_truncation():
+    # the D = 8 law cannot know x^10 of the inverse: an inverse at cap 16
+    # read 1 there, where the D = 16 law has 0
+    assert formal_inverse(honda_fgl(HondaParams(2, 1, 16)), 16)[10] == 0
+    f = honda_fgl(HondaParams(2, 1, 8))
+    x = np.eye(16, dtype=np.int64)[1]
+    for call in (lambda: formal_inverse(f, 16), lambda: m_series(f, 3, 16),
+                 lambda: formal_sum(f, x, x)):
+        with pytest.raises(ExactKernelError, match="exceeds computed truncation"):
+            call()
+
+
+def test_series_refuse_perturbed_log_data():
+    # a scaled exp coefficient off by one breaks p^S-divisibility of the dot
+    f = honda_fgl(HondaParams(2, 1, 8))
+    L, gm, S = f._logs
+    for k in (1, 3):
+        bad = list(gm)
+        bad[k] += 1
+        g = Fgl(f.params, f.F, fgl._LogPowers(L, bad, S))
+        with pytest.raises(ExactKernelError, match="non p-integral series"):
+            m_series(g, 1, 8)
+        with pytest.raises(ExactKernelError, match="non p-integral series"):
+            formal_inverse(g, 8)
+
+
+@pytest.mark.parametrize("p,n,D", [(2, 2, 5), (3, 2, 10)])
+def test_series_at_truncations_ending_on_zero_exp(p, n, D, monkeypatch):
+    monkeypatch.setattr(fgl, "_fgl_cache", {})
+    f = honda_fgl(HondaParams(p, n, D))
+    assert f.F.shape == (D, D)
+    ms = list(range(-3, 5))
+    want = m_series_composed(f, ms, D)
+    for m in ms:
+        assert np.array_equal(m_series(f, m, D), want[m]), m
+    assert np.array_equal(formal_inverse(f, D), inverse_fixed_point(f, D))
+
+
+@pytest.mark.parametrize("p,n,big,small", [(2, 1, 64, 16), (3, 1, 81, 27), (2, 2, 64, 20)])
+def test_sliced_law_series_match_cold_build(p, n, big, small, monkeypatch):
+    monkeypatch.setattr(fgl, "_fgl_cache", {})
+    honda_fgl(HondaParams(p, n, big))
+    sliced = honda_fgl(HondaParams(p, n, small))
+    assert sliced._logs.L.shape == (big, big)
+    monkeypatch.setattr(fgl, "_fgl_cache", {})
+    cold = honda_fgl(HondaParams(p, n, small))
+    assert cold._logs.L.shape == (small, small)
+    assert np.array_equal(sliced.F, cold.F)
+    for cap in (small - 3, small):
+        assert np.array_equal(formal_inverse(sliced, cap), formal_inverse(cold, cap))
+        for m in (-2, 0, 1, 2, 5, p ** 2):
+            assert np.array_equal(m_series(sliced, m, cap), m_series(cold, m, cap)), (cap, m)
+
+
+@pytest.mark.parametrize("p,n,D", [(2, 1, 16), (3, 1, 27), (2, 2, 16)])
+def test_series_at_m_zero_and_one(p, n, D):
+    f = honda_fgl(HondaParams(p, n, D))
+    x = np.eye(D, dtype=np.int64)[1]
+    assert not m_series(f, 0, D).any()
+    assert np.array_equal(m_series(f, 1, D), x)
+    assert np.array_equal(m_series(f, -1, D), formal_inverse(f, D))
+    assert not formal_sum(f, x, m_series(f, -1, D)).any()
+
+
+@pytest.mark.parametrize("p,n,D", [(3, 1, 81), (5, 1, 25), (3, 2, 81)])
+def test_inverse_is_minus_x_for_odd_p(p, n, D):
+    # for odd p the logarithm is odd, so exp(-log x) = -x
+    f = honda_fgl(HondaParams(p, n, D))
+    assert np.array_equal(formal_inverse(f, D), (-np.eye(D, dtype=np.int64)[1]) % p)
+
+
 def test_fgl_requires_trunc_at_least_q():
     with pytest.raises(ExactKernelError):
         honda_fgl(HondaParams(2, 2, 3))
@@ -257,5 +483,5 @@ def test_all_fgl_coefficients_are_p_integral():
     # the rational pipeline asserts integrality internally; double-check on
     # the reference path where coefficients are explicit Fractions
     for (p, n, D) in [(2, 1, 8), (3, 1, 9)]:
-        ref = _fgl_rational_reference(HondaParams(p, n, D))
+        ref = fgl_rational_reference(HondaParams(p, n, D))
         assert all(c.denominator % p for c in ref.coeffs.values())
