@@ -12,7 +12,9 @@ the sum of their codes with no carry between digits, and the code sum is a
 basis code exactly when no exponent reaches its cap.  mul_vec multiplies
 two big integers with one slot per code; mult_matrix and pairing_matrix
 gather from a vector scattered to the codes, and sum_of_products is the
-matching scatter-add.
+matching scatter-add.  The Frobenius u -> u^p is one index scatter from
+code e to code p e, so an algebra map fills the column of x^{pk} from that
+of x^k and checks each relation img^q = 0 with no product.
 
 The arithmetic envelope is dim * (p-1)^2 < 2^63, the bound on any product
 coefficient before reduction; BorelAlgebra refuses anything larger.
@@ -304,6 +306,24 @@ class BorelAlgebra(_LocalAlgebraOps):
         c = np.frombuffer((a * b).to_bytes(nbytes, "little"), dtype=self._slot)
         return c[self.enc].astype(np.int64) % self.p
 
+    @cached_property
+    def _frob(self) -> tuple[np.ndarray, np.ndarray]:
+        """Basis indices of the monomials e with every p e_i < q_i, and the
+        indices of x^{pe}: code(pe) = p enc(e) has no digit overflow there."""
+        E = np.array(self.basis, dtype=np.int64).reshape(self.dim, -1)
+        keep = np.flatnonzero((self.p * E < np.array(self.profile, dtype=np.int64)).all(axis=1))
+        pos = np.zeros(self._ncodes, dtype=np.int64)
+        pos[self.enc] = np.arange(self.dim)
+        return keep, pos[self.p * self.enc[keep]]
+
+    def frobenius(self, vec) -> np.ndarray:
+        """vec^p by one index scatter: over GF(p), (sum c_e x^e)^p is
+        sum c_e x^{pe}, and x^{pe} = 0 unless every p e_i < q_i."""
+        src, dst = self._frob
+        out = np.zeros(self.dim, dtype=np.int64)
+        out[dst] = np.asarray(vec, dtype=np.int64)[src] % self.p
+        return out
+
     def mult_matrix(self, vec) -> FpMatrix:
         """Matrix of left multiplication by vec: entry (k, j) is the
         coefficient of vec at code enc[k] - enc[j], read modulo _ncodes (numpy
@@ -357,9 +377,6 @@ class BorelAlgebra(_LocalAlgebraOps):
         for e, c in d.items():
             v[self.index[tuple(e)]] = (v[self.index[tuple(e)]] + int(c)) % self.p
         return El(self, v)
-
-    def from_poly(self, f: TruncPoly) -> El:
-        return self.from_exp_dict(f.coeffs)
 
     def to_json(self) -> dict:
         return {"p": self.p, "profile": list(self.profile), "vars": list(self.var_names)}
@@ -439,29 +456,33 @@ class AlgebraMap:
     def from_generator_images(cls, A: BorelAlgebra, B, images) -> "AlgebraMap":
         """Extend generator images multiplicatively over the monomial basis.
 
-        Checks the defining relations (each image to the q_i-th power is 0);
-        a violated relation raises 'not an algebra map'.
+        Checks the defining relations (each image to the q_i-th power is 0:
+        a chain of Frobenius scatters); a violated relation raises 'not an
+        algebra map'.  The column of x^e with every e_i divisible by p is the
+        Frobenius image of the column of x^{e/p}; every other column is one
+        product with a generator image.
         """
         images = [img if isinstance(img, El) else El(B, img) for img in images]
         if len(images) != A.nvars:
             raise ExactKernelError("need one generator image per variable")
+        p = A.p
         for img, q in zip(images, A.profile):
-            if not (img ** q).is_zero():
+            v = img.vec
+            while q > 1:
+                v, q = B.frobenius(v), q // p
+            if v.any():
                 raise ExactKernelError(
                     "not an algebra map: generator image fails its defining relation"
                 )
         cols = np.zeros((B.dim, A.dim), dtype=np.int64)
-        memo: dict[tuple, El] = {}
-        one = B.one()
-        for idx, e in enumerate(A.basis):  # graded order: predecessors come first
-            if sum(e) == 0:
-                val = one
+        cols[:, 0] = B.one_vec()
+        for idx, e in enumerate(A.basis[1:], 1):  # graded order: e/p and e - 1_i come first
+            if all(a % p == 0 for a in e):
+                cols[:, idx] = B.frobenius(cols[:, A.index[tuple(a // p for a in e)]])
             else:
                 i = next(k for k, a in enumerate(e) if a)
                 prev = tuple(a - 1 if k == i else a for k, a in enumerate(e))
-                val = memo[prev] * images[i]
-            memo[e] = val
-            cols[:, idx] = val.vec
+                cols[:, idx] = B.mul_vec(cols[:, A.index[prev]], images[i].vec)
         return cls(A, B, cols, is_algebra_map=True)
 
     def apply(self, el):
@@ -624,6 +645,9 @@ class Subalgebra(_LocalAlgebraOps):
     def mul_vec(self, u, v) -> np.ndarray:
         prod = self.ambient.mul_vec(self.from_sub(u), self.from_sub(v))
         return self.to_sub(prod)
+
+    def frobenius(self, vec) -> np.ndarray:
+        return self.to_sub(self.ambient.frobenius(self.from_sub(vec)))
 
     def mult_matrix(self, vec) -> FpMatrix:
         """Left multiplication in subalgebra coordinates: the ambient matrix

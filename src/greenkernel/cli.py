@@ -223,6 +223,10 @@ def _cmd_tower_check(args) -> int:
     params = HondaParams(args.p, args.n, max(args.p ** args.n, 4))
     budget = _budget(args)
     s = args.s or 1
+    if args.r >= 1 and params.q ** (args.r + s) <= budget:
+        # pdiv_check reads level r+s+1; built first, its law serves every
+        # smaller level as a slice instead of a cold build per level
+        honda_level(params, args.r + s + 1, max(budget, params.q ** (args.r + s + 1)))
     axioms = {}
     for r in sorted({args.r, s, args.r + s}):
         rep = hopf_check(honda_level(params, r, budget).hopf)

@@ -162,10 +162,6 @@ class FpMatrix:
     def identity(cls, n: int, p: int) -> "FpMatrix":
         return cls(np.eye(n, dtype=np.int64), p)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], p: int) -> "FpMatrix":
-        return cls(np.array([list(r) for r in rows], dtype=np.int64), p)
-
     @property
     def rows(self) -> int:
         return self.a.shape[0]
@@ -199,9 +195,6 @@ class FpMatrix:
 
     def scale(self, c: int) -> "FpMatrix":
         return FpMatrix(self.a * (c % self.p), self.p)
-
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.a.T, self.p)
 
     def __eq__(self, other):
         return (

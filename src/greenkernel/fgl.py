@@ -12,14 +12,18 @@ downstream coproducts are generated from this reduction.  Its defining
 property mod p is [p](x) = x^q.
 
 The group law is the binomial expansion sum_{a,b} e_{a+b} C(a+b, a)
-log(x)^a log(y)^b, computed as the sandwich L^T M L of scaled-integer
-matrices (one block per residue class mod q-1, by the grading) with a
-single shared power-of-p denominator, and reduced once.  An Fgl owns the
-result as a dense (D, D) int64 residue array, and keeps the scaled log
-powers L with the scaled exp coefficients: every [m]-series, the formal
-inverse [-1] among them, is exp(m log x), one vector-matrix product with L.
-The formal sum F(a, b) evaluates the residue array.  TruncPoly appears only
-in honda_log; the Fraction reference paths live in the tests.
+log(x)^a log(y)^b at output-graded p-adic precision: the graded log powers
+L~[a, i] = p^{(i-a)/(q-1)} [x^i] log(x)^a and M~[a, b] = C(a+b, a)
+phi_{(a+b-1)/(q-1)} are integers, and the sandwich L~^T M~ L~ is
+p^{(i+j-1)/(q-1)} F[i, j] at (i, j).  It is computed mod p^N,
+N = floor((2D-3)/(q-1)) + 2, one block per residue class mod q-1 (the
+grading); each entry is divided by its own power of p (the p-integrality
+check) and reduced once.  An Fgl owns the result as a dense (D, D) int64
+residue array and keeps L~ with phi: every [m]-series, the formal inverse
+[-1] among them, is exp(m log x), one vector-matrix product with L~ under
+the same scaling.  The formal sum F(a, b) evaluates the residue array.
+TruncPoly appears only in honda_log; the Fraction reference paths live in
+the tests.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from operator import mul
 from typing import NamedTuple
 
@@ -58,13 +61,15 @@ class HondaParams:
 
 
 class _LogPowers(NamedTuple):
-    """Row k of L is p^{k ew} L(x)^k below x^D (p^ew the largest denominator
-    of L(x) there), an object array, and e_k / p^{k ew} = gm[k] / p^S for the
-    exp coefficients e_k, with every gm[k] an integer."""
+    """Row a of L is L~(x)^a below x^D, L~[a, i] = p^{(i-a)/(q-1)} [x^i] L(x)^a,
+    built from L~(x) = sum_t p^{(q^t-1)/(q-1) - t} x^{q^t}; exp[k] is
+    p^{(k-1)/(q-1)} e_k for k < 2D-1, the integer phi_{(k-1)/(q-1)} at
+    k = 1 (mod q-1) and 0 elsewhere (exp is graded).  Both are object arrays
+    kept mod p^N, the precision of every product built from them."""
 
     L: np.ndarray
-    gm: list
-    S: int
+    exp: np.ndarray
+    N: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,29 +105,17 @@ def honda_log(params: HondaParams) -> TruncPoly:
 def _power_chain_ops(q: int):
     """Binary multiplication chain reaching exponent q from 1; each op is
     (a, b, a+b) meaning series_{a+b} = series_a * series_b."""
-    ops = []
-    have = {1}
-
-    def build(e):
-        if e in have:
-            return
-        if e % 2 == 0:
-            build(e // 2)
-            ops.append((e // 2, e // 2, e))
-        else:
-            build(e - 1)
-            ops.append((e - 1, 1, e))
-        have.add(e)
-
-    build(q)
-    return ops
+    if q == 1:
+        return []
+    if q % 2:
+        return _power_chain_ops(q - 1) + [(q - 1, 1, q)]
+    return _power_chain_ops(q // 2) + [(q // 2, q // 2, q)]
 
 
-def honda_exp_coeffs(p: int, q: int, K: int) -> list[Fraction]:
-    """Coefficients e_0..e_K of the compositional inverse of the logarithm.
+def _honda_phi(p: int, q: int, J: int) -> list[int]:
+    """The integer series phi_0..phi_J with exp(u) = u phi(u^{q-1}/p).
 
-    exp(u) = u phi(s) with s = u^{q-1}/p: substituting into
-    g = u - sum_{i>=1} g^{q^i}/p^i gives
+    Substituting into g = u - sum_{i>=1} g^{q^i}/p^i gives
 
         phi = 1 - sum_{i>=1} p^{m_i - i} s^{m_i} phi^{q^i},   m_i = (q^i - 1)/(q - 1),
 
@@ -130,13 +123,8 @@ def honda_exp_coeffs(p: int, q: int, K: int) -> list[Fraction]:
     by degree over Python ints (no division): the q^i-th powers of phi are
     kept through the binary multiplication chain, each level's base being
     the q-th power of the level below, and phi_j only reads their
-    coefficients of degree j - m_i < j.  Then e_{1+j(q-1)} = phi_j / p^j and
-    every other e_k is 0.
+    coefficients of degree j - m_i < j.
     """
-    e = [Fraction(0)] * (K + 1)
-    if K < 1:
-        return e
-    J = (K - 1) // (q - 1)
     ms = []  # m_1, m_2, .. up to J
     m = 1
     while m <= J:
@@ -162,79 +150,81 @@ def honda_exp_coeffs(p: int, q: int, K: int) -> list[Fraction]:
                 break
             for (a, b, c) in ops:
                 lvl[c][j] = sum(map(mul, lvl[a][: j + 1], lvl[b][j::-1]))
-    for j in range(J + 1):
-        e[1 + j * (q - 1)] = Fraction(phi[j], p ** j)
+    return phi
+
+
+def honda_exp_coeffs(p: int, q: int, K: int) -> list[Fraction]:
+    """Coefficients e_0..e_K of the compositional inverse of the logarithm:
+    e_{1+j(q-1)} = phi_j / p^j (see _honda_phi) and every other e_k is 0."""
+    e = [Fraction(0)] * (K + 1)
+    if K < 1:
+        return e
+    for j, c in enumerate(_honda_phi(p, q, (K - 1) // (q - 1))):
+        e[1 + j * (q - 1)] = Fraction(c, p ** j)
     return e
 
 
 def _log_powers(params: HondaParams) -> _LogPowers:
-    """The scaled log powers L and exp coefficients gm / p^S below x^D; each
-    scaled exp coefficient is checked to be an integer, and exp to be graded
-    mod q-1."""
+    """The graded log powers L~ and exp coefficients mod p^N (see
+    _LogPowers), below x^D."""
     p, q, D = params.p, params.q, params.trunc
-    K = 2 * D - 2
-    exp = honda_exp_coeffs(p, q, K)
-    # p^ew L(x) as integers: x^{q^i} / p^i scaled by p^ew, for q^i < D
-    w = {}
-    e, i = 1, 0
-    while e < D:
-        w[e] = i
-        e *= q
-        i += 1
-    ew = i - 1
+    N = (2 * D - 3) // (q - 1) + 2
+    mod = p ** N
+    # L~(x) = sum_t p^{(q^t-1)/(q-1) - t} x^{q^t}: coefficient i of L(x)
+    # scaled by p^{(i-1)/(q-1)}
+    terms = [(q ** t, p ** ((q ** t - 1) // (q - 1) - t))
+             for t in range(D.bit_length()) if q ** t < D]
     L = np.zeros((D, D), dtype=object)
     L[0, 0] = 1
     for a in range(1, D):
-        for e, i in w.items():
-            L[a, e:] += L[a - 1, : D - e] * p ** (ew - i)
-    # shared exponent: e_k / p^{k ew} = gm_k / p^S with gm_k an integer
-    S = max(_p_valuation(c.denominator, p) + k * ew for k, c in enumerate(exp) if c)
-    gm = []
-    for k, c in enumerate(exp):
-        if not c:
-            # S bounds only the nonzero coefficients; S - k ew may be negative here
-            gm.append(0)
-            continue
-        m = c * p ** (S - k * ew)
-        if m.denominator != 1:
-            raise ExactKernelError(
-                "internal consistency: exp coefficient %d has denominator %d" % (k, c.denominator)
-            )
-        gm.append(int(m))
-    # grading: exp(u) = u h(u^{q-1}), so e_k = 0 unless k = 1 (mod q-1)
-    if any(gm[k] for k in range(K + 1) if (k - 1) % (q - 1)):
-        raise ExactKernelError("internal consistency: exp is not graded mod q-1")
-    return _LogPowers(L, gm, S)
+        for e, c in terms:
+            L[a, e:] += L[a - 1, : D - e] * c
+        L[a] %= mod
+    exp = np.zeros(2 * D - 1, dtype=object)
+    exp[1::q - 1] = [c % mod for c in _honda_phi(p, q, (2 * D - 3) // (q - 1))]
+    return _LogPowers(L, exp, N)
 
 
 def _fgl_residues(params: HondaParams, logs: _LogPowers | None = None) -> np.ndarray:
     """F mod p as a dense (D, D) array, from the binomial expansion
 
-        F(x, y) = sum_{a, b < D} e_{a+b} C(a+b, a) L(x)^a L(y)^b
+        F(x, y) = sum_{a, b < D} e_{a+b} C(a+b, a) L(x)^a L(y)^b.
 
-    computed as the scaled-integer sandwich L^T M L over object arrays
-    (see _LogPowers), with M[a, b] = gm_{a+b} C(a+b, a) over the shared
-    denominator p^S.  Every entry of the product must be divisible by p^S
-    (p-integrality); the quotient is reduced once.
+    With M~[a, b] = C(a+b, a) p^{(a+b-1)/(q-1)} e_{a+b}, the integer sandwich
+    L~^T M~ L~ is p^{(i+j-1)/(q-1)} F[i, j] at (i, j): computed mod p^N,
+    reduced after each product, then divided entry by entry by its own
+    power of p (p-integrality) and reduced once.
     """
     p, q, D = params.p, params.q, params.trunc
-    L, gm, S = logs if logs is not None else _log_powers(params)
+    L, exp, N = logs if logs is not None else _log_powers(params)
+    mod, g = p ** N, q - 1
+    # Pascal's rule row by row: C(a+b, a) = sum_{c <= b} C(a-1+c, a-1)
+    C = np.ones((D, D), dtype=object)
+    for a in range(1, D):
+        C[a] = np.cumsum(C[a - 1]) % mod
     # grading: L(x)^a lives in degrees = a (mod q-1) and so does exp, hence
     # F[i, j] = 0 unless i + j = 1 (mod q-1); the sandwich splits into one
-    # block per residue class r of rows, paired with 1 - r
-    g = q - 1
+    # block per residue class r of rows, paired with s = 1 - r, and block
+    # (s, r) is the transpose of block (r, s) since M~ is symmetric
     scaled = np.zeros((D, D), dtype=object)
     for r in range(g):
         s = (1 - r) % g
-        M = np.array([[gm[a + b] * comb(a + b, a) for b in range(s, D, g)]
-                      for a in range(r, D, g)], dtype=object)
-        scaled[r::g, s::g] = L[r::g, r::g].T.dot(M).dot(L[s::g, s::g])
-    return _divide_reduce(scaled, S, p, "FGL coefficient")
+        if s < r:
+            continue
+        A, B = np.arange(r, D, g), np.arange(s, D, g)
+        M = C[np.ix_(A, B)] * exp[A[:, None] + B[None, :]] % mod
+        T = L[r::g, r::g].T.dot(M) % mod
+        X = T.dot(L[s::g, s::g]) % mod
+        scaled[r::g, s::g], scaled[s::g, r::g] = X, X.T
+    # entry (i, j) carries p^{(i+j-1)/g}; F[0, 0] = 0 needs none
+    i, j = np.indices((D, D))
+    return _divide_reduce(scaled, np.maximum(i + j - 1, 0) // g, p, "FGL coefficient")
 
 
-def _divide_reduce(scaled: np.ndarray, S: int, p: int, what: str) -> np.ndarray:
-    """scaled / p^S mod p as int64, refusing an entry that p^S does not divide."""
-    scale = p ** S
+def _divide_reduce(scaled: np.ndarray, v: np.ndarray, p: int, what: str) -> np.ndarray:
+    """scaled / p^v mod p entry by entry as int64, refusing an entry that
+    its power of p does not divide."""
+    scale = np.array([p ** k for k in range(int(v.max(initial=0)) + 1)], dtype=object)[v]
     bad = np.argwhere(scaled % scale != 0)
     if len(bad):
         raise ExactKernelError(
@@ -242,14 +232,6 @@ def _divide_reduce(scaled: np.ndarray, S: int, p: int, what: str) -> np.ndarray:
             % (what, tuple(int(t) for t in bad[0]))
         )
     return ((scaled // scale) % p).astype(np.int64)
-
-
-def _p_valuation(m: int, p: int) -> int:
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
 
 
 _fgl_cache: dict[tuple[int, int], Fgl] = {}
@@ -332,14 +314,20 @@ def formal_sum(fgl: Fgl, a, b) -> np.ndarray:
 
 
 def _series(fgl: Fgl, m: int, cap: int) -> np.ndarray:
-    """[m](x) = exp(m log x) = p^{-S} sum_k gm_k m^k L[k] below x^cap: one
-    object-integer vector-matrix product, checked divisible by p^S entry by
-    entry and reduced once.  formal_inverse and m_series both call it, not
-    each other, so per-layer traces count each entry point on its own."""
+    """[m](x) = exp(m log x) below x^cap, from the graded log powers:
+
+        p^{(i-1)/(q-1)} [m](x)_i = sum_k p^{(k-1)/(q-1)} e_k m^k L~[k, i],
+
+    one object-integer vector-matrix product mod p^N, divided entry by entry
+    by its power of p and reduced once.  formal_inverse and m_series both
+    call it, not each other, so per-layer traces count each entry point on
+    its own."""
     _check_cap(fgl, cap)
-    L, gm, S = fgl._logs
-    coef = np.array([gm[k] * m ** k for k in range(cap)], dtype=object)
-    return _divide_reduce(coef.dot(L[:cap, :cap]), S, fgl.p, "series coefficient")
+    L, exp, N = fgl._logs
+    p, mod = fgl.p, fgl.p ** N
+    coef = np.array([c * pow(m, k, mod) for k, c in enumerate(exp[:cap])], dtype=object)
+    v = np.maximum(np.arange(cap) - 1, 0) // (fgl.q - 1)  # only i = 1 (mod q-1) is nonzero
+    return _divide_reduce(coef.dot(L[:cap, :cap]) % mod, v, p, "series coefficient")
 
 
 def formal_inverse(fgl: Fgl, cap: int) -> np.ndarray:

@@ -17,6 +17,7 @@ value A(G) is a subalgebra of A(P) and res^G_P is the inclusion.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,7 @@ def unit_map(A) -> AlgebraMap:
 
 
 _value_cache: dict = {}
+_value_lock = threading.Lock()
 
 
 def value_abelian(exponents, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGET) -> GreenValue:
@@ -122,34 +124,36 @@ def value_abelian(exponents, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGET) 
     dim = q ** sum(exponents)
     if dim > budget:
         raise BudgetError("value dimension %d exceeds budget %d" % (dim, budget), required=dim)
-    cached = _value_cache.get((exponents, p, n))
-    if cached is not None:
-        return cached
-    levels = tuple(honda_level(_params(p, n, q ** r), r, budget=max(budget, q ** r)) for r in exponents)
-    profile = tuple(q ** r for r in exponents)
-    names = ("x",) if len(profile) == 1 else tuple("x%d" % (i + 1) for i in range(len(profile)))
-    A = BorelAlgebra(p, profile, names)
-    form = canonical_form(A)
-    if exponents:
-        ind_one = gysin(augmentation_map(A), form, canonical_form(_trivial_algebra(p))).apply(
-            _trivial_algebra(p).one()
+    with _value_lock:
+        cached = _value_cache.get((exponents, p, n))
+        if cached is not None:
+            return cached
+        levels = tuple(honda_level(_params(p, n, q ** r), r, budget=max(budget, q ** r))
+                       for r in exponents)
+        profile = tuple(q ** r for r in exponents)
+        names = ("x",) if len(profile) == 1 else tuple("x%d" % (i + 1) for i in range(len(profile)))
+        A = BorelAlgebra(p, profile, names)
+        form = canonical_form(A)
+        if exponents:
+            ind_one = gysin(augmentation_map(A), form, canonical_form(_trivial_algebra(p))).apply(
+                _trivial_algebra(p).one()
+            )
+        else:
+            ind_one = A.one()
+        if ind_one.is_zero() or not subspace_contains(A.socle_vecs(), ind_one.vec, p):
+            raise ExactKernelError("internal consistency: ind_one misses the socle")
+        out = GreenValue(
+            kind="abelian",
+            p=p,
+            n=n,
+            algebra=A,
+            form=form,
+            ind_one=ind_one,
+            abelian_type=exponents,
+            levels=levels,
         )
-    else:
-        ind_one = A.one()
-    if ind_one.is_zero() or not subspace_contains(A.socle_vecs(), ind_one.vec, p):
-        raise ExactKernelError("internal consistency: ind_one misses the socle")
-    out = GreenValue(
-        kind="abelian",
-        p=p,
-        n=n,
-        algebra=A,
-        form=form,
-        ind_one=ind_one,
-        abelian_type=exponents,
-        levels=levels,
-    )
-    _value_cache[(exponents, p, n)] = out
-    return out
+        _value_cache[(exponents, p, n)] = out
+        return out
 
 
 def value_for_decomposition(dec: AbelianPGroup, p: int, n: int,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,30 +46,15 @@ class HopfStructure:
         self.antipode_gens = [g if isinstance(g, El) else El(algebra, g) for g in antipode_gens]
         if len(self.coproduct_gens) != algebra.nvars or len(self.antipode_gens) != algebra.nvars:
             raise ExactKernelError("need one coproduct and antipode image per generator")
-        self._psi = None
-        self._chi = None
 
-    @property
+    @cached_property
     def coproduct(self) -> AlgebraMap:
         """psi as an algebra map A -> A (x) A (matrix over the monomial basis)."""
-        if self._psi is None:
-            self._psi = AlgebraMap.from_generator_images(
-                self.algebra, self.square.algebra, self.coproduct_gens
-            )
-        return self._psi
+        return AlgebraMap.from_generator_images(self.algebra, self.square.algebra, self.coproduct_gens)
 
-    @property
+    @cached_property
     def antipode(self) -> AlgebraMap:
-        if self._chi is None:
-            self._chi = AlgebraMap.from_generator_images(
-                self.algebra, self.algebra, self.antipode_gens
-            )
-        return self._chi
-
-    def counit_vec(self) -> np.ndarray:
-        v = np.zeros(self.algebra.dim, dtype=np.int64)
-        v[0] = 1
-        return v
+        return AlgebraMap.from_generator_images(self.algebra, self.algebra, self.antipode_gens)
 
     def gen_coeff_matrix(self, i: int = 0) -> np.ndarray:
         """psi(x_i) as a (dim x dim) coefficient array M[a, b]."""

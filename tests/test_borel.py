@@ -20,9 +20,11 @@ from greenkernel.borel import (
     tensor,
 )
 from greenkernel.audit import default_subgroup_family
+from greenkernel.fgl import HondaParams
 from greenkernel.frobform import pairing_matrix
 from greenkernel.green import SubgroupGreenFunctor
 from greenkernel.grp import named_group
+from greenkernel.hopftower import honda_level, tower_maps
 
 
 def test_make_algebra_dims():
@@ -447,3 +449,92 @@ def test_generator_checks_match_exhaustive(group, p, n):
                 assert verdict == _exhaustive_module_map(bad, res)
                 rejected += not verdict
     assert rejected > 0
+
+
+@pytest.mark.parametrize("p,profile", [
+    (2, (8,)), (2, (4, 4)), (2, (2, 2, 2)), (3, (9, 3)), (3, (27, 27)),
+    (5, (25,)), (5, (5, 5)), (5, (25, 5)),
+])
+def test_frobenius_scatter_matches_mul_vec_power(p, profile):
+    A = make_algebra(p, profile)
+    rng = np.random.default_rng(sum(profile) + p)
+    for _ in range(3):
+        u = rng.integers(0, p, A.dim)
+        want = A.one_vec()
+        for _ in range(p):
+            want = A.mul_vec(want, u)
+        assert np.array_equal(A.frobenius(u), want)
+    S = subalgebra_close(A, [A.gen(0) ** p])
+    u = S.from_sub(rng.integers(0, p, S.dim))
+    assert np.array_equal(S.from_sub(S.frobenius(S.to_sub(u))), A.frobenius(u))
+
+
+def generator_images_oracle(A, B, images) -> np.ndarray:
+    """Oracle: the relations by repeated squaring and every column as one
+    product with a generator image (no Frobenius scatter)."""
+    images = [img if isinstance(img, El) else El(B, img) for img in images]
+    for img, q in zip(images, A.profile):
+        if not (img ** q).is_zero():
+            raise ExactKernelError("not an algebra map: image fails its relation")
+    cols = np.zeros((B.dim, A.dim), dtype=np.int64)
+    memo = {}
+    for idx, e in enumerate(A.basis):
+        if sum(e) == 0:
+            val = B.one()
+        else:
+            i = next(k for k, a in enumerate(e) if a)
+            prev = tuple(a - 1 if k == i else a for k, a in enumerate(e))
+            val = memo[prev] * images[i]
+        memo[e] = val
+        cols[:, idx] = val.vec
+    return cols
+
+
+@pytest.mark.parametrize("p,profile,target", [
+    (2, (4, 2), (8, 4)), (3, (9, 3), (27,)), (2, (2, 2, 2), (4, 4)), (5, (5, 5), (25, 5)),
+])
+def test_from_generator_images_matches_product_oracle(p, profile, target):
+    A = make_algebra(p, profile)
+    B = make_algebra(p, target, tuple("y%d" % i for i in range(len(target))))
+    rng = np.random.default_rng(p * 7 + len(profile))
+    checked = refused = 0
+    for _ in range(40):
+        # random radical elements to a random power: some satisfy the
+        # relations, some do not
+        rad = [El(B, rng.integers(0, p, B.dim) * (np.arange(B.dim) > 0)) for _ in profile]
+        images = [r ** int(rng.integers(1, p + 2)) for r in rad]
+        try:
+            want = generator_images_oracle(A, B, images)
+        except ExactKernelError:
+            with pytest.raises(ExactKernelError, match="not an algebra map"):
+                AlgebraMap.from_generator_images(A, B, images)
+            refused += 1
+            continue
+        assert np.array_equal(AlgebraMap.from_generator_images(A, B, images).matrix, want)
+        checked += 1
+    assert checked and refused
+
+
+@pytest.mark.parametrize("p,n,top", [(2, 1, 5), (3, 1, 3), (2, 2, 2)])
+def test_generator_images_match_product_oracle_on_tower(p, n, top):
+    # coproducts, antipodes and tower maps through the Frobenius columns
+    # equal the all-products column loop
+    P, q = HondaParams(p, n, max(p ** n, 4)), p ** n
+    levels = {r: honda_level(P, r) for r in range(1, top + 1)}
+    for L in levels.values():
+        H = L.hopf
+        assert np.array_equal(H.coproduct.matrix, generator_images_oracle(
+            H.algebra, H.square.algebra, H.coproduct_gens))
+        assert np.array_equal(H.antipode.matrix, generator_images_oracle(
+            H.algebra, H.algebra, H.antipode_gens))
+    for r in range(1, top):
+        for s in range(1, top - r + 1):
+            big, low, mid = levels[r + s], levels[r], levels[s]
+            tm = tower_maps(P, r, s)
+            assert np.array_equal(tm.surj.matrix, generator_images_oracle(
+                big.algebra, low.algebra, [low.x()]))
+            assert np.array_equal(tm.inj.matrix, generator_images_oracle(
+                mid.algebra, big.algebra, [big.x() ** (q ** r)]))
+    # x -> x of H_1 into H_top breaks x^q = 0 when top > 1
+    with pytest.raises(ExactKernelError, match="not an algebra map"):
+        AlgebraMap.from_generator_images(levels[1].algebra, levels[top].algebra, [levels[top].x()])

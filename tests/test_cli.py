@@ -71,6 +71,16 @@ def test_tower_check(capsys):
     assert data["axioms"]["H_2"]["all_pass"] is True
 
 
+def test_tower_check_h6_output_pinned(capsys):
+    # levels 3, 6 and 7 at p = 2, the largest built first; digest recorded
+    # before the output-graded sandwich and the Frobenius columns
+    code, out, _ = run(capsys, "tower", "check", "--p", "2", "--r", "3", "--s", "3",
+                       "--format", "json", "--no-timing")
+    assert code == EXIT_OK
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "f117c91c1b5bd68d0e123fe604d63bfa6bd51ffec4b6e8dc4aa04e348303ae0a")
+
+
 def test_green_value_s3(capsys):
     code, out, _ = run(capsys, "green", "value", "--group", "S3", "--p", "3",
                        "--n", "1", "--format", "json")

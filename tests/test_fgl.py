@@ -211,6 +211,14 @@ GOLDEN_F = {
 }
 
 
+# the larger laws, recorded from the sandwich with one shared power of p
+# that the output-graded sandwich replaced
+GOLDEN_F.update({
+    (2, 1, 128): "a59388fe76a7344a31238b8e0b23165d6660e36fad77cda4557bc51dd312e97f",
+    (3, 1, 243): "b3c17034929cc65b17fc2095ccaa78d3987d08c1d4490b2a9112e12c25026b8e",
+})
+
+
 @pytest.mark.parametrize("p,n,D", sorted(GOLDEN_F))
 def test_residue_array_matches_golden_digest(p, n, D):
     F = honda_fgl(HondaParams(p, n, D)).F
@@ -343,6 +351,10 @@ GOLDEN_SERIES = {
     ("m", 2, 1, 64): "7f8f54211ca6ed582bbb0a105c31471ec0f7515fdabfe4fc22f15caee4a9b031",
     ("m", 3, 1, 81): "ac1f5c957ae9eb215511b001b622756da2123bb9ba281e61c809654665e5e871",
     ("m", 2, 2, 64): "82598ef504202d401d6ca765edd2d9ab57fb4a2c39732ee15363dc7ea83bf33d",
+    # recorded from the one-dot series over the shared power of p
+    ("p^1", 2, 1, 128): "9589d53da4be6ca2cd95e596f13d93d9b4f267aad6bacaf03befcc18ed0d0c22",
+    ("inverse", 3, 1, 243): "187da193561fdbc802144035f6d3aa07166e99557b04b579d1725b185e589c62",
+    ("p^1", 3, 1, 243): "5ff3f70548c75bf270393df2b313121ba466e9048f2033cf059fce86fa62d76d",
 }
 
 
@@ -453,30 +465,47 @@ def test_cache_serves_truncations():
 
 
 def test_sandwich_refuses_inconsistent_exp(monkeypatch):
-    # a denominator prime to p in exp, a coefficient of F that is not
-    # p-integral, or an exp that breaks the grading must raise instead of
-    # truncating, reducing or skipping blocks silently
-    import greenkernel.fgl as fgl
+    # phi_j off by c (j >= 1, 1 + j(q-1) < D) moves the sandwich entry
+    # (1 + j(q-1), 0) by c, which is not divisible by the p^j it must carry:
+    # a coefficient of F that is not p-integral must raise instead of
+    # reducing silently.  (phi_0 = 1 carries p^0, so the check cannot see it.)
+    real = fgl._honda_phi
+    for (p, n, D, js) in [(2, 1, 8, (1, 3, 6)), (3, 1, 9, (1, 2, 3)), (2, 2, 16, (1, 2, 4))]:
+        P = HondaParams(p, n, D)
+        for j in js:
+            for c in (1, p ** (j - 1)):
+                def perturbed(p_, q_, J):
+                    phi = real(p_, q_, J)
+                    phi[j] += c
+                    return phi
+                monkeypatch.setattr(fgl, "_honda_phi", perturbed)
+                with pytest.raises(ExactKernelError, match="non p-integral FGL coefficient"):
+                    fgl._fgl_residues(P)
+        monkeypatch.setattr(fgl, "_honda_phi", real)
+        # one graded log power entry off by one: L~[1+g, 1+2g] moves the
+        # entry (1+2g, 0) by phi_1 = -1, which must carry p^2
+        g = p ** n - 1
+        L, phi, N = fgl._log_powers(P)
+        bad = L.copy()
+        bad[1 + g, 1 + 2 * g] += 1
+        with pytest.raises(ExactKernelError, match="non p-integral FGL coefficient"):
+            fgl._fgl_residues(P, fgl._LogPowers(bad, phi, N))
+        assert np.array_equal(fgl._fgl_residues(P, fgl._LogPowers(L, phi, N)),
+                              fgl._fgl_residues(P))
 
-    real = fgl.honda_exp_coeffs
 
-    def perturbed(k, c):
-        def coeffs(p, q, K):
-            exp = real(p, q, K)
-            exp[k] += c
-            return exp
-        return coeffs
-
-    monkeypatch.setattr(fgl, "honda_exp_coeffs", perturbed(3, Fraction(1, 3)))
-    with pytest.raises(ExactKernelError, match="denominator"):
-        fgl._fgl_residues(HondaParams(2, 1, 8))
-    monkeypatch.setattr(fgl, "honda_exp_coeffs", perturbed(2, Fraction(1, 2 ** 40)))
-    with pytest.raises(ExactKernelError, match="non p-integral"):
-        fgl._fgl_residues(HondaParams(2, 1, 8))
-    # at q = 3 only odd exponents of exp may be nonzero; the blocks rely on it
-    monkeypatch.setattr(fgl, "honda_exp_coeffs", perturbed(2, Fraction(1)))
-    with pytest.raises(ExactKernelError, match="graded"):
-        fgl._fgl_residues(HondaParams(3, 1, 9))
+@pytest.mark.parametrize("p,n,K", [(2, 1, 60), (3, 1, 60), (2, 2, 60), (5, 1, 40), (3, 2, 60)])
+def test_exp_coeffs_contract(p, n, K):
+    # the public Fraction exp: e_1 = 1, p-power denominators bounded by the
+    # functional-equation lemma, and e_k = 0 unless k = 1 (mod q-1)
+    q = p ** n
+    exp = honda_exp_coeffs(p, q, K)
+    assert exp[0] == 0 and exp[1] == 1
+    for k, c in enumerate(exp[1:], 1):
+        if (k - 1) % (q - 1):
+            assert c == 0, k
+        else:
+            assert (p ** ((k - 1) // (q - 1))) % c.denominator == 0, k
 
 
 def test_all_fgl_coefficients_are_p_integral():

@@ -1,5 +1,8 @@
 """Green functor engine: values, restriction, transfers, stable elements."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,31 @@ def test_value_abelian_kuenneth_dims():
 def test_value_abelian_budget():
     with pytest.raises(BudgetError):
         value_abelian((3,), 3, 1, budget=16)
+
+
+def test_value_cache_thread_safe_single_construction(monkeypatch):
+    import greenkernel.green as green
+
+    monkeypatch.setattr(green, "_value_cache", {})
+    results = []
+    barrier = threading.Barrier(2)
+
+    def build():
+        barrier.wait()
+        results.append(value_abelian((2, 1), 2, 1))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 2 and results[0] is results[1]
 
 
 def test_value_socle_one_dimensional():
