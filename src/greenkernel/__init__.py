@@ -1,7 +1,7 @@
 """greenkernel: exact computer algebra for local Frobenius Green functors.
 
 Subpackages build on each other in this order: exactkernel (GF(p) linear
-algebra, truncated polynomials), fgl (Honda formal group laws), borel
+algebra), fgl (Honda formal group laws), borel
 (local augmented algebras), frobform (Frobenius forms and Gysin maps),
 hopftower (Hopf structure and the p-divisible tower), grp (finite
 permutation groups), green (the Green functor engine), audit (axiom
@@ -11,18 +11,14 @@ verification harness), cli (command line frontend).
 __version__ = "0.1.0"
 
 from .exactkernel import (  # noqa: F401
-    BigRational,
     BudgetError,
     ExactKernelError,
     FpMatrix,
-    FpScalar,
     ScopeError,
-    TruncPoly,
     mat_kernel,
-    poly_mul_trunc,
     subspace_intersect,
 )
-from .fgl import Fgl, HondaParams, honda_fgl, honda_log, m_series  # noqa: F401
+from .fgl import Fgl, HondaParams, honda_fgl, m_series  # noqa: F401
 from .borel import (  # noqa: F401
     AlgebraMap,
     BorelAlgebra,

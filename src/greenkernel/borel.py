@@ -3,7 +3,9 @@ form k[x_1..x_l]/(x_i^{q_i}), their subalgebras, and linear/algebra maps.
 
 The monomial basis is ordered graded-lexicographically on exponent vectors,
 so index 0 is the constant monomial (augmentation = coefficient 0) and the
-last index is the top monomial x_1^{q_1-1}...x_l^{q_l-1}.
+last index is the top monomial x_1^{q_1-1}...x_l^{q_l-1}.  An element
+prints its nonzero coordinates in that order through format_terms, the one
+monomial formatter of the package.
 
 Element vectors are numpy int64 coordinate arrays.  Every product comes
 from one mixed-radix Kronecker encoding of the monomials, enc[i] =
@@ -30,7 +32,6 @@ import numpy as np
 from .exactkernel import (
     ExactKernelError,
     FpMatrix,
-    TruncPoly,
     _check_envelope,
     _check_prime,
     mat_kernel,
@@ -142,21 +143,27 @@ class El:
         return acc * cinv
 
     def __repr__(self):
-        return str(self.to_poly())
+        """The nonzero terms in basis (graded-lex) order; a Subalgebra
+        element prints its ambient image."""
+        a, vec = self.algebra, self.vec
+        while isinstance(a, Subalgebra):
+            a, vec = a.ambient, a.from_sub(vec)
+        return format_terms(a.var_names, ((a.basis[i], int(vec[i])) for i in np.flatnonzero(vec)))
 
-    def to_poly(self) -> TruncPoly:
-        a = self.algebra
-        if hasattr(a, "ambient"):  # Subalgebra element: print its ambient image
-            return a.element_to_ambient(self).to_poly()
-        if not a.profile:
-            d = {(): int(self.vec[0])} if self.vec[0] else {}
-            return TruncPoly((), (), d, a.p)
-        return TruncPoly(
-            a.var_names,
-            a.profile,
-            {a.basis[i]: int(c) for i, c in enumerate(self.vec) if c},
-            a.p,
-        )
+
+def mono_str(names, e) -> str:
+    """The monomial with exponents e as 'x*y^2' ('' for the constant)."""
+    return "*".join(v if k == 1 else "%s^%d" % (v, k) for v, k in zip(names, e) if k)
+
+
+def format_terms(names, terms) -> str:
+    """(exponents, coefficient) pairs as '2 + x*y + 3*x^2', in the order
+    given; '0' when there are none."""
+    bits = []
+    for e, c in terms:
+        mono = mono_str(names, e)
+        bits.append(str(c) if not mono else mono if c == 1 else "%s*%s" % (c, mono))
+    return " + ".join(bits) or "0"
 
 
 class _LocalAlgebraOps:
@@ -380,13 +387,6 @@ class BorelAlgebra(_LocalAlgebraOps):
 
     def to_json(self) -> dict:
         return {"p": self.p, "profile": list(self.profile), "vars": list(self.var_names)}
-
-    def element_to_json(self, el: El) -> dict:
-        return {
-            "".join("%s^%d " % (v, k) for v, k in zip(self.var_names, e) if k).strip() or "1": int(c)
-            for e, c in ((self.basis[i], el.vec[i]) for i in range(self.dim))
-            if c
-        }
 
 
 def make_algebra(p: int, profile, var_names=None) -> BorelAlgebra:

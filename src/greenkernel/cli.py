@@ -15,12 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
-from .exactkernel import BudgetError, ExactKernelError, ScopeError, TruncPoly
-from .borel import AlgebraMap, BorelAlgebra, El, Subalgebra
+from .exactkernel import BudgetError, ExactKernelError, ScopeError
+from .borel import AlgebraMap, BorelAlgebra, El, Subalgebra, format_terms
 from .fgl import HondaParams, honda_fgl
 from .frobform import FrobeniusForm, canonical_form, gysin, is_frobenius_form
 from .green import (
@@ -113,9 +114,10 @@ def _resolve_subgroup(G: PermGroup, spec: str, p: int) -> PermGroup:
 
 
 def _parse_element(A: BorelAlgebra, text: str) -> El:
-    """Parse '0', '1', 'x^2', '2*x1*x2^3 + 1' into an element of A."""
+    """Parse '0', '1', 'x^2', '2*x1*x2^3 + 1' into an element of A; a
+    malformed exponent or unknown variable is a usage error."""
     out = A.zero()
-    for term in text.replace("-", "+-").split("+"):
+    for term in re.sub(r"(?<!\^)-", "+-", text).split("+"):
         term = term.strip()
         if not term:
             continue
@@ -128,11 +130,13 @@ def _parse_element(A: BorelAlgebra, text: str) -> El:
             factor = factor.strip()
             if not factor:
                 continue
-            if factor.isdigit():
+            if factor.isdecimal():
                 coeff = (coeff * int(factor)) % A.p
                 continue
             if "^" in factor:
                 name, _, e = factor.partition("^")
+                if not e.strip().isdecimal():
+                    raise UsageError("malformed exponent in %r: want name^k, k >= 0" % factor)
                 k = int(e)
             else:
                 name, k = factor, 1
@@ -188,7 +192,7 @@ def _cmd_fgl_show(args) -> int:
         }
         _emit(args, _json_dumps(payload))
     else:
-        poly = TruncPoly(("x", "y"), (deg, deg), terms, p)
+        poly = format_terms(("x", "y"), sorted(terms.items(), key=lambda t: (sum(t[0]), t[0])))
         _emit(args, "F(x, y) mod (x^%d, y^%d), p=%d, n=%d:\n  %s" % (deg, deg, p, n, poly))
     return EXIT_OK
 
@@ -259,12 +263,15 @@ def _cmd_tower_check(args) -> int:
     return EXIT_OK if ok else EXIT_AUDIT
 
 
-def _profile_algebra(args, profile_text: str) -> BorelAlgebra:
+def _profile_algebra(args, profile_text: str, var: str = "x") -> BorelAlgebra:
+    """The Borel algebra of a comma-separated profile, in variables var
+    (one variable) or var1, var2, ..."""
     try:
         profile = tuple(int(t) for t in profile_text.split(",") if t.strip())
     except ValueError:
         raise UsageError("profile must be comma-separated integers, e.g. 4,2")
-    return BorelAlgebra(args.p, profile)
+    names = (var,) if len(profile) == 1 else tuple("%s%d" % (var, i + 1) for i in range(len(profile)))
+    return BorelAlgebra(args.p, profile, names)
 
 
 def _form_payload(A, form: FrobeniusForm) -> dict:
@@ -304,9 +311,7 @@ def _cmd_frob_check(args) -> int:
 
 def _cmd_frob_gysin(args) -> int:
     A = _profile_algebra(args, args.source_profile)
-    Bp = tuple(int(t) for t in args.target_profile.split(",") if t.strip())
-    names = tuple("y%d" % (i + 1) for i in range(len(Bp))) if len(Bp) != 1 else ("y",)
-    B = BorelAlgebra(args.p, Bp, names)
+    B = _profile_algebra(args, args.target_profile, "y")
     images = [_parse_element(B, t) for t in args.images.split(",")] if args.images else []
     try:
         f = AlgebraMap.from_generator_images(A, B, images)

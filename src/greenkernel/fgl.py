@@ -21,22 +21,21 @@ grading); each entry is divided by its own power of p (the p-integrality
 check) and reduced once.  An Fgl owns the result as a dense (D, D) int64
 residue array and keeps L~ with phi: every [m]-series, the formal inverse
 [-1] among them, is exp(m log x), one vector-matrix product with L~ under
-the same scaling.  The formal sum F(a, b) evaluates the residue array.
-TruncPoly appears only in honda_log; the Fraction reference paths live in
-the tests.
+the same scaling.  Nothing here computes with polynomials or Fractions: the
+logarithm, the Fraction exponential, the formal sum by powers and the
+rational group law are the tests' oracles.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .exactkernel import ExactKernelError, TruncPoly, _check_prime
+from .exactkernel import ExactKernelError, _check_prime
 
 
 @dataclass(frozen=True)
@@ -91,17 +90,6 @@ class Fgl:
         return self.params.q
 
 
-def honda_log(params: HondaParams) -> TruncPoly:
-    """The logarithm sum_{q^i < trunc} x^{q^i}/p^i over BigRational."""
-    coeffs = {}
-    e, i = 1, 0
-    while e < params.trunc:
-        coeffs[(e,)] = Fraction(1, params.p ** i)
-        e *= params.q
-        i += 1
-    return TruncPoly(("x",), (params.trunc,), coeffs, modulus=None)
-
-
 def _power_chain_ops(q: int):
     """Binary multiplication chain reaching exponent q from 1; each op is
     (a, b, a+b) meaning series_{a+b} = series_a * series_b."""
@@ -151,17 +139,6 @@ def _honda_phi(p: int, q: int, J: int) -> list[int]:
             for (a, b, c) in ops:
                 lvl[c][j] = sum(map(mul, lvl[a][: j + 1], lvl[b][j::-1]))
     return phi
-
-
-def honda_exp_coeffs(p: int, q: int, K: int) -> list[Fraction]:
-    """Coefficients e_0..e_K of the compositional inverse of the logarithm:
-    e_{1+j(q-1)} = phi_j / p^j (see _honda_phi) and every other e_k is 0."""
-    e = [Fraction(0)] * (K + 1)
-    if K < 1:
-        return e
-    for j, c in enumerate(_honda_phi(p, q, (K - 1) // (q - 1))):
-        e[1 + j * (q - 1)] = Fraction(c, p ** j)
-    return e
 
 
 def _log_powers(params: HondaParams) -> _LogPowers:
@@ -266,51 +243,6 @@ def honda_fgl(params: HondaParams) -> Fgl:
 def _check_cap(fgl: Fgl, cap: int) -> None:
     if cap > fgl.params.trunc:
         raise ExactKernelError("cap %d exceeds computed truncation %d" % (cap, fgl.params.trunc))
-
-
-def _conv(a, b, cap: int, p: int):
-    """Truncated product of univariate coefficient vectors (exact in int64:
-    entries < p^2 * cap stay far below 2^63)."""
-    return np.convolve(a, b)[:cap] % p
-
-
-def _powers(vec, top: int, cap: int, p: int) -> np.ndarray:
-    """Rows vec^0 .. vec^(top-1) truncated at x^cap, stopping before the
-    first zero power."""
-    one = np.zeros(cap, dtype=np.int64)
-    one[0] = 1
-    pw = [one]
-    while len(pw) < top:
-        cur = _conv(pw[-1], vec, cap, p)
-        if not cur.any():
-            break
-        pw.append(cur)
-    return np.array(pw)
-
-
-def formal_sum(fgl: Fgl, a, b) -> np.ndarray:
-    """F(a, b) for univariate coefficient vectors a, b of one length, at
-    most the computed truncation.  The inner sums sum_j F[i, j] b^j are the
-    rows of one product F @ powers(b)."""
-    p, F = fgl.p, fgl.F
-    a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    if a.shape != b.shape or a.ndim != 1:
-        raise ExactKernelError("formal_sum arguments live in different rings")
-    cap = len(a)
-    _check_cap(fgl, cap)
-    # only the nonzero rows of F count; F is symmetric, so the last one also
-    # bounds the powers of b
-    rows = np.flatnonzero(F.any(axis=1))
-    apow = _powers(a, rows[-1] + 1, cap, p)
-    bpow = _powers(b, rows[-1] + 1, cap, p)
-    rows = rows[rows < len(apow)]
-    inner = (F[rows, : len(bpow)] @ bpow) % p
-    out = np.zeros(cap, dtype=np.int64)
-    for ai, bi in zip(apow[rows], inner):
-        if bi.any():
-            out = (out + _conv(ai, bi, cap, p)) % p
-    return out
 
 
 def _series(fgl: Fgl, m: int, cap: int) -> np.ndarray:

@@ -454,28 +454,33 @@ def induced_map(G: PermGroup, H: PermGroup, beta: dict, v_G: GreenValue, v_H: Gr
             # A(H) -> F_p is the augmentation
             return augmentation_map(v_H.algebra)
         return AlgebraMap.identity(v_G.algebra)
-    P_G = v_G.sylow_decomp if v_G.sylow_decomp is not None else abelian_decompose(G, p)
-    dec_G = P_G
-    PG_grp = dec_G.group
-    imgPG = H.subgroup([beta[g] for g in PG_grp.generators] or [])
+    dec_G = v_G.sylow_decomp if v_G.sylow_decomp is not None else abelian_decompose(G, p)
+    images = [beta[b] for b in dec_G.basis]
     if v_H.kind == "trivial":
         raise ExactKernelError("no map: target value trivial but source Sylow nontrivial")
     dec_H = v_H.sylow_decomp if v_H.sylow_decomp is not None else abelian_decompose(H, p)
-    PH_grp = dec_H.group
-    if imgPG.order != PH_grp.order:
+    if H.subgroup(images).order != dec_H.group.order:
         raise ExactKernelError("beta does not carry the Sylow isomorphically")
-    twist = None
-    for t in H.elements:
-        if H.conjugate_subgroup(imgPG, t) == PH_grp:
-            twist = t
-            break
-    if twist is None:
-        raise ExactKernelError("internal consistency: Sylow images not conjugate")
-    ti = perm_inv(twist)
-    images = [perm_mul(perm_mul(twist, beta[b]), ti) for b in dec_G.basis]
-    alpha = hom_between(dec_G, dec_H, images)
-    full = restrict(alpha, p, n, budget)  # A(P_H) -> A(P_G)
-    return _restrict_to_stable(full, v_H, v_G)
+    return _transport(H, images, dec_G, dec_H, v_H, v_G, p, n, budget)
+
+
+def _transport(H: PermGroup, images, dec_src: AbelianPGroup, dec_H: AbelianPGroup,
+               v_H: GreenValue, v_to: GreenValue, p: int, n: int, budget: int) -> AlgebraMap:
+    """A(H) -> A(K), v_to the value of K, along a homomorphism from the
+    Sylow dec_src of K to H that sends dec_src.basis to images.
+
+    The first h in H with h S h^{-1} <= P_H (S the subgroup the images
+    generate; tested on the images) twists them into the Sylow dec_H of H;
+    an inner twist acts trivially on stable elements.  The map is restrict
+    along the twisted hom, cut down to the stable values."""
+    P_H = dec_H.group
+    for h in H.elements:
+        hi = perm_inv(h)
+        twisted = [perm_mul(perm_mul(h, b), hi) for b in images]
+        if all(t in P_H for t in twisted):
+            full = restrict(hom_between(dec_src, dec_H, twisted), p, n, budget)
+            return _restrict_to_stable(full, v_H, v_to)
+    raise ExactKernelError("internal consistency: Sylow transport failed")
 
 
 class SubgroupGreenFunctor:
@@ -524,20 +529,8 @@ class SubgroupGreenFunctor:
             out = augmentation_map(vH.algebra)
         else:
             decK = self._sylow_decomp(vK, K)
-            decH = self._sylow_decomp(vH, H)
-            PK, PH = decK.group, decH.group
-            twist = None
-            for h in H.elements:
-                if H.conjugate_subgroup(PK, h).is_subgroup_of(PH):
-                    twist = h
-                    break
-            if twist is None:
-                raise ExactKernelError("internal consistency: Sylow transport failed")
-            ti = perm_inv(twist)
-            # hom P_K -> P_H, x -> h x h^{-1}
-            alpha = hom_between(decK, decH, [perm_mul(perm_mul(twist, b), ti) for b in decK.basis])
-            full = restrict(alpha, self.p, self.n, self.budget)  # A(P_H) -> A(P_K)
-            out = _restrict_to_stable(full, vH, vK)
+            out = _transport(H, decK.basis, decK, self._sylow_decomp(vH, H), vH, vK,
+                             self.p, self.n, self.budget)
         self._res_cache[ck] = out
         return out
 
@@ -565,23 +558,12 @@ class SubgroupGreenFunctor:
             out = AlgebraMap.identity(vH.algebra)
             self._conj_cache[ck] = out
             return out
-        decH = self._sylow_decomp(vH, H)
         decH2 = self._sylow_decomp(vH2, H2)
         gi = perm_inv(g)
-        moved = self.G.conjugate_subgroup(decH2.group, gi)  # g^{-1} P_{H2} g <= H
-        twist = None
-        for h in H.elements:
-            if H.conjugate_subgroup(moved, h) == decH.group:
-                twist = h
-                break
-        if twist is None:
-            raise ExactKernelError("internal consistency: Sylow conjugation failed")
-        ti = perm_inv(twist)
-        # hom P_{H2} -> P_H, x -> h g^{-1} x g h^{-1}
-        images = [perm_mul(perm_mul(perm_mul(perm_mul(twist, gi), b), g), ti) for b in decH2.basis]
-        alpha = hom_between(decH2, decH, images)
-        full = restrict(alpha, self.p, self.n, self.budget)  # A(P_H) -> A(P_{H2})
-        out = _restrict_to_stable(full, vH, vH2)
+        # hom P_{H2} -> H, x -> g^{-1} x g, then twisted into P_H
+        images = [perm_mul(perm_mul(gi, b), g) for b in decH2.basis]
+        out = _transport(H, images, decH2, self._sylow_decomp(vH, H), vH, vH2,
+                         self.p, self.n, self.budget)
         self._conj_cache[ck] = out
         return out
 

@@ -28,7 +28,7 @@ from .exactkernel import (
     row_space_basis,
     subspace_eq,
 )
-from .borel import AlgebraMap, BorelAlgebra, El, tensor
+from .borel import AlgebraMap, BorelAlgebra, El, mono_str, tensor
 from .fgl import Fgl, HondaParams, formal_inverse, honda_fgl, m_series
 
 DEFAULT_BUDGET = 256
@@ -370,18 +370,11 @@ def format_tensor_element(H: HopfStructure, el: El) -> str:
             c = int(M[a, b])
             if c:
                 ea, eb = A.basis[a], A.basis[b]
-                terms.append(((sum(ea) + sum(eb), sum(eb), eb, ea), a, b, c))
+                terms.append(((sum(ea) + sum(eb), sum(eb), eb, ea), c))
     terms.sort(key=lambda t: t[0])
     bits = []
-    for _, a, b, c in terms:
-        term = "%s⊗%s" % (_mono_str(A, a), _mono_str(A, b))
+    for (_, _, eb, ea), c in terms:
+        term = "%s⊗%s" % (mono_str(A.var_names, ea) or "1", mono_str(A.var_names, eb) or "1")
         bits.append(term if c == 1 else "%d·%s" % (c, term))
     return " + ".join(bits) if bits else "0"
 
-
-def _mono_str(A: BorelAlgebra, idx: int) -> str:
-    e = A.basis[idx]
-    s = "*".join(
-        ("%s" % v if k == 1 else "%s^%d" % (v, k)) for v, k in zip(A.var_names, e) if k
-    )
-    return s or "1"

@@ -1,0 +1,220 @@
+"""Test-side polynomial oracle: truncated polynomials, the Honda logarithm
+and Fraction exponential, and the formal sum by powers.
+
+The package computes with coordinate arrays only (Kronecker-coded Borel
+vectors, the (D, D) residue array of the group law).  These slow,
+independent paths are what the tests compare it against.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+
+from greenkernel.borel import format_terms
+from greenkernel.exactkernel import ExactKernelError
+from greenkernel.fgl import Fgl, HondaParams, _check_cap, _honda_phi
+
+
+class TruncPoly:
+    """Sparse polynomial in ``variables`` with per-variable exponent caps.
+
+    ``coeffs`` maps exponent tuples to coefficients: int residues mod
+    ``modulus``, or Fractions when ``modulus`` is None.  Monomials at or
+    above a cap are discarded, which is the quotient by (x_i^{cap_i}).
+    """
+
+    __slots__ = ("variables", "caps", "coeffs", "modulus")
+
+    def __init__(self, variables, caps, coeffs=None, modulus: int | None = None):
+        self.variables = tuple(variables)
+        self.caps = tuple(int(c) for c in caps)
+        if len(self.variables) != len(self.caps):
+            raise ExactKernelError("caps and variables differ in length")
+        if any(c < 1 for c in self.caps):
+            raise ExactKernelError("caps must be >= 1")
+        self.modulus = modulus
+        clean = {}
+        for e, c in (coeffs or {}).items():
+            e = tuple(int(x) for x in e)
+            if len(e) != len(self.caps):
+                raise ExactKernelError("exponent arity mismatch")
+            if any(x < 0 for x in e):
+                raise ExactKernelError("negative exponent")
+            if any(x >= cap for x, cap in zip(e, self.caps)):
+                continue
+            c = Fraction(c) if modulus is None else int(c) % modulus
+            if c:
+                clean[e] = c
+        self.coeffs = clean
+
+    @classmethod
+    def zero(cls, variables, caps, modulus=None):
+        return cls(variables, caps, {}, modulus)
+
+    @classmethod
+    def const(cls, variables, caps, value, modulus=None):
+        return cls(variables, caps, {(0,) * len(tuple(variables)): value}, modulus)
+
+    @classmethod
+    def variable(cls, name, variables, caps, modulus=None):
+        variables = tuple(variables)
+        e = tuple(int(v == name) for v in variables)
+        return cls(variables, caps, {e: 1}, modulus)
+
+    def _compat(self, other: "TruncPoly") -> None:
+        if (self.variables, self.caps, self.modulus) != (other.variables, other.caps, other.modulus):
+            raise ExactKernelError("polynomials live in different truncated rings")
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = TruncPoly.const(self.variables, self.caps, other, self.modulus)
+        self._compat(other)
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return TruncPoly(self.variables, self.caps, out, self.modulus)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        self._compat(other)
+        out: dict = {}
+        for ea, ca in self.coeffs.items():
+            for eb, cb in other.coeffs.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                if all(x < cap for x, cap in zip(e, self.caps)):
+                    out[e] = out.get(e, 0) + ca * cb
+        return TruncPoly(self.variables, self.caps, out, self.modulus)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def scale(self, c):
+        return TruncPoly(self.variables, self.caps,
+                         {e: v * c for e, v in self.coeffs.items()}, self.modulus)
+
+    def __pow__(self, k: int):
+        res = TruncPoly.const(self.variables, self.caps, 1, self.modulus)
+        base = self
+        while k:
+            if k & 1:
+                res = res * base
+            k >>= 1
+            if k:
+                base = base * base
+        return res
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TruncPoly)
+            and (self.variables, self.caps, self.modulus, self.coeffs)
+            == (other.variables, other.caps, other.modulus, other.coeffs)
+        )
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coeff(self, e):
+        return self.coeffs.get(tuple(e), 0)
+
+    def sorted_terms(self):
+        """Terms in graded-lexicographic order of exponent vectors."""
+        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
+    def reduce_mod(self, p: int) -> "TruncPoly":
+        """Reduce Fraction coefficients mod p; a denominator divisible by p
+        raises."""
+        out = {}
+        for e, c in self.coeffs.items():
+            if c.denominator % p == 0:
+                raise ExactKernelError("coefficient %s is not %d-integral" % (c, p))
+            out[e] = c.numerator * pow(c.denominator, -1, p)
+        return TruncPoly(self.variables, self.caps, out, p)
+
+    def substitute(self, images) -> "TruncPoly":
+        """Substitute each variable by a polynomial (all images live in one
+        common ring); monomials are expanded with cached powers."""
+        tmpl = next(iter(images.values()))
+        powers: dict = {}
+        acc = TruncPoly.zero(tmpl.variables, tmpl.caps, tmpl.modulus)
+        for e, c in self.coeffs.items():
+            term = TruncPoly.const(tmpl.variables, tmpl.caps, c, tmpl.modulus)
+            for name, k in zip(self.variables, e):
+                if k:
+                    if (name, k) not in powers:
+                        powers[name, k] = images[name] ** k
+                    term = term * powers[name, k]
+            acc = acc + term
+        return acc
+
+    def __str__(self):
+        return format_terms(self.variables, self.sorted_terms())
+
+
+def honda_log(params: HondaParams) -> TruncPoly:
+    """The logarithm sum_{q^i < trunc} x^{q^i}/p^i over the rationals."""
+    coeffs = {}
+    e, i = 1, 0
+    while e < params.trunc:
+        coeffs[(e,)] = Fraction(1, params.p ** i)
+        e *= params.q
+        i += 1
+    return TruncPoly(("x",), (params.trunc,), coeffs, modulus=None)
+
+
+def honda_exp_coeffs(p: int, q: int, K: int) -> list[Fraction]:
+    """Coefficients e_0..e_K of the compositional inverse of the logarithm:
+    e_{1+j(q-1)} = phi_j / p^j (phi from the package's integer solver) and
+    every other e_k is 0."""
+    e = [Fraction(0)] * (K + 1)
+    if K < 1:
+        return e
+    for j, c in enumerate(_honda_phi(p, q, (K - 1) // (q - 1))):
+        e[1 + j * (q - 1)] = Fraction(c, p ** j)
+    return e
+
+
+def _conv(a, b, cap: int, p: int):
+    """Truncated product of univariate coefficient vectors."""
+    return np.convolve(a, b)[:cap] % p
+
+
+def _powers(vec, top: int, cap: int, p: int) -> np.ndarray:
+    """Rows vec^0 .. vec^(top-1) truncated at x^cap, stopping before the
+    first zero power."""
+    one = np.zeros(cap, dtype=np.int64)
+    one[0] = 1
+    pw = [one]
+    while len(pw) < top:
+        cur = _conv(pw[-1], vec, cap, p)
+        if not cur.any():
+            break
+        pw.append(cur)
+    return np.array(pw)
+
+
+def formal_sum(fgl: Fgl, a, b) -> np.ndarray:
+    """F(a, b) for univariate coefficient vectors a, b of one length, at
+    most the computed truncation: sum_i a^i (sum_j F[i, j] b^j)."""
+    p, F = fgl.p, fgl.F
+    a = np.asarray(a, dtype=np.int64) % p
+    b = np.asarray(b, dtype=np.int64) % p
+    if a.shape != b.shape or a.ndim != 1:
+        raise ExactKernelError("formal_sum arguments live in different rings")
+    cap = len(a)
+    _check_cap(fgl, cap)
+    # F is symmetric, so its last nonzero row bounds the powers of both
+    rows = np.flatnonzero(F.any(axis=1))
+    apow = _powers(a, rows[-1] + 1, cap, p)
+    bpow = _powers(b, rows[-1] + 1, cap, p)
+    rows = rows[rows < len(apow)]
+    inner = (F[rows, : len(bpow)] @ bpow) % p
+    out = np.zeros(cap, dtype=np.int64)
+    for ai, bi in zip(apow[rows], inner):
+        if bi.any():
+            out = (out + _conv(ai, bi, cap, p)) % p
+    return out

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from greenkernel.exactkernel import ExactKernelError, ScopeError, TruncPoly
+from greenkernel.exactkernel import ExactKernelError, ScopeError
 from greenkernel.borel import (
     AlgebraMap,
     BorelAlgebra,
@@ -25,6 +25,7 @@ from greenkernel.frobform import pairing_matrix
 from greenkernel.green import SubgroupGreenFunctor
 from greenkernel.grp import named_group
 from greenkernel.hopftower import honda_level, tower_maps
+from polyoracle import TruncPoly
 
 
 def test_make_algebra_dims():
@@ -366,10 +367,33 @@ def test_int64_envelope_enforced():
 
 def test_element_json_round_trip():
     A = make_algebra(2, (4, 2))
-    el = A.monomial((3, 1)) + A.one()
-    d = A.element_to_json(el)
-    assert d == {"1": 1, "x1^3 x2^1": 1}
     assert A.to_json() == {"p": 2, "profile": [4, 2], "vars": ["x1", "x2"]}
+
+
+def test_element_text():
+    # literal strings recorded from the polynomial printer that format_terms
+    # replaced: nonzero terms in graded-lex basis order, coefficient first
+    A = make_algebra(3, (9,))
+    assert str(A.zero()) == "0"
+    assert str(A.scalar(2)) == "2" and str(A.one()) == "1"
+    assert str(A.element([0, 2, 0, 2, 0, 0, 0, 0, 1])) == "2*x + 2*x^3 + x^8"
+    assert str(A.from_exp_dict({(1,): 1, (2,): 2})) == "x + 2*x^2"
+    B = BorelAlgebra(3, (3, 3), ("x", "y"))
+    f = B.from_exp_dict({(1, 1): 1, (1, 0): 1, (0, 1): 1, (2, 0): 1})
+    assert str(f) == "y + x + x*y + x^2"
+    assert str(B.from_exp_dict({(0, 0): 2, (2, 2): 2, (0, 2): 1})) == "2 + y^2 + 2*x^2*y^2"
+    assert str(make_algebra(2, (4, 2)).element([1, 0, 0, 1, 1, 0, 0, 0])) == "1 + x1*x2 + x1^2"
+    for p in (2, 5):
+        T = make_algebra(p, ())
+        assert [str(T.zero()), str(T.one())] == ["0", "1"]
+    assert str(make_algebra(5, ()).scalar(3)) == "3"
+    H = make_algebra(2, (4,))
+    C = tensor(H, H).algebra
+    assert C.var_names == ("xL", "xR")
+    assert str(C.from_exp_dict({(1, 2): 1, (3, 0): 1})) == "xL*xR^2 + xL^3"
+    S = _subalgebra_case()
+    assert str(S.element([0, 2, 0, 0, 0, 0, 0, 1, 0])) == "2*x1*x2 + x1^7*x2"
+    assert str(S.one()) == "1" and str(S.zero()) == "0"
 
 
 def test_element_int_coercion():

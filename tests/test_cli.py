@@ -238,6 +238,22 @@ def test_bad_frob_gysin_images(capsys):
     assert code == EXIT_USAGE  # y^2 != 0 in the target: not an algebra map
 
 
+@pytest.mark.parametrize("argv", [
+    ("frob", "check", "--p", "2", "--profile", "4", "--covector", "x^"),
+    ("frob", "check", "--p", "2", "--profile", "4", "--covector", "x^a"),
+    ("frob", "check", "--p", "2", "--profile", "4", "--covector", "x^-1"),
+    ("frob", "gysin", "--p", "2", "--source-profile", "4", "--target-profile", "2",
+     "--images", "y^"),
+    ("frob", "gysin", "--p", "2", "--source-profile", "4", "--target-profile", "a",
+     "--images", "y"),
+])
+def test_malformed_element_or_profile_is_usage_error(capsys, argv):
+    # these once escaped as a ValueError traceback from a bare int()
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error:")
+
+
 def test_subgroup_outside_group_rejected(capsys):
     code, _, err = run(capsys, "green", "res", "--group", "C4", "--p", "2",
                        "--subgroup", "(1 2)")

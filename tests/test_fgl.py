@@ -2,7 +2,8 @@
 
 The Fraction recursion for exp, the fixed-point inverse and the composition
 [k+1](x) = F([k](x), x) are kept here as oracles for the integer phi
-recursion and the one-dot series of the library."""
+recursion and the one-dot series of the library; the logarithm, the Fraction
+exp and the formal sum come from the test-side polyoracle."""
 
 import hashlib
 from fractions import Fraction
@@ -11,19 +12,17 @@ import numpy as np
 import pytest
 
 import greenkernel.fgl as fgl
-from greenkernel.exactkernel import ExactKernelError, TruncPoly
+from greenkernel.exactkernel import ExactKernelError
 from greenkernel.fgl import (
     Fgl,
     HondaParams,
     _fgl_residues,
     _power_chain_ops,
     formal_inverse,
-    formal_sum,
-    honda_exp_coeffs,
     honda_fgl,
-    honda_log,
     m_series,
 )
+from polyoracle import TruncPoly, formal_sum, honda_exp_coeffs, honda_log
 
 
 def poly2(F, p: int) -> TruncPoly:
@@ -496,7 +495,7 @@ def test_sandwich_refuses_inconsistent_exp(monkeypatch):
 
 @pytest.mark.parametrize("p,n,K", [(2, 1, 60), (3, 1, 60), (2, 2, 60), (5, 1, 40), (3, 2, 60)])
 def test_exp_coeffs_contract(p, n, K):
-    # the public Fraction exp: e_1 = 1, p-power denominators bounded by the
+    # the oracle's Fraction exp over the integer phi: e_1 = 1, p-power denominators bounded by the
     # functional-equation lemma, and e_k = 0 unless k = 1 (mod q-1)
     q = p ** n
     exp = honda_exp_coeffs(p, q, K)

@@ -1,0 +1,263 @@
+"""Property tests: the array kernels against the test-side oracles.
+
+Borel products (mul_vec, mult_matrix, pairing_matrix, sum_of_products) are
+compared with the truncated-polynomial product of polyoracle, and FpMatrix
+row reduction with Gaussian elimination over Python ints, at small primes,
+at primes near 2^31 and at p = 3037000493, the largest prime with
+(p-1)^2 < 2^63.  The int64 envelopes are probed on both sides of 2^63.
+Gysin adjointness and restrict functoriality are checked on homomorphisms
+between small abelian p-groups.  Every run draws the same examples and
+writes nothing into the working tree.
+"""
+
+import tempfile
+from math import gcd
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from greenkernel.borel import BorelAlgebra
+from greenkernel.exactkernel import FpMatrix, ScopeError
+from greenkernel.frobform import canonical_form, gysin
+from greenkernel.green import restrict
+from greenkernel.grp import abelian_decompose, hom_between, named_group
+from polyoracle import TruncPoly
+
+# with no example database, hypothesis's pytest plugin still caches the
+# constants it reads from source files, under .hypothesis/ in the working
+# directory and at collection time; this moves that cache out of the tree
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "greenkernel-hypothesis")
+
+PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+
+SMALL_PRIMES = (2, 3, 5, 7)
+# two primes just below 2^31, and the largest prime with (p-1)^2 < 2^63
+LARGE_PRIMES = (2147483629, 2147483647, 3037000493)
+
+
+def _mod_dot(u, v, p: int) -> int:
+    """sum u_i v_i mod p over Python ints (no int64 overflow)."""
+    return sum(int(a) * int(b) for a, b in zip(u, v)) % p
+
+
+# -- Borel products against the polynomial oracle ------------------------------
+
+
+@st.composite
+def algebras(draw):
+    """A Borel algebra of dim <= 64 at a small prime, or the trivial algebra
+    F_p at a large one (any nontrivial profile leaves the envelope there)."""
+    p = draw(st.sampled_from(SMALL_PRIMES + LARGE_PRIMES))
+    profile, dim = [], 1
+    if p in SMALL_PRIMES:
+        for _ in range(draw(st.integers(0, 3))):
+            caps = [p ** k for k in range(1, 7) if dim * p ** k <= 64]
+            if not caps:
+                break
+            profile.append(draw(st.sampled_from(caps)))
+            dim *= profile[-1]
+    return BorelAlgebra(p, profile)
+
+
+def vectors(A):
+    return st.lists(st.integers(0, A.p - 1), min_size=A.dim, max_size=A.dim).map(
+        lambda v: np.array(v, dtype=np.int64))
+
+
+def _poly(A, w) -> TruncPoly:
+    return TruncPoly(A.var_names, A.profile, {A.basis[i]: int(c) for i, c in enumerate(w) if c}, A.p)
+
+
+def _oracle_product(A, u, v) -> np.ndarray:
+    out = np.zeros(A.dim, dtype=np.int64)
+    for e, c in (_poly(A, u) * _poly(A, v)).coeffs.items():
+        out[A.index[e]] = c
+    return out
+
+
+@PROPS
+@given(st.data())
+def test_borel_products_match_polynomial_oracle(data):
+    A = data.draw(algebras())
+    p = A.p
+    u, v, lam = (data.draw(vectors(A)) for _ in range(3))
+    uv, vlam = _oracle_product(A, u, v), _oracle_product(A, v, lam)
+    assert np.array_equal(A.mul_vec(u, v), uv)
+    assert np.array_equal(A.mult_matrix(u) @ v, uv)
+    # u^T G(lam) v = lam(u v)
+    assert _mod_dot(u, A.pairing_matrix(lam) @ v, p) == _mod_dot(lam, uv, p)
+    # sum_{i,j} C[i,j] e_i e_j for C = u v^T + v lam^T is u v + v lam
+    C = (np.outer(u, v) % p + np.outer(v, lam) % p) % p
+    assert np.array_equal(A.sum_of_products(C), (uv + vlam) % p)
+
+
+# -- FpMatrix against Gaussian elimination over Python ints ---------------------
+
+
+def _py_rref(rows, p: int):
+    """RREF with the same pivot rule as FpMatrix (leftmost column, smallest
+    row index), over Python ints."""
+    m = [[int(x) % p for x in r] for r in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        sel = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def matrices(p: int, max_rows: int = 6, max_cols: int = 6):
+    # zeros are drawn often, so rank drops and empty pivot columns occur
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    return st.integers(1, max_rows).flatmap(lambda r: st.integers(1, max_cols).flatmap(
+        lambda c: st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)))
+
+
+@PROPS
+@given(st.data())
+def test_fpmatrix_matches_python_elimination(data):
+    p = data.draw(st.sampled_from(SMALL_PRIMES + LARGE_PRIMES))
+    rows = data.draw(matrices(p))
+    nr, nc = len(rows), len(rows[0])
+    M = FpMatrix(rows, p)
+    R, pivots = M.rref()
+    want, want_pivots = _py_rref(rows, p)
+    assert pivots == want_pivots and R.a.tolist() == want
+    # kernel: one vector per free column, -R[i, f] at pivot column c_i
+    kernel = []
+    for f in (c for c in range(nc) if c not in want_pivots):
+        v = [0] * nc
+        v[f] = 1
+        for i, c in enumerate(want_pivots):
+            v[c] = -want[i][f] % p
+        kernel.append(v)
+    assert [k.tolist() for k in M.kernel()] == kernel
+    # solve: free variables 0, None when b is outside the column space
+    b = data.draw(st.lists(st.integers(0, p - 1), min_size=nr, max_size=nr))
+    aug, aug_pivots = _py_rref([r + [x] for r, x in zip(rows, b)], p)
+    x = M.solve(b)
+    if nc in aug_pivots:
+        assert x is None
+    else:
+        want_x = [0] * nc
+        for i, c in enumerate(aug_pivots):
+            want_x[c] = aug[i][-1]
+        assert x.tolist() == want_x
+        assert all(_mod_dot(r, want_x, p) == bi for r, bi in zip(rows, b))
+
+
+# (k, p, q): p is the largest prime with k (p-1)^2 < 2^63, so a product with
+# k columns is exact and k + 1 leaves the envelope; q is the next prime,
+# where k columns already leave it
+ENVELOPE_PRIMES = [
+    (1, 3037000493, 3037000507),
+    (2, 2147483647, 2147483659),
+    (3, 1753413037, 1753413059),
+    (5, 1358187913, 1358187923),
+    (17, 736580807, 736580827),
+]
+
+
+@pytest.mark.parametrize("k,p,q", ENVELOPE_PRIMES)
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(st.data())
+def test_fpmatrix_product_at_the_envelope(k, p, q, data):
+    a = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k, max_size=k),
+                           min_size=2, max_size=2))
+    b = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=2, max_size=2),
+                           min_size=k, max_size=k))
+    got = (FpMatrix(a, p) @ FpMatrix(b, p)).a.tolist()
+    assert got == [[_mod_dot(r, col, p) for col in zip(*b)] for r in a]
+    assert (FpMatrix(a, p) @ [row[0] for row in b]).tolist() == [r[0] for r in got]
+    wide = FpMatrix([r + [1] for r in a], p)
+    with pytest.raises(ScopeError):
+        wide @ FpMatrix(b + [[1, 1]], p)
+    with pytest.raises(ScopeError):
+        FpMatrix(a, q) @ FpMatrix(b, q)
+
+
+def test_envelopes_refuse_exactly_two_to_the_63():
+    # cols * (p-1)^2 = 2^63 at p = 65537 ((p-1)^2 = 2^32); the zero-row
+    # matrices hold no entries, so the check is all that runs
+    p = 65537
+    for cols, ok in ((2 ** 31 - 1, True), (2 ** 31, False)):
+        a = FpMatrix(np.zeros((0, cols), dtype=np.int64), p)
+        b = FpMatrix(np.zeros((cols, 0), dtype=np.int64), p)
+        if ok:
+            assert (a @ b).a.shape == (0, 0)
+        else:
+            with pytest.raises(ScopeError):
+                a @ b
+    # dim * (p-1)^2 = 2^63 at p = 2; the check runs before any basis is built
+    for profile in ((2 ** 63,), (2 ** 32, 2 ** 31)):
+        with pytest.raises(ScopeError):
+            BorelAlgebra(2, profile)
+    # (p-1)^2 against 2^63: row reduction and the trivial algebra
+    assert FpMatrix([[3037000492, 1]], 3037000493).rank() == 1
+    assert BorelAlgebra(3037000493, ()).dim == 1
+    with pytest.raises(ScopeError):
+        FpMatrix([[3037000506, 1]], 3037000507).rref()
+    with pytest.raises(ScopeError):
+        BorelAlgebra(3037000507, ())
+
+
+# -- Gysin adjointness and restrict functoriality on abelian p-groups -----------
+
+
+GROUPS = {2: ("C2", "C4", "C8", "V4", "C2xC4"), 3: ("C3", "C9", "C3xC3")}
+
+
+@st.composite
+def homs(draw, source, target):
+    """A random homomorphism source -> target: generator i goes to an
+    element whose order divides the order o_i of generator i, i.e. exponent
+    j a multiple of t_j / gcd(t_j, o_i)."""
+    images = [target.element([t // gcd(t, o) * draw(st.integers(0, t - 1)) for t in target.orders])
+              for o in source.orders]
+    return hom_between(source, target, images)
+
+
+def _decomp(name, p):
+    return abelian_decompose(named_group(name), p)
+
+
+@PROPS
+@given(st.data())
+def test_gysin_is_adjoint_to_restrict(data):
+    # f = restrict(alpha): A -> B for alpha: P_B -> P_A; the Gysin map
+    # g: B -> A satisfies <g(b)|a>_A = <b|f(a)>_B
+    p = data.draw(st.sampled_from(sorted(GROUPS)))
+    src, tgt = (_decomp(data.draw(st.sampled_from(GROUPS[p])), p) for _ in range(2))
+    f = restrict(data.draw(homs(src, tgt)), p, 1)
+    A, B = f.source, f.target
+    lam_A, lam_B = canonical_form(A), canonical_form(B)
+    g = gysin(f, lam_A, lam_B)
+    a, b = data.draw(vectors(A)), data.draw(vectors(B))
+    lhs = _mod_dot(lam_A.vec, A.mul_vec(g.apply(b).vec, a), p)
+    rhs = _mod_dot(lam_B.vec, B.mul_vec(b, f.apply(a).vec), p)
+    assert lhs == rhs
+
+
+@PROPS
+@given(st.data())
+def test_restrict_is_contravariantly_functorial(data):
+    # restrict(beta o alpha) = restrict(alpha) o restrict(beta)
+    p = data.draw(st.sampled_from(sorted(GROUPS)))
+    P1, P2, P3 = (_decomp(data.draw(st.sampled_from(GROUPS[p])), p) for _ in range(3))
+    alpha, beta = data.draw(homs(P1, P2)), data.draw(homs(P2, P3))
+    lhs = restrict(beta.compose(alpha), p, 1)
+    rhs = restrict(alpha, p, 1).compose(restrict(beta, p, 1))
+    assert np.array_equal(lhs.matrix, rhs.matrix)
