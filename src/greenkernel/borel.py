@@ -166,6 +166,13 @@ def format_terms(names, terms) -> str:
     return " + ".join(bits) or "0"
 
 
+def _read_only(vecs) -> tuple[np.ndarray, ...]:
+    """The arrays, frozen against writes, for invariants kept on an algebra."""
+    for v in vecs:
+        v.flags.writeable = False
+    return tuple(vecs)
+
+
 class _LocalAlgebraOps:
     """Shared derived operations; concrete classes provide p, dim, one_vec,
     aug_vec, mul_vec, mult_matrix, pairing_matrix and radical_span_vecs."""
@@ -185,14 +192,19 @@ class _LocalAlgebraOps:
     def basis_elements(self) -> list[El]:
         return [El(self, v) for v in np.eye(self.dim, dtype=np.int64)]
 
-    def socle_vecs(self) -> list[np.ndarray]:
-        """Basis of the annihilator of the maximal ideal, via the kernel of
-        stacked multiplication matrices of a radical spanning set."""
+    @cached_property
+    def _socle(self) -> tuple[np.ndarray, ...]:
         rad = self.radical_span_vecs()
         if not rad:
-            return [self.one_vec()]
+            return _read_only([self.one_vec()])
         stacked = np.vstack([self.mult_matrix(v).a for v in rad])
-        return mat_kernel(FpMatrix(stacked, self.p))
+        return _read_only(mat_kernel(FpMatrix(stacked, self.p)))
+
+    def socle_vecs(self) -> list[np.ndarray]:
+        """Basis of the annihilator of the maximal ideal, via the kernel of
+        stacked multiplication matrices of a radical spanning set.  Computed
+        once per algebra; the vectors are read-only."""
+        return list(self._socle)
 
     def socle_basis(self) -> list[El]:
         return [El(self, v) for v in self.socle_vecs()]
@@ -664,7 +676,8 @@ class Subalgebra(_LocalAlgebraOps):
         B = self.basis_matrix
         return FpMatrix((B @ self.ambient.pairing_matrix(amb).a) % self.p @ B.T, self.p)
 
-    def radical_span_vecs(self) -> list[np.ndarray]:
+    @cached_property
+    def _radical(self) -> tuple[np.ndarray, ...]:
         rows = []
         for i in range(self.dim):
             e = np.zeros(self.dim, dtype=np.int64)
@@ -674,7 +687,11 @@ class Subalgebra(_LocalAlgebraOps):
                 e = (e - self.aug_vec(e) * self.one_vec()) % self.p
             if e.any():
                 rows.append(e)
-        return row_space_basis(rows, self.dim, self.p)
+        return _read_only(row_space_basis(rows, self.dim, self.p))
+
+    def radical_span_vecs(self) -> list[np.ndarray]:
+        """RREF basis of the maximal ideal; computed once, read-only."""
+        return list(self._radical)
 
     def include(self) -> AlgebraMap:
         """The inclusion into the ambient algebra, as an AlgebraMap."""

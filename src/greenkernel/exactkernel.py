@@ -229,12 +229,19 @@ def row_space_basis(vectors: Iterable, d: int, p: int) -> list[np.ndarray]:
 
 
 def subspace_contains(basis: Sequence, v, p: int) -> bool:
-    """Membership test by rank comparison."""
+    """Membership test with one row reduction: reduce the basis, clear v at
+    the pivots (an RREF row is 0 at every other pivot, so the order does not
+    matter) and test for zero."""
     v = np.asarray(v, dtype=np.int64) % p
     if not len(basis):
         return not v.any()
-    M = FpMatrix(np.array(list(basis)), p)
-    return FpMatrix(np.vstack([M.a, v]), p).rank() == M.rank()
+    R, pivots = FpMatrix(np.array(list(basis)), p).rref()
+    if v.shape != (R.cols,):
+        raise ExactKernelError("vector of shape %r in ambient dimension %d" % (v.shape, R.cols))
+    for row, c in zip(R.a, pivots):
+        if v[c]:
+            v = (v - v[c] * row) % p
+    return not v.any()
 
 def subspace_eq(b1: Sequence, b2: Sequence, d: int, p: int) -> bool:
     r1 = row_space_basis(b1, d, p)

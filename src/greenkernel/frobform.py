@@ -22,7 +22,8 @@ def pairing_matrix(A, covector) -> FpMatrix:
 
 
 class FrobeniusForm:
-    """A validated Frobenius form: covector with invertible pairing."""
+    """A validated Frobenius form: covector with invertible pairing.  Its
+    arrays (vec, pairing.a, dual) are read-only, so a form can be shared."""
 
     __slots__ = ("algebra", "vec", "pairing", "dual")
 
@@ -38,6 +39,8 @@ class FrobeniusForm:
             raise ExactKernelError("covector is not a Frobenius form (degenerate pairing)")
         self.pairing = G
         self.dual = Ginv.a  # column j is the dual basis vector v_j
+        for a in (self.vec, G.a, self.dual):
+            a.flags.writeable = False
 
     def value(self, el) -> int:
         v = el.vec if isinstance(el, El) else np.asarray(el, dtype=np.int64)
@@ -80,12 +83,16 @@ def socle_generator(A) -> El:
 
 def canonical_form(A) -> FrobeniusForm:
     """The coefficient-of-socle-generator functional (dual of the top
-    monomial on a Borel algebra)."""
-    z = socle_generator(A)
-    pivot = int(np.nonzero(z.vec)[0][0])
-    lam = np.zeros(A.dim, dtype=np.int64)
-    lam[pivot] = pow(int(z.vec[pivot]), -1, A.p)
-    return FrobeniusForm(A, lam)
+    monomial on a Borel algebra).  Built once per algebra instance and kept
+    on it, so every transfer reuses one pairing and dual basis."""
+    form = getattr(A, "_canonical_form", None)
+    if form is None:
+        z = socle_generator(A)
+        pivot = int(np.nonzero(z.vec)[0][0])
+        lam = np.zeros(A.dim, dtype=np.int64)
+        lam[pivot] = pow(int(z.vec[pivot]), -1, A.p)
+        form = A._canonical_form = FrobeniusForm(A, lam)
+    return form
 
 
 def is_frobenius_form(A, covector):
@@ -170,8 +177,7 @@ def gysin(f: AlgebraMap, lam_A: FrobeniusForm, lam_B: FrobeniusForm) -> AlgebraM
         raise ExactKernelError("forms do not match the map endpoints")
     if not f.is_algebra_map:
         raise ExactKernelError("gysin needs a (local) algebra map")
-    GA_inv = FpMatrix(lam_A.pairing.a, A.p).inv().a
-    mat = (GA_inv @ f.matrix.T @ lam_B.pairing.a) % A.p
+    mat = (lam_A.dual @ f.matrix.T @ lam_B.pairing.a) % A.p
     alpha = AlgebraMap(B, A, mat, module_over=f)
     if not alpha.check_module_map(f):
         raise ExactKernelError("internal consistency: gysin map is not a module map")

@@ -562,3 +562,42 @@ def test_generator_images_match_product_oracle_on_tower(p, n, top):
     # x -> x of H_1 into H_top breaks x^q = 0 when top > 1
     with pytest.raises(ExactKernelError, match="not an algebra map"):
         AlgebraMap.from_generator_images(levels[1].algebra, levels[top].algebra, [levels[top].x()])
+
+
+# -- per-algebra invariants are computed once and are read-only ---------------
+
+
+def test_socle_and_radical_are_computed_once(monkeypatch):
+    import greenkernel.borel as borel_mod
+
+    calls, kernel = [], borel_mod.mat_kernel
+
+    def counting_kernel(M):
+        calls.append(M.a.shape)
+        return kernel(M)
+
+    monkeypatch.setattr(borel_mod, "mat_kernel", counting_kernel)
+    A = make_algebra(3, (9, 3))
+    S = subalgebra_close(A, [A.monomial((3, 0)), A.monomial((1, 1))])
+    for alg in (A, S):
+        before = len(calls)
+        first = alg.socle_vecs()
+        assert len(calls) == before + 1
+        second = alg.socle_vecs()
+        assert len(calls) == before + 1
+        assert all(np.array_equal(u, v) for u, v in zip(first, second))
+    assert S.radical_span_vecs()[0] is S.radical_span_vecs()[0]
+
+
+def test_cached_socle_and_radical_refuse_writes():
+    A = make_algebra(2, (4, 2))
+    S = subalgebra_close(A, [A.monomial((2, 0)), A.monomial((1, 1))])
+    for alg in (A, S):
+        v = alg.socle_vecs()[0]
+        with pytest.raises(ValueError):
+            v[0] = 1
+        # the returned list is the caller's own: emptying it leaves the memo
+        alg.socle_vecs().clear()
+        assert len(alg.socle_vecs()) == 1
+    with pytest.raises(ValueError):
+        S.radical_span_vecs()[0][0] = 1

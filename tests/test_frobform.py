@@ -357,3 +357,32 @@ def test_check_module_map_requires_algebra_map():
     f = AlgebraMap(A, A, np.eye(2, dtype=np.int64))  # flag not set
     with pytest.raises(ExactKernelError):
         AlgebraMap.identity(A).check_module_map(f)
+
+
+# -- the canonical form is built once per algebra and is read-only ------------
+
+
+def test_canonical_form_is_one_object_per_algebra():
+    A = make_algebra(3, (9, 3))
+    S = subalgebra_close(A, [A.monomial((3, 0))])
+    for alg in (A, S):
+        assert canonical_form(alg) is canonical_form(alg)
+
+
+def test_cached_form_refuses_writes():
+    A = make_algebra(2, (4, 2))
+    lam = canonical_form(A)
+    for arr in (lam.vec, lam.pairing.a, lam.dual):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    # a later caller still sees the form it would have computed
+    assert canonical_form(A).value(A.top_monomial()) == 1
+
+
+def test_value_equal_algebras_give_equal_forms():
+    A1, A2 = make_algebra(2, (4, 2)), make_algebra(2, (4, 2))
+    assert A1 is not A2 and A1 == A2
+    lam1, lam2 = canonical_form(A1), canonical_form(A2)
+    assert lam1 is not lam2 and lam1 == lam2
+    assert np.array_equal(lam1.dual, lam2.dual)
+

@@ -5,8 +5,11 @@ compared with the truncated-polynomial product of polyoracle, and FpMatrix
 row reduction with Gaussian elimination over Python ints, at small primes,
 at primes near 2^31 and at p = 3037000493, the largest prime with
 (p-1)^2 < 2^63.  The int64 envelopes are probed on both sides of 2^63.
-Gysin adjointness and restrict functoriality are checked on homomorphisms
-between small abelian p-groups.  Every run draws the same examples and
+The one-reduction subspace membership test is compared with the two-rank
+one.  Subalgebras drawn as closures of random elements check their memoized
+socle and radical, their product path and their canonical form.  Gysin
+adjointness and restrict functoriality are checked on homomorphisms between
+small abelian p-groups.  Every run draws the same examples and
 writes nothing into the working tree.
 """
 
@@ -20,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from greenkernel.borel import BorelAlgebra
-from greenkernel.exactkernel import FpMatrix, ScopeError
+from greenkernel.borel import BorelAlgebra, subalgebra_close
+from greenkernel.exactkernel import FpMatrix, ScopeError, mat_kernel, row_space_basis, subspace_contains
 from greenkernel.frobform import canonical_form, gysin
 from greenkernel.green import restrict
 from greenkernel.grp import abelian_decompose, hom_between, named_group
@@ -157,6 +160,76 @@ def test_fpmatrix_matches_python_elimination(data):
             want_x[c] = aug[i][-1]
         assert x.tolist() == want_x
         assert all(_mod_dot(r, want_x, p) == bi for r, bi in zip(rows, b))
+
+
+def _rank_contains(basis, v, p: int) -> bool:
+    """Oracle: v lies in the span iff stacking it onto the basis keeps the
+    rank (two row reductions)."""
+    v = np.asarray(v, dtype=np.int64) % p
+    if not len(basis):
+        return not v.any()
+    M = FpMatrix(np.array(list(basis)), p)
+    return FpMatrix(np.vstack([M.a, v]), p).rank() == M.rank()
+
+
+@PROPS
+@given(st.data())
+def test_subspace_contains_matches_rank_oracle(data):
+    p = data.draw(st.sampled_from(SMALL_PRIMES + LARGE_PRIMES))
+    rows = data.draw(matrices(p))
+    nc = len(rows[0])
+    # half the time v is a combination of the rows, so both answers occur
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)))
+        v = [sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(nc)]
+    else:
+        v = data.draw(st.lists(st.integers(0, p - 1), min_size=nc, max_size=nc))
+    want = _rank_contains(rows, v, p)
+    assert subspace_contains(rows, v, p) == want
+    assert subspace_contains(rows, np.array(v, dtype=np.int64), p) == want
+
+
+# -- Subalgebra: memoized invariants, product path, canonical form --------------
+
+
+@st.composite
+def subalgebras(draw):
+    """The closure of one or two random elements of a Borel algebra of dim
+    <= 32 at a small prime; one element gives a monogenic, hence Gorenstein,
+    subalgebra."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    profile, dim = [], 1
+    for _ in range(draw(st.integers(1, 2))):
+        caps = [p ** k for k in range(1, 6) if dim * p ** k <= 32]
+        if not caps:
+            break
+        profile.append(draw(st.sampled_from(caps)))
+        dim *= profile[-1]
+    A = BorelAlgebra(p, profile)
+    gens = [draw(vectors(A)) for _ in range(draw(st.integers(1, 2)))]
+    return subalgebra_close(A, gens)
+
+
+@PROPS
+@given(st.data())
+def test_subalgebra_invariants_products_and_form(data):
+    S = data.draw(subalgebras())
+    p, d = S.p, S.dim
+    # the memo against a fresh computation by the kernel oracle
+    one = S.one_vec()
+    fresh_rad = row_space_basis([(e - S.aug_vec(e) * one) % p for e in np.eye(d, dtype=np.int64)], d, p)
+    assert [r.tolist() for r in S.radical_span_vecs()] == [r.tolist() for r in fresh_rad]
+    fresh_soc = ([one] if not fresh_rad else
+                 mat_kernel(FpMatrix(np.vstack([S.mult_matrix(r).a for r in fresh_rad]), p)))
+    assert [v.tolist() for v in S.socle_vecs()] == [v.tolist() for v in fresh_soc]
+    assert S.socle_vecs()[0] is S.socle_vecs()[0]
+    # mult_matrix against mul_vec
+    u, v = data.draw(vectors(S)), data.draw(vectors(S))
+    assert np.array_equal(S.mult_matrix(u) @ v, S.mul_vec(u, v))
+    # the dual basis inverts the pairing
+    if len(fresh_soc) == 1:
+        lam = canonical_form(S)
+        assert np.array_equal((lam.dual @ lam.pairing.a) % p, np.eye(d, dtype=np.int64))
 
 
 # (k, p, q): p is the largest prime with k (p-1)^2 < 2^63, so a product with
