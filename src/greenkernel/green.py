@@ -358,20 +358,40 @@ def invariants(P_value: GreenValue, actions) -> Subalgebra:
     return Subalgebra(A, fixed)
 
 
+_general_cache: dict = {}
+_general_lock = threading.Lock()  # its own: value_general calls value_abelian
+
+
 def value_general(G: PermGroup, p: int, n: int,
                   budget: int = DEFAULT_SIZE_BUDGET) -> GreenValue:
     """A(G) for any modeled finite group: F_p when p does not divide |G|,
-    else the stable subalgebra of A(P) with its own canonical form."""
+    else the stable subalgebra of A(P) with its own canonical form.
+
+    Memoized per (degree, element set, p, n); a hit re-checks the budget
+    against the dimension of A(P), as a cold call would."""
+    key = (G.degree, G._eset, p, n)
+    with _general_lock:
+        hit = _general_cache.get(key)
+        if hit is None:
+            hit = _general_cache[key] = _value_general(G, p, n, budget)
+    v, need = hit
+    if need > budget:
+        raise BudgetError("value dimension %d exceeds budget %d" % (need, budget), required=need)
+    return v
+
+
+def _value_general(G: PermGroup, p: int, n: int, budget: int) -> tuple:
+    """A(G) computed cold, with the dimension its budget must cover (0 for
+    the trivial value, which needs none)."""
     if G.order % p != 0:
         F = _trivial_algebra(p)
         form = canonical_form(F)
         return GreenValue(
             kind="trivial", p=p, n=n, algebra=F, form=form, ind_one=F.one(), group=G,
-        )
+        ), 0
     if G.order == sylow(G, p).order and G.is_abelian():
-        dec = abelian_decompose(G, p)
-        v = value_for_decomposition(dec, p, n, budget)
-        return v
+        v = value_for_decomposition(abelian_decompose(G, p), p, n, budget)
+        return v, v.dim
     st = stable_elements(G, p, n, budget)
     sub = st.subalgebra
     form = canonical_form(sub)
@@ -383,7 +403,7 @@ def value_general(G: PermGroup, p: int, n: int,
     return GreenValue(
         kind="general", p=p, n=n, algebra=sub, form=form, ind_one=ind_one,
         group=G, sylow_decomp=st.sylow, stable=st,
-    )
+    ), st.value_algebra.dim
 
 
 # ---------------------------------------------------------------------------
@@ -393,27 +413,32 @@ def value_general(G: PermGroup, p: int, n: int,
 
 def hom_by_generator_images(G: PermGroup, H: PermGroup, images) -> dict:
     """The homomorphism G -> H with the given generator images, as an
-    element map; multiplicativity is verified exhaustively."""
+    element map.
+
+    The walk visits every Cayley-graph edge x -> g x once and checks
+    table[g x] == img_g table[x] on it (|G| * #generators products).  Every
+    element is a word in the generators, so induction on word length gives
+    table[a x] == table[a] table[x] for all a, x.  The exhaustive check over
+    element pairs is kept in the tests as an oracle."""
     if len(images) != len(G.generators):
         raise ExactKernelError("need one image per generator")
     table = {G.identity(): H.identity()}
     frontier = [G.identity()]
-    gen_img = {g: tuple(img) for g, img in zip(G.generators, images)}
+    gen_img = [(g, tuple(img)) for g, img in zip(G.generators, images)]
     while frontier:
         nxt = []
         for x in frontier:
-            for g, img in gen_img.items():
+            for g, img in gen_img:
                 y = perm_mul(g, x)
+                z = perm_mul(img, table[x])
                 if y not in table:
-                    table[y] = perm_mul(img, table[x])
+                    table[y] = z
                     nxt.append(y)
+                elif table[y] != z:
+                    raise ExactKernelError("images do not define a homomorphism")
         frontier = nxt
     if len(table) != G.order:
         raise ExactKernelError("generator walk did not cover the group")
-    for a in G.elements:
-        for b in G.elements:
-            if table[perm_mul(a, b)] != perm_mul(table[a], table[b]):
-                raise ExactKernelError("images do not define a homomorphism")
     return table
 
 
@@ -497,19 +522,15 @@ class SubgroupGreenFunctor:
         self.p = p
         self.n = n
         self.budget = budget
-        self._values: dict = {}
         self._res_cache: dict = {}
         self._ind_cache: dict = {}
         self._conj_cache: dict = {}
 
     def _key(self, H: PermGroup):
-        return frozenset(H.elements)
+        return H._eset
 
     def value(self, H: PermGroup) -> GreenValue:
-        k = self._key(H)
-        if k not in self._values:
-            self._values[k] = value_general(H, self.p, self.n, self.budget)
-        return self._values[k]
+        return value_general(H, self.p, self.n, self.budget)
 
     def _sylow_decomp(self, v: GreenValue, H: PermGroup) -> AbelianPGroup:
         if v.sylow_decomp is not None:

@@ -125,9 +125,23 @@ class PermGroup:
                         elems.add(y)
                         nxt.append(y)
             frontier = nxt
-        self.elements = sorted(elems)
-        self._eset = elems
+        self._set_elements(frozenset(elems))
+
+    @classmethod
+    def _from_elements(cls, degree: int, generators, eset: frozenset) -> "PermGroup":
+        """A group whose element set is already known to be the closure of
+        the generators: no second closure."""
+        H = cls.__new__(cls)
+        H.degree = degree
+        H.generators = tuple(generators)
+        H._set_elements(eset)
+        return H
+
+    def _set_elements(self, eset: frozenset) -> None:
+        self._eset = eset
+        self.elements = sorted(eset)
         self.order = len(self.elements)
+        self._conjugates: dict = {}
 
     # -- basic structure -----------------------------------------------------
 
@@ -148,7 +162,7 @@ class PermGroup:
         )
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self._eset)))
+        return hash((self.degree, self._eset))
 
     def __repr__(self):
         return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order)
@@ -172,12 +186,31 @@ class PermGroup:
         )
 
     def conjugate_subgroup(self, H: "PermGroup", g: Perm) -> "PermGroup":
-        gi = perm_inv(g)
-        return self.subgroup([perm_mul(perm_mul(g, h), gi) for h in H.generators] or [])
+        """gHg^{-1}, generated by the conjugated generators of H.
+
+        The element set is conjugated directly (no closure) and must lie in
+        this group.  Memoized per (generators of H, g): the generators fix
+        both H and the generators of the result."""
+        g = tuple(g)
+        if H.degree != self.degree or len(g) != self.degree:
+            raise ExactKernelError("conjugation needs one degree")
+        key = (H.generators, g)
+        out = self._conjugates.get(key)
+        if out is None:
+            gi = perm_inv(g)
+            eset = frozenset(perm_mul(perm_mul(g, h), gi) for h in H._eset)
+            if not eset <= self._eset:
+                raise ExactKernelError("generators do not lie in the group")
+            gens = [perm_mul(perm_mul(g, h), gi) for h in H.generators]
+            out = self._conjugates[key] = PermGroup._from_elements(self.degree, gens, eset)
+        return out
 
     def intersection(self, H: "PermGroup") -> "PermGroup":
+        """The common elements, which already form a group (no closure)."""
+        if H.degree != self.degree:
+            raise ExactKernelError("intersection needs one degree")
         common = self._eset & H._eset
-        return PermGroup(self.degree, sorted(common))
+        return PermGroup._from_elements(self.degree, sorted(common), common)
 
 
 def group_from_generators(degree: int, perms, budget: int = DEFAULT_GROUP_BUDGET) -> PermGroup:

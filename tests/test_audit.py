@@ -12,8 +12,11 @@ from greenkernel.audit import (
     audit_assumptions,
     audit_mackey,
     compare_maps,
+    default_subgroup_family,
+    frobenius_axiom,
 )
 from greenkernel.borel import AlgebraMap, make_algebra
+from greenkernel.green import SubgroupGreenFunctor
 from greenkernel.grp import named_group
 
 import numpy as np
@@ -161,3 +164,35 @@ def test_anchor_strings_present():
     assert all(r.anchor for r in rep.checks)
     rep2 = audit_mackey(named_group("C4"), 2, 1)
     assert all(r.anchor for r in rep2.checks)
+
+
+# -- GF2 on generators against the exhaustive basis-pair oracle --------------------
+
+
+def _frobenius_axiom_exhaustive(res, ind):
+    """Oracle: ind(x res(y)) = ind(x) y over every pair of basis elements."""
+    for x in res.target.basis_elements():
+        for y in res.source.basis_elements():
+            if ind.apply(x * res.apply(y)) != ind.apply(x) * y:
+                return FAIL, None, "x=%r y=%r" % (x, y)
+    return EXACT, None, None
+
+
+@pytest.mark.parametrize("group,p,n", [("S3", 3, 1), ("S3", 3, 2), ("A4", 2, 1), ("A4", 2, 2)])
+def test_frobenius_axiom_matches_exhaustive(group, p, n):
+    G = named_group(group)
+    fx = SubgroupGreenFunctor(G, p, n)
+    fam = default_subgroup_family(G)
+    pairs = [(H, K) for H in fam for K in fam if K.is_subgroup_of(H) and K.order < H.order]
+    failed = 0
+    for H, K in pairs:
+        res, ind = fx.res(H, K), fx.ind(H, K)
+        assert frobenius_axiom(res, ind) == _frobenius_axiom_exhaustive(res, ind)
+        # a perturbed transfer fails with the witness the pair loop finds
+        bump = np.zeros_like(ind.matrix)
+        bump[0, -1] = 1  # send the top of A(K) to 1
+        bad = AlgebraMap(ind.source, ind.target, ind.matrix + bump)
+        want = _frobenius_axiom_exhaustive(res, bad)
+        assert frobenius_axiom(res, bad) == want
+        failed += want[0] == FAIL
+    assert failed > 0

@@ -194,6 +194,23 @@ def test_byte_identical_runs(capsys):
     assert out1 == out2
 
 
+def test_audit_assumptions_warm_equals_cold(capsys, monkeypatch):
+    # caches must never change output: a cold assumptions run against one
+    # after a mackey audit has filled the value, level and law caches
+    import greenkernel.fgl as fgl
+    import greenkernel.green as green
+    import greenkernel.hopftower as hopftower
+
+    for mod, name in ((fgl, "_fgl_cache"), (hopftower, "_level_cache"),
+                      (green, "_value_cache"), (green, "_general_cache")):
+        monkeypatch.setattr(mod, name, {})
+    argv = ["audit", "assumptions", "--p", "2", "--n", "2", "--format", "json", "--no-timing"]
+    _, cold, _ = run(capsys, *argv)
+    run(capsys, "audit", "mackey", "--group", "A4", "--p", "2", "--n", "2", "--no-timing")
+    _, warm, _ = run(capsys, *argv)
+    assert warm == cold
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "green", "value", "--group", "V4", "--p", "2",

@@ -87,6 +87,54 @@ def test_value_cache_thread_safe_single_construction(monkeypatch):
     assert len(results) == 2 and results[0] is results[1]
 
 
+def test_value_general_memo_shares_one_entry_per_element_set():
+    S3 = named_group("S3")
+    v = value_general(S3, 3, 1)
+    assert value_general(S3, 3, 1) is v
+    # the same element set from other generators hits the same entry
+    assert value_general(PermGroup(3, S3.elements[::-1]), 3, 1) is v
+    assert value_general(S3, 3, 2) is not v
+
+
+def test_value_general_memo_rechecks_budget(monkeypatch):
+    import greenkernel.green as green
+
+    monkeypatch.setattr(green, "_general_cache", {})
+    S3 = named_group("S3")
+    with pytest.raises(BudgetError) as cold:
+        value_general(S3, 3, 2, budget=8)
+    value_general(S3, 3, 2)
+    with pytest.raises(BudgetError) as warm:
+        value_general(S3, 3, 2, budget=8)
+    assert str(warm.value) == str(cold.value)
+    assert warm.value.required == cold.value.required
+
+
+def test_value_general_cache_thread_safe_single_construction(monkeypatch):
+    import greenkernel.green as green
+
+    monkeypatch.setattr(green, "_general_cache", {})
+    results = []
+    barrier = threading.Barrier(4)
+
+    def build():
+        barrier.wait()
+        results.append(value_general(named_group("A4"), 2, 1))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 and all(r is results[0] for r in results)
+
+
 def test_value_socle_one_dimensional():
     for v in (value_abelian((2,), 2, 1), value_abelian((1, 1), 2, 1),
               value_abelian((1,), 3, 1)):
@@ -444,6 +492,46 @@ def test_hom_by_generator_images_validates():
         # sending both generators to the nontrivial element is not a hom
         # (the 3-cycle has order 3, its image would need order dividing 3)
         hom_by_generator_images(S3, C2, [C2.generators[0], C2.generators[0]])
+
+
+def _hom_by_pairs(G, H, images):
+    """Oracle: the generator walk, then multiplicativity on all |G|^2 pairs;
+    None when the images do not define a homomorphism."""
+    table = {G.identity(): H.identity()}
+    frontier = [G.identity()]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g, img in zip(G.generators, images):
+                y = perm_mul(g, x)
+                if y not in table:
+                    table[y] = perm_mul(img, table[x])
+                    nxt.append(y)
+        frontier = nxt
+    for a in G.elements:
+        for b in G.elements:
+            if table[perm_mul(a, b)] != perm_mul(table[a], table[b]):
+                return None
+    return table
+
+
+@pytest.mark.parametrize("gname,hname", [("S3", "C2"), ("S3", "C3"), ("S3", "S3"),
+                                         ("A4", "C3"), ("C2xC4", "C4"), ("D4", "C4")])
+def test_hom_edge_check_matches_pair_loop(gname, hname):
+    import itertools
+
+    G, H = named_group(gname), named_group(hname)
+    verdicts = set()
+    for images in itertools.product(H.elements, repeat=len(G.generators)):
+        want = _hom_by_pairs(G, H, images)
+        try:
+            got = hom_by_generator_images(G, H, list(images))
+        except ExactKernelError as ex:
+            assert str(ex) == "images do not define a homomorphism"
+            got = None
+        assert got == want, images
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
 
 
 # -- subgroup functor machinery -----------------------------------------------------

@@ -251,3 +251,50 @@ def test_dihedral_groups():
     assert sylow(D6, 3).order == 3
     P = sylow(D6, 2)
     assert P.order == 4 and P.is_abelian()
+
+
+# -- subgroups built from known element sets ------------------------------------
+
+
+@pytest.mark.parametrize("name", ["S3", "A4", "S4", "D6", "C2xC4"])
+def test_closure_free_subgroups_match_closure(name):
+    from greenkernel.audit import default_subgroup_family
+
+    def same(built, closed):
+        assert built.elements == closed.elements
+        assert built.generators == closed.generators
+        assert built == closed and hash(built) == hash(closed)
+
+    G = named_group(name)
+    fam = default_subgroup_family(G)
+    for H in fam:
+        for K in fam:
+            same(H.intersection(K), PermGroup(G.degree, sorted(set(H.elements) & set(K.elements))))
+        for g in G.elements:
+            gi = perm_inv(g)
+            closed = PermGroup(G.degree, [perm_mul(perm_mul(g, h), gi) for h in H.generators])
+            same(G.conjugate_subgroup(H, g), closed)
+
+
+def test_conjugate_subgroup_outside_group_raises():
+    # S3 on the points 1..3 of a degree-4 action; (1 4) does not normalize it
+    G = PermGroup(4, [parse_cycles("(1 2)", 4), parse_cycles("(1 2 3)", 4)])
+    H = G.subgroup([parse_cycles("(1 2)", 4)])
+    g = parse_cycles("(1 4)", 4)
+    for K in (H, G):
+        with pytest.raises(ExactKernelError, match="do not lie in the group"):
+            G.conjugate_subgroup(K, g)
+    # subgroups of another degree are refused, not silently mixed
+    with pytest.raises(ExactKernelError, match="one degree"):
+        G.conjugate_subgroup(named_group("S3"), g)
+    with pytest.raises(ExactKernelError, match="one degree"):
+        G.intersection(named_group("S3"))
+
+
+def test_conjugate_subgroup_is_memoized():
+    G = named_group("S4")
+    H = sylow(G, 3)
+    g = G.elements[7]
+    first = G.conjugate_subgroup(H, g)
+    assert G.conjugate_subgroup(H, list(g)) is first
+    assert G.conjugate_subgroup(PermGroup(G.degree, H.generators), g) is first
