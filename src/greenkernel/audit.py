@@ -14,6 +14,7 @@ Report rows are sorted by (name, instance) so runs are reproducible.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -488,17 +489,14 @@ def _epi_onto_cyclic(G: PermGroup, H: PermGroup):
 
 
 def _image_tuples(G: PermGroup, H: PermGroup):
+    """Every tuple of generator images in H, the first generator varying
+    fastest; none when G has no generators."""
     opts = sorted(H.elements, reverse=True)  # nontrivial images first
     k = len(G.generators)
     if k == 0:
         return
-    total = len(opts) ** k
-    for t in range(total):
-        v, sel = t, []
-        for _ in range(k):
-            sel.append(opts[v % len(opts)])
-            v //= len(opts)
-        yield sel
+    for t in itertools.product(opts, repeat=k):
+        yield list(reversed(t))
 
 
 def _version() -> str:

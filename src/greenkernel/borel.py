@@ -639,10 +639,12 @@ class Subalgebra(_LocalAlgebraOps):
 
     # coordinates: RREF rows have identity on pivot columns
     def to_sub(self, ambient_vec) -> np.ndarray:
+        """Coordinates of an ambient vector, or of each row of a stack of them
+        (one span check for the whole stack)."""
         v = np.asarray(ambient_vec, dtype=np.int64) % self.p
-        if not self._spans([v]):
+        if not self._spans(v.reshape(-1, self.ambient.dim)):
             raise ExactKernelError("vector lies outside the subalgebra")
-        return v[self.pivots]
+        return v[..., self.pivots]
 
     def from_sub(self, coords) -> np.ndarray:
         c = np.asarray(coords, dtype=np.int64) % self.p

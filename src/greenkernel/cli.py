@@ -13,6 +13,7 @@ size budget.  Timing fields in audit reports vary run to run; pass
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -499,10 +500,15 @@ def build_parser() -> _Parser:
     return ap
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The argparse tree, built on the first dispatch and reused after."""
+    return build_parser()
+
+
 def dispatch(argv) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
         _validate_config(args)
         if args.cmd == "fgl":
             return _cmd_fgl_show(args)

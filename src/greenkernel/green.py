@@ -2,9 +2,10 @@
 
 Values on abelian p-groups are tensor products of Honda tower levels
 (Kuenneth); restriction along an arbitrary homomorphism of abelian p-groups
-is assembled from the tower structure maps through the coproduct (the dual
-of group multiplication); transfers are Gysin maps for the canonical
-Frobenius forms; values on a general finite group G with abelian Sylow
+is dual to the group multiplication, so it sends each generator to the
+formal-group sum of its component images, computed through algebra-map
+columns and mul_vec; transfers are Gysin maps for the canonical Frobenius
+forms; values on a general finite group G with abelian Sylow
 p-subgroup P are computed inside A(P) by the stable elements formula, with
 the colimit formula and the invariant-subalgebra computation as
 independent cross-checks.
@@ -18,7 +19,7 @@ value A(G) is a subalgebra of A(P) and res^G_P is the inclusion.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,11 +159,7 @@ def value_abelian(exponents, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGET) 
 
 def value_for_decomposition(dec: AbelianPGroup, p: int, n: int,
                             budget: int = DEFAULT_SIZE_BUDGET) -> GreenValue:
-    v = value_abelian(dec.exponents, p, n, budget)
-    return GreenValue(
-        kind=v.kind, p=p, n=n, algebra=v.algebra, form=v.form, ind_one=v.ind_one,
-        abelian_type=v.abelian_type, group=dec.group, sylow_decomp=dec, levels=v.levels,
-    )
+    return replace(value_abelian(dec.exponents, p, n, budget), group=dec.group, sylow_decomp=dec)
 
 
 # ---------------------------------------------------------------------------
@@ -170,104 +167,60 @@ def value_for_decomposition(dec: AbelianPGroup, p: int, n: int,
 # ---------------------------------------------------------------------------
 
 
-def _iterated_coproduct(level: HondaLevel, slots: int) -> dict:
-    """Terms of the (slots-1)-fold coproduct of the generator x, as a dict
-    {(e_1..e_slots): coeff}; slots >= 1.  Column e of the memoized
-    coproduct matrix is psi(x^e) = psi(x)^e."""
-    pair = level.hopf.square.pair_index
-    p = level.algebra.p
-    terms = {(1,): 1}
-    for _ in range(slots - 1):
-        new: dict = {}
-        for key, c in terms.items():
-            M = level.hopf.coproduct.matrix[:, key[0]][pair]
-            for a, b in zip(*np.nonzero(M)):
-                k2 = (int(a), int(b)) + key[1:]
-                new[k2] = (new.get(k2, 0) + c * int(M[a, b])) % p
-        terms = {k: v for k, v in new.items() if v}
-    return terms
-
-
-def _component_power_table(src_level: HondaLevel, r_i: int, s_j: int, m: int, p: int, n: int,
-                           out_cap: int, slots_cap: int) -> list[np.ndarray]:
-    """Powers (as coefficient vectors in H_{r_i}) of the component image of
-    the generator of H_{s_j} under the hom C_{p^{r_i}} -> C_{p^{s_j}},
-    g -> h^m: the image is [m'](x^{q^{max(r_i - s_j, 0)}})."""
-    q = p ** n
-    t = max(s_j - r_i, 0)
-    pt = p ** t
+def _component_image(A_src: BorelAlgebra, i: int, level: HondaLevel, s_j: int, m: int) -> np.ndarray:
+    """The image in A(source), slot i (tower level H_{r_i}), of the generator
+    of H_{s_j} under the cyclic-component hom C_{p^{r_i}} -> C_{p^{s_j}},
+    g -> h^m: the series [m'](x_i^{q^u}) with m' = m / p^{max(s_j - r_i, 0)},
+    u = max(r_i - s_j, 0)."""
+    p, q, r_i = A_src.p, level.q, level.r
+    pt = p ** max(s_j - r_i, 0)
     if m % pt:
         raise ExactKernelError("internal consistency: hom fails its congruence")
-    m_prime = m // pt
-    u = max(r_i - s_j, 0)
-    series = m_series(src_level.fgl, m_prime, out_cap)
-    vec = np.zeros(out_cap, dtype=np.int64)
-    spread = vec[:: q ** u]  # x^e -> x^{e q^u}
-    spread[:] = series[: len(spread)]
-    # power table up to slots_cap - 1
-    table = [np.zeros(out_cap, dtype=np.int64)]
-    table[0][0] = 1
-    cur = table[0]
-    for _ in range(slots_cap - 1):
-        cur = np.convolve(cur, vec)[:out_cap] % p
-        table.append(cur)
-    return table
+    cap = q ** r_i
+    vec = np.zeros(cap, dtype=np.int64)
+    spread = vec[:: q ** max(r_i - s_j, 0)]  # x^e -> x^{e q^u}
+    spread[:] = m_series(level.fgl, m // pt, cap)[: len(spread)]
+    pad = (0,) * A_src.nvars
+    out = np.zeros(A_src.dim, dtype=np.int64)
+    out[[A_src.index[pad[:i] + (e,) + pad[i + 1:]] for e in range(cap)]] = vec
+    return out
+
+
+def _formal_add(A: BorelAlgebra, level: HondaLevel, a, b) -> np.ndarray:
+    """a +_F b = sum_s a^s (sum_t F[s, t] b^t) in A, F the group law of the
+    tower level.  When both are nonzero, the power columns come from the
+    algebra maps x -> a and x -> b, which check a^Q = b^Q = 0 (Q = level.dim);
+    restrict checks each finished image the same way."""
+    if not (a.any() and b.any()):
+        return (a + b) % A.p  # 0 is the unit of +_F
+    P_a, P_b = (AlgebraMap.from_generator_images(level.algebra, A, [v]).matrix for v in (a, b))
+    W = (P_b @ level.fgl.F.T) % A.p
+    out = np.zeros(A.dim, dtype=np.int64)
+    for s in np.flatnonzero(P_a.any(axis=0) & W.any(axis=0)):
+        out += A.mul_vec(P_a[:, s], W[:, s])
+    return out % A.p
 
 
 def restrict(alpha: AbelianHom, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGET) -> AlgebraMap:
     """The algebra map A(alpha.target) -> A(alpha.source).
 
-    Each generator of the target value is sent through the iterated
-    coproduct of its tower level, one tensor slot per cyclic factor of the
-    source; slot i is pushed through the cyclic-component map and the
-    results are multiplied in A(source).
+    Restriction is dual to the group multiplication: generator j of the
+    target value goes to the formal sum c_1 +_F (c_2 +_F ...) of its
+    component images, one per cyclic factor of the source, folded from 0,
+    the unit of +_F (so a trivial source sends every generator to 0).
     """
     src, tgt = alpha.source, alpha.target
     v_src = value_for_decomposition(src, p, n, budget)
     v_tgt = value_for_decomposition(tgt, p, n, budget)
     A_src: BorelAlgebra = v_src.algebra
-    A_tgt: BorelAlgebra = v_tgt.algebra
-    q = p ** n
-    k = src.rank
     images = []
-    for j in range(tgt.rank):
-        s_j = tgt.exponents[j]
-        level_j = v_tgt.levels[j]
-        if k == 0:
-            images.append(A_src.zero())
-            continue
-        delta = _iterated_coproduct(level_j, k)
-        # per-slot power tables of the component generator images
-        tables = []
-        for i in range(k):
-            r_i = src.exponents[i]
-            m = alpha.matrix[j][i]
-            tables.append(
-                _component_power_table(
-                    v_src.levels[i], r_i, s_j, m, p, n, out_cap=q ** r_i, slots_cap=q ** s_j
-                )
-            )
-        out = np.zeros(A_src.dim, dtype=np.int64)
-        for key, c in delta.items():
-            partial = [((), int(c))]
-            dead = False
-            for i in range(k):
-                vec_i = tables[i][key[i]]
-                support = np.nonzero(vec_i)[0]
-                if len(support) == 0:
-                    dead = True
-                    break
-                partial = [
-                    (exps + (int(e),), (coeff * int(vec_i[e])) % p)
-                    for exps, coeff in partial
-                    for e in support
-                ]
-            if dead:
-                continue
-            for exps, coeff in partial:
-                out[A_src.index[exps]] = (out[A_src.index[exps]] + coeff) % p
-        images.append(El(A_src, out))
-    return AlgebraMap.from_generator_images(A_tgt, A_src, images)
+    for j, (s_j, level_j) in enumerate(zip(tgt.exponents, v_tgt.levels)):
+        acc = np.zeros(A_src.dim, dtype=np.int64)
+        for i in reversed(range(src.rank)):
+            c = _component_image(A_src, i, v_src.levels[i], s_j, alpha.matrix[j][i])
+            acc = _formal_add(A_src, level_j, c, acc)
+        images.append(acc)
+    return AlgebraMap.from_generator_images(v_tgt.algebra, A_src, images)
 
 
 def transfer(f: AlgebraMap, form_source: FrobeniusForm | None = None,
@@ -526,38 +479,29 @@ class SubgroupGreenFunctor:
         self._ind_cache: dict = {}
         self._conj_cache: dict = {}
 
-    def _key(self, H: PermGroup):
-        return H._eset
-
     def value(self, H: PermGroup) -> GreenValue:
         return value_general(H, self.p, self.n, self.budget)
-
-    def _sylow_decomp(self, v: GreenValue, H: PermGroup) -> AbelianPGroup:
-        if v.sylow_decomp is not None:
-            return v.sylow_decomp
-        P = sylow(H, self.p)
-        return abelian_decompose(P, self.p)
 
     def res(self, H: PermGroup, K: PermGroup) -> AlgebraMap:
         """res^H_K: A(H) -> A(K) for K <= H."""
         if not K.is_subgroup_of(H):
             raise ExactKernelError("res needs K <= H")
-        ck = (self._key(H), self._key(K))
+        ck = (H._eset, K._eset)
         if ck in self._res_cache:
             return self._res_cache[ck]
         vH, vK = self.value(H), self.value(K)
         if vK.kind == "trivial":
             out = augmentation_map(vH.algebra)
         else:
-            decK = self._sylow_decomp(vK, K)
-            out = _transport(H, decK.basis, decK, self._sylow_decomp(vH, H), vH, vK,
+            decK = vK.sylow_decomp
+            out = _transport(H, decK.basis, decK, vH.sylow_decomp, vH, vK,
                              self.p, self.n, self.budget)
         self._res_cache[ck] = out
         return out
 
     def ind(self, H: PermGroup, K: PermGroup) -> AlgebraMap:
         """ind^H_K: A(K) -> A(H), the Gysin transfer of res^H_K."""
-        ck = (self._key(H), self._key(K))
+        ck = (H._eset, K._eset)
         if ck in self._ind_cache:
             return self._ind_cache[ck]
         vH, vK = self.value(H), self.value(K)
@@ -570,7 +514,7 @@ class SubgroupGreenFunctor:
         g = tuple(g)
         if g not in self.G:
             raise ExactKernelError("conjugating element must lie in G")
-        ck = (g, self._key(H))
+        ck = (g, H._eset)
         if ck in self._conj_cache:
             return self._conj_cache[ck]
         H2 = self.G.conjugate_subgroup(H, g)
@@ -579,11 +523,11 @@ class SubgroupGreenFunctor:
             out = AlgebraMap.identity(vH.algebra)
             self._conj_cache[ck] = out
             return out
-        decH2 = self._sylow_decomp(vH2, H2)
+        decH2 = vH2.sylow_decomp
         gi = perm_inv(g)
         # hom P_{H2} -> H, x -> g^{-1} x g, then twisted into P_H
         images = [perm_mul(perm_mul(gi, b), g) for b in decH2.basis]
-        out = _transport(H, images, decH2, self._sylow_decomp(vH, H), vH, vH2,
+        out = _transport(H, images, decH2, vH.sylow_decomp, vH, vH2,
                          self.p, self.n, self.budget)
         self._conj_cache[ck] = out
         return out
@@ -592,19 +536,10 @@ class SubgroupGreenFunctor:
 def _restrict_to_stable(full: AlgebraMap, v_src: GreenValue, v_tgt: GreenValue) -> AlgebraMap:
     """Restrict a map A(P_src) -> A(P_tgt) to the stable values
     A(src) -> A(tgt), asserting that stable vectors map to stable vectors."""
-    src_alg = v_src.algebra
-    tgt_alg = v_tgt.algebra
-    src_amb = isinstance(src_alg, Subalgebra)
-    tgt_amb = isinstance(tgt_alg, Subalgebra)
-    cols = []
-    dim = src_alg.dim
-    for i in range(dim):
-        e = np.zeros(dim, dtype=np.int64)
-        e[i] = 1
-        amb = src_alg.from_sub(e) if src_amb else e
-        vec = full.apply(El(full.source, amb)).vec
-        if tgt_amb:
-            vec = tgt_alg.to_sub(vec)  # raises if the image is not stable
-        cols.append(vec)
-    return AlgebraMap(src_alg, tgt_alg, np.array(cols).T,
-                      is_algebra_map=full.is_algebra_map)
+    src_alg, tgt_alg = v_src.algebra, v_tgt.algebra
+    X = full.matrix
+    if isinstance(src_alg, Subalgebra):
+        X = X @ src_alg.basis_matrix.T
+    if isinstance(tgt_alg, Subalgebra):
+        X = tgt_alg.to_sub(X.T).T  # raises if an image is not stable
+    return AlgebraMap(src_alg, tgt_alg, X, is_algebra_map=full.is_algebra_map)

@@ -479,8 +479,10 @@ def abelian_decompose(A: PermGroup, p: int | None = None) -> AbelianPGroup:
 def _abelian_basis(A: PermGroup, p: int) -> list:
     if A.order == 1:
         return []
-    g1 = min(g for g in A.elements if perm_order(g) == max(perm_order(h) for h in A.elements))
-    cyc = {_perm_pow(g1, k) for k in range(perm_order(g1))}
+    order = {g: perm_order(g) for g in A.elements}
+    top = max(order.values())
+    g1 = min(g for g in A.elements if order[g] == top)
+    cyc = {_perm_pow(g1, k) for k in range(top)}
     if len(cyc) == A.order:
         return [g1]
     # quotient A / <g1> via coset representatives and its regular representation
@@ -506,16 +508,12 @@ def _abelian_basis(A: PermGroup, p: int) -> list:
         target_coset_idx = qb[ident_idx]
         members = sorted(cosets[reps[target_coset_idx]])
         qorder = perm_order(qb)
-        pick = None
-        for m in members:
-            if perm_order(m) == qorder:
-                pick = m
-                break
+        pick = next((m for m in members if order[m] == qorder), None)
         if pick is None:
             raise ExactKernelError("internal consistency: no order-preserving lift")
         lifted.append(pick)
     basis = [g1] + lifted
-    basis.sort(key=perm_order, reverse=True)
+    basis.sort(key=order.__getitem__, reverse=True)
     return basis
 
 

@@ -1,5 +1,6 @@
 """Test-side polynomial oracle: truncated polynomials, the Honda logarithm
-and Fraction exponential, and the formal sum by powers.
+and Fraction exponential, the formal sum by powers, and restriction through
+the iterated coproduct.
 
 The package computes with coordinate arrays only (Kronecker-coded Borel
 vectors, the (D, D) residue array of the group law).  These slow,
@@ -12,9 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from greenkernel.borel import format_terms
+from greenkernel.borel import AlgebraMap, El, format_terms
 from greenkernel.exactkernel import ExactKernelError
-from greenkernel.fgl import Fgl, HondaParams, _check_cap, _honda_phi
+from greenkernel.fgl import Fgl, HondaParams, _check_cap, _honda_phi, m_series
+from greenkernel.green import value_abelian
 
 
 class TruncPoly:
@@ -218,3 +220,83 @@ def formal_sum(fgl: Fgl, a, b) -> np.ndarray:
         if bi.any():
             out = (out + _conv(ai, bi, cap, p)) % p
     return out
+
+
+# -- restriction through the iterated coproduct ----------------------------------
+
+
+def _iterated_coproduct(level, slots: int) -> dict:
+    """Terms of the (slots-1)-fold coproduct of the generator x, as a dict
+    {(e_1..e_slots): coeff}; slots >= 1.  Column e of the coproduct matrix
+    is psi(x^e) = psi(x)^e."""
+    pair = level.hopf.square.pair_index
+    p = level.algebra.p
+    terms = {(1,): 1}
+    for _ in range(slots - 1):
+        new: dict = {}
+        for key, c in terms.items():
+            M = level.hopf.coproduct.matrix[:, key[0]][pair]
+            for a, b in zip(*np.nonzero(M)):
+                k2 = (int(a), int(b)) + key[1:]
+                new[k2] = (new.get(k2, 0) + c * int(M[a, b])) % p
+        terms = {k: v for k, v in new.items() if v}
+    return terms
+
+
+def _component_power_table(src_level, r_i: int, s_j: int, m: int, p: int, n: int,
+                           out_cap: int, slots_cap: int) -> list[np.ndarray]:
+    """Powers (as coefficient vectors in H_{r_i}) of the component image of
+    the generator of H_{s_j} under the hom C_{p^{r_i}} -> C_{p^{s_j}},
+    g -> h^m: the image is [m'](x^{q^{max(r_i - s_j, 0)}})."""
+    q = p ** n
+    pt = p ** max(s_j - r_i, 0)
+    if m % pt:
+        raise ExactKernelError("internal consistency: hom fails its congruence")
+    u = max(r_i - s_j, 0)
+    series = m_series(src_level.fgl, m // pt, out_cap)
+    vec = np.zeros(out_cap, dtype=np.int64)
+    spread = vec[:: q ** u]  # x^e -> x^{e q^u}
+    spread[:] = series[: len(spread)]
+    table = [np.zeros(out_cap, dtype=np.int64)]
+    table[0][0] = 1
+    for _ in range(slots_cap - 1):
+        table.append(_conv(table[-1], vec, out_cap, p))
+    return table
+
+
+def restrict_by_coproduct(alpha, p: int, n: int) -> AlgebraMap:
+    """A(alpha.target) -> A(alpha.source), each target generator sent
+    through the iterated coproduct of its tower level (one tensor slot per
+    cyclic factor of the source), slot i pushed through the cyclic-component
+    map and the slots multiplied monomial by monomial in A(source)."""
+    src, tgt = alpha.source, alpha.target
+    v_src = value_abelian(src.exponents, p, n)
+    v_tgt = value_abelian(tgt.exponents, p, n)
+    A_src = v_src.algebra
+    q = p ** n
+    k = src.rank
+    images = []
+    for j, s_j in enumerate(tgt.exponents):
+        if k == 0:
+            images.append(A_src.zero())
+            continue
+        delta = _iterated_coproduct(v_tgt.levels[j], k)
+        tables = [
+            _component_power_table(v_src.levels[i], r_i, s_j, alpha.matrix[j][i], p, n,
+                                   out_cap=q ** r_i, slots_cap=q ** s_j)
+            for i, r_i in enumerate(src.exponents)
+        ]
+        out = np.zeros(A_src.dim, dtype=np.int64)
+        for key, c in delta.items():
+            partial = [((), int(c))]
+            for i in range(k):
+                vec_i = tables[i][key[i]]
+                partial = [
+                    (exps + (int(e),), (coeff * int(vec_i[e])) % p)
+                    for exps, coeff in partial
+                    for e in np.flatnonzero(vec_i)
+                ]
+            for exps, coeff in partial:
+                out[A_src.index[exps]] = (out[A_src.index[exps]] + coeff) % p
+        images.append(El(A_src, out))
+    return AlgebraMap.from_generator_images(v_tgt.algebra, A_src, images)

@@ -286,6 +286,18 @@ def test_subalgebra_to_sub_rejects_outside_vectors():
         S.to_sub(A.gen().vec)
 
 
+def test_subalgebra_to_sub_on_a_stack_matches_rows():
+    A = make_algebra(2, (4, 4))
+    S = subalgebra_close(A, [A.monomial((2, 0)), A.monomial((1, 1))])
+    rng = random.Random(7)
+    coords = [[rng.randrange(2) for _ in range(S.dim)] for _ in range(6)]
+    rows = np.array([S.from_sub(c) for c in coords]) + 2  # unreduced, same residues
+    assert np.array_equal(S.to_sub(rows), np.array([S.to_sub(r) for r in rows]))
+    assert np.array_equal(S.to_sub(rows), np.array(coords))
+    with pytest.raises(ExactKernelError, match="lies outside"):
+        S.to_sub(np.vstack([rows, A.gen(0).vec]))
+
+
 def _truncpoly_product(A, u, v) -> np.ndarray:
     """u v in A computed with TruncPoly (in the ambient, for a Subalgebra)."""
     amb = getattr(A, "ambient", A)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from greenkernel import cli
 from greenkernel.cli import (
     EXIT_AUDIT,
     EXIT_OK,
@@ -247,6 +248,17 @@ def test_usage_error_on_missing_args(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run(capsys, "green")
     assert code == EXIT_USAGE
+
+
+def test_dispatch_builds_the_parser_once(capsys, monkeypatch):
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    assert run(capsys, "fgl", "show", "--p", "2", "--deg", "2")[0] == EXIT_OK
+    assert run(capsys, "fgl", "show", "--p", "3", "--deg", "3")[0] == EXIT_OK
+    assert run(capsys, "green", "res", "--group", "C4", "--p", "2")[0] == EXIT_USAGE == 1
+    assert run(capsys, "fgl", "show", "--p", "2", "--deg", "2")[0] == EXIT_OK
+    assert len(builds) == 1
 
 
 def test_bad_frob_gysin_images(capsys):

@@ -1,11 +1,13 @@
 """Green functor engine: values, restriction, transfers, stable elements."""
 
+import itertools
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+from greenkernel import green, hopftower
 from greenkernel.exactkernel import BudgetError, ExactKernelError, ScopeError
 from greenkernel.borel import El, Subalgebra
 from greenkernel.fgl import HondaParams, honda_fgl, m_series
@@ -34,6 +36,7 @@ from greenkernel.grp import (
     sylow,
     _perm_pow,
 )
+from polyoracle import restrict_by_coproduct
 
 
 # -- values --------------------------------------------------------------------
@@ -201,6 +204,45 @@ def test_restrict_functoriality_battery():
         lhs = restrict(composite, 2, 1)
         rhs = restrict(alpha, 2, 1).compose(restrict(beta, 2, 1))
         assert np.array_equal(lhs.matrix, rhs.matrix)
+
+
+_SWEEP = {2: ("C2", "C4", "V4", "C2xC4", "C8", "C4xC4", "C2xC2xC2"), 3: ("C3", "C9", "C3xC3"),
+          5: ("C5",)}
+
+
+def _sample_homs(src, tgt, limit=6):
+    """Up to ``limit`` homomorphisms src -> tgt, evenly spaced through all of
+    them (listed by the exponent vectors of the generator images)."""
+    elems = list(itertools.product(*(range(o) for o in tgt.orders)))
+    cands = [[e for e in elems if all(o_i * a % o == 0 for a, o in zip(e, tgt.orders))]
+             for o_i in src.orders]
+    every = list(itertools.product(*cands))
+    picks = sorted({round(i * (len(every) - 1) / (limit - 1)) for i in range(limit)})
+    chosen = every if len(every) <= limit else [every[i] for i in picks]
+    return [hom_between(src, tgt, [tgt.element(e) for e in exps]) for exps in chosen]
+
+
+@pytest.mark.parametrize("p,sname,tname,n", [
+    (p, a, b, n) for p, names in _SWEEP.items() for a in names for b in names for n in (1, 2)
+])
+def test_restrict_matches_coproduct_oracle(p, sname, tname, n):
+    src, tgt = abelian_decompose(named_group(sname), p), abelian_decompose(named_group(tname), p)
+    for alpha in _sample_homs(src, tgt):
+        assert np.array_equal(restrict(alpha, p, n).matrix,
+                              restrict_by_coproduct(alpha, p, n).matrix), alpha.matrix
+
+
+def test_restrict_builds_no_tower_coproduct(monkeypatch):
+    # cold caches, so no other test's coproduct is seen
+    monkeypatch.setattr(hopftower, "_level_cache", {})
+    monkeypatch.setattr(green, "_value_cache", {})
+    src, tgt = dec("C2xC64"), dec("C128")
+    r = restrict(hom_between(src, tgt, [_perm_pow(tgt.basis[0], 6), _perm_pow(tgt.basis[0], 64)]),
+                 2, 1)
+    assert r.check_multiplicative()
+    levels = value_abelian((7,), 2, 1).levels + value_abelian((6, 1), 2, 1).levels
+    assert [lv.r for lv in levels] == [7, 6, 1]
+    assert all("coproduct" not in lv.hopf.__dict__ for lv in levels)
 
 
 def test_restrict_mono_epi_theorem():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from greenkernel import grp
 from greenkernel.exactkernel import BudgetError, ExactKernelError
 from greenkernel.grp import (
     AbelianHom,
@@ -186,6 +187,23 @@ def test_abelian_decompose_bijection():
     d = abelian_decompose(named_group("C2xC4"))
     seen = {d.element(e) for e in d.all_exponents()}
     assert len(seen) == 8
+
+
+def test_abelian_basis_computes_each_order_once(monkeypatch):
+    # one perm_order per element of A and of the quotient A/<g1>, one per
+    # lifted quotient generator and one per basis exponent; never |A|^2
+    calls = []
+    monkeypatch.setattr(grp, "perm_order", lambda a: calls.append(a) or perm_order(a))
+
+    def shift(k, off=0):
+        return tuple(off + (i + 1) % k for i in range(k))
+
+    cases = [("C64", [shift(64)], 64 + 1),
+             ("C2xC32", [(0, 1) + shift(32, 2), (1, 0) + tuple(range(2, 34))], 64 + 2 + 1 + 2)]
+    for name, basis, bound in cases:
+        calls.clear()
+        assert list(abelian_decompose(named_group(name)).basis) == basis
+        assert len(calls) <= bound
 
 
 def test_abelian_decompose_rejects():
