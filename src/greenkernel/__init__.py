@@ -16,7 +16,6 @@ from .exactkernel import (  # noqa: F401
     FpMatrix,
     ScopeError,
     mat_kernel,
-    subspace_intersect,
 )
 from .fgl import Fgl, HondaParams, honda_fgl, m_series  # noqa: F401
 from .borel import (  # noqa: F401

@@ -226,27 +226,12 @@ class _LocalAlgebraOps:
 @dataclass(frozen=True)
 class TensorProduct:
     """Result of a Kuenneth tensor A (x) B: the product algebra and the
-    (i, j) -> basis-index table used by coproducts.  The two canonical
-    embeddings are dense (dim of the product x dim of the factor) matrices
-    that coproducts never read, so they are built on first access."""
+    (i, j) -> basis-index table used by coproducts."""
 
     algebra: "BorelAlgebra"
     left: "BorelAlgebra"
     right: "BorelAlgebra"
     pair_index: np.ndarray
-
-    # the embeddings send monomials to monomials: a -> a (x) 1, b -> 1 (x) b
-    @cached_property
-    def emb_left(self) -> "AlgebraMap":
-        M = np.zeros((self.algebra.dim, self.left.dim), dtype=np.int64)
-        M[self.pair_index[:, 0], np.arange(self.left.dim)] = 1
-        return AlgebraMap(self.left, self.algebra, M, is_algebra_map=True)
-
-    @cached_property
-    def emb_right(self) -> "AlgebraMap":
-        M = np.zeros((self.algebra.dim, self.right.dim), dtype=np.int64)
-        M[self.pair_index[0, :], np.arange(self.right.dim)] = 1
-        return AlgebraMap(self.right, self.algebra, M, is_algebra_map=True)
 
 
 class BorelAlgebra(_LocalAlgebraOps):
@@ -391,12 +376,6 @@ class BorelAlgebra(_LocalAlgebraOps):
     def top_monomial(self) -> El:
         return El(self, np.eye(self.dim, dtype=np.int64)[self.dim - 1])
 
-    def from_exp_dict(self, d) -> El:
-        v = np.zeros(self.dim, dtype=np.int64)
-        for e, c in d.items():
-            v[self.index[tuple(e)]] = (v[self.index[tuple(e)]] + int(c)) % self.p
-        return El(self, v)
-
     def to_json(self) -> dict:
         return {"p": self.p, "profile": list(self.profile), "vars": list(self.var_names)}
 
@@ -407,7 +386,7 @@ def make_algebra(p: int, profile, var_names=None) -> BorelAlgebra:
 
 
 def tensor(A: BorelAlgebra, B: BorelAlgebra) -> TensorProduct:
-    """Kuenneth tensor product with canonical embeddings.
+    """Kuenneth tensor product with its pair index.
 
     The result has the concatenated profile; variable names are suffixed
     where they would collide.
@@ -494,7 +473,9 @@ class AlgebraMap:
             else:
                 i = next(k for k, a in enumerate(e) if a)
                 prev = tuple(a - 1 if k == i else a for k, a in enumerate(e))
-                cols[:, idx] = B.mul_vec(cols[:, A.index[prev]], images[i].vec)
+                col = cols[:, A.index[prev]]
+                if col.any():  # else the power has reached 0 and so has this column
+                    cols[:, idx] = B.mul_vec(col, images[i].vec)
         return cls(A, B, cols, is_algebra_map=True)
 
     def apply(self, el):
@@ -698,9 +679,6 @@ class Subalgebra(_LocalAlgebraOps):
     def include(self) -> AlgebraMap:
         """The inclusion into the ambient algebra, as an AlgebraMap."""
         return AlgebraMap(self, self.ambient, self.basis_matrix.T, is_algebra_map=True)
-
-    def element_from_ambient(self, el: El) -> El:
-        return El(self, self.to_sub(el.vec))
 
     def element_to_ambient(self, el: El) -> El:
         return El(self.ambient, self.from_sub(el.vec))

@@ -247,27 +247,3 @@ def subspace_eq(b1: Sequence, b2: Sequence, d: int, p: int) -> bool:
     r1 = row_space_basis(b1, d, p)
     r2 = row_space_basis(b2, d, p)
     return len(r1) == len(r2) and all(np.array_equal(x, y) for x, y in zip(r1, r2))
-
-
-def subspace_intersect(bases: Sequence[Sequence], d: int, p: int) -> list[np.ndarray]:
-    """Basis of the intersection of the given subspaces of GF(p)^d.
-
-    Pairwise: stack the two bases as columns [U | -W]; kernel vectors split
-    as (a, b) with Ua = Wb, so Ua runs through the intersection.
-    """
-    _check_prime(p)
-    cleaned = [row_space_basis(b, d, p) for b in bases]
-    if not cleaned:
-        raise ExactKernelError("need at least one subspace")
-    cur = cleaned[0]
-    for nxt in cleaned[1:]:
-        if not cur or not nxt:
-            cur = []
-            break
-        U = np.array(cur).T
-        W = np.array(nxt).T
-        M = FpMatrix(np.hstack([U, (-W) % p]), p)
-        combos = M.kernel()
-        vecs = [(U @ kv[: len(cur)]) % p for kv in combos]
-        cur = row_space_basis(vecs, d, p)
-    return cur

@@ -8,7 +8,8 @@ columns and mul_vec; transfers are Gysin maps for the canonical Frobenius
 forms; values on a general finite group G with abelian Sylow
 p-subgroup P are computed inside A(P) by the stable elements formula, with
 the colimit formula and the invariant-subalgebra computation as
-independent cross-checks.
+independent cross-checks.  The colimit side is computed only when read
+(by `green stable` and the tests), so a value never pays for it.
 
 Orientation conventions: a group homomorphism alpha: G -> H induces
 restrict(alpha): A(H) -> A(G); conjugation c_g: A(H) -> A(gHg^{-1}) is
@@ -19,7 +20,8 @@ value A(G) is a subalgebra of A(P) and res^G_P is the inclusion.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -31,7 +33,6 @@ from .exactkernel import (
     mat_kernel,
     row_space_basis,
     subspace_contains,
-    subspace_intersect,
 )
 from .borel import AlgebraMap, BorelAlgebra, El, Subalgebra
 from .fgl import HondaParams, m_series
@@ -54,17 +55,30 @@ DEFAULT_SIZE_BUDGET = 256
 
 @dataclass
 class StableResult:
-    """Output of the stable-elements computation inside A(P)."""
+    """Output of the stable-elements computation inside A(P).
+
+    cosets holds, per double coset PgP, what colim_dim reads: res_H, res_K
+    and a call that builds c_{g^{-1}}: A(Hg) -> A(Kg)."""
 
     sylow: AbelianPGroup
     value_algebra: BorelAlgebra
     lim_basis: list
-    colim_dim: int
     subalgebra: Subalgebra
+    cosets: list = field(repr=False)
 
     @property
     def lim_dim(self) -> int:
         return len(self.lim_basis)
+
+    @cached_property
+    def colim_dim(self) -> int:
+        """dim A(P) minus the span of the images of ind^P_H - ind^P_K c_{g^{-1}}
+        over the double cosets; the cross-check, computed on first read."""
+        A_P, p = self.value_algebra, self.value_algebra.p
+        images = []
+        for res_H, res_K, cginv in self.cosets:
+            images.extend((transfer(res_H) - transfer(res_K).compose(cginv())).matrix.T)
+        return A_P.dim - len(row_space_basis(images, A_P.dim, p))
 
 
 @dataclass
@@ -251,18 +265,16 @@ def _conjugation_hom(src: AbelianPGroup, tgt: AbelianPGroup, g) -> AbelianHom:
 def stable_elements(G: PermGroup, p: int, n: int,
                     budget: int = DEFAULT_SIZE_BUDGET) -> StableResult:
     """A(G) inside A(P) for P a Sylow p-subgroup: the simultaneous kernel of
-    res - c_g res over double cosets P\\G/P, with the colimit dimension from
-    the transfer-difference images recorded alongside."""
+    res_H - c_g res_K over double cosets P\\G/P, taken as the kernel of the
+    stacked differences.  The colimit dimension is computed when read."""
     P = sylow(G, p)
     if not P.is_abelian():
         raise ScopeError("Sylow %d-subgroup is non-abelian: out of modeled scope" % p)
     dec_P = abelian_decompose(P, p)
-    v_P = value_for_decomposition(dec_P, p, n, budget)
-    A_P: BorelAlgebra = v_P.algebra
-    reps = double_cosets(G, P, P)
-    kernels = []
-    images = []
-    for g in reps:
+    A_P: BorelAlgebra = value_for_decomposition(dec_P, p, n, budget).algebra
+    diffs = []
+    cosets = []
+    for g in double_cosets(G, P, P):
         gi = perm_inv(g)
         Hg = P.intersection(G.conjugate_subgroup(P, g))   # gPg^{-1} cap P
         Kg = P.intersection(G.conjugate_subgroup(P, gi))  # P cap g^{-1}Pg
@@ -271,44 +283,35 @@ def stable_elements(G: PermGroup, p: int, n: int,
         res_H = restrict(_inclusion_hom(dec_H, dec_P), p, n, budget)
         res_K = restrict(_inclusion_hom(dec_K, dec_P), p, n, budget)
         cg = restrict(_conjugation_hom(dec_H, dec_K, g), p, n, budget)  # A(Kg) -> A(Hg)
-        diff = res_H - cg.compose(res_K)
-        kernels.append(mat_kernel(diff.as_fpmatrix()))
-        # colimit side: ind^P_H - ind^P_K o c_{g^{-1}}
-        ind_H = transfer(res_H)
-        ind_K = transfer(res_K)
-        cginv = restrict(_conjugation_hom(dec_K, dec_H, gi), p, n, budget)  # A(Hg) -> A(Kg)
-        d2 = ind_H - ind_K.compose(cginv)
-        for col in d2.matrix.T:
-            images.append(col % p)
-    lim_basis = subspace_intersect(kernels, A_P.dim, p)
+        diffs.append((res_H - cg.compose(res_K)).matrix)
+        cosets.append((res_H, res_K, partial(restrict, _conjugation_hom(dec_K, dec_H, gi),
+                                             p, n, budget)))
+    lim_basis = row_space_basis(mat_kernel(FpMatrix(np.vstack(diffs), p)), A_P.dim, p)
     if not subspace_contains(lim_basis, A_P.one_vec(), p):
         raise ExactKernelError("internal consistency: 1 is not stable")
-    sub = Subalgebra(A_P, lim_basis)  # constructor asserts multiplicative closure
-    img_span = row_space_basis(images, A_P.dim, p)
-    colim_dim = A_P.dim - len(img_span)
     return StableResult(
         sylow=dec_P,
         value_algebra=A_P,
         lim_basis=lim_basis,
-        colim_dim=colim_dim,
-        subalgebra=sub,
+        subalgebra=Subalgebra(A_P, lim_basis),  # the constructor checks closure
+        cosets=cosets,
     )
 
 
 def invariants(P_value: GreenValue, actions) -> Subalgebra:
-    """Common fixed subalgebra of a family of algebra automorphisms of A(P);
-    the independent cross-check for stable elements over a normal Sylow."""
+    """Common fixed subalgebra of a family of algebra automorphisms of A(P),
+    the kernel of the stacked sigma - 1; the independent cross-check for
+    stable elements over a normal Sylow."""
     A = P_value.algebra
-    fixed = [np.eye(A.dim, dtype=np.int64)[i] for i in range(A.dim)]
+    eye = np.eye(A.dim, dtype=np.int64)
+    diffs = [eye[:0]]  # with no actions, everything is fixed
     for sigma in actions:
         if sigma.source != A or sigma.target != A:
             raise ExactKernelError("action endpoints must be A(P)")
         if not sigma.is_algebra_map or not sigma.is_injective():
             raise ExactKernelError("actions must be algebra automorphisms")
-        eye = np.eye(A.dim, dtype=np.int64)
-        diff = FpMatrix((sigma.matrix - eye) % A.p, A.p)
-        fixed = subspace_intersect([fixed, mat_kernel(diff)], A.dim, A.p)
-    return Subalgebra(A, fixed)
+        diffs.append(sigma.matrix - eye)
+    return Subalgebra(A, mat_kernel(FpMatrix(np.vstack(diffs) % A.p, A.p)))
 
 
 _general_cache: dict = {}

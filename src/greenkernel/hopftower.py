@@ -9,13 +9,16 @@ ideal is exactly the kernel of the surjection -- the p-divisibility
 diagnostics check all of this as matrix identities.
 
 Coproducts/antipodes are stored on generators only; every axiom checked
-here compares algebra maps, so generator-level equality is equality.
+here compares algebra maps, so generator-level equality is equality.  A
+level's Hopf data (its tensor square, psi(x) and the antipode) is built on
+first read, so callers that only read its algebra and group law never pay
+for it.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,16 +39,25 @@ DEFAULT_BUDGET = 256
 
 class HopfStructure:
     """Coproduct / counit / antipode data on a Borel algebra, stored on
-    generators (all three extend as algebra maps)."""
+    generators (all three extend as algebra maps): psi(x_i) as its
+    (dim x dim) coefficient matrix M[a, b], the coefficient of e_a (x) e_b,
+    and chi(x_i) as an element."""
 
-    def __init__(self, algebra: BorelAlgebra, coproduct_gens, antipode_gens):
+    def __init__(self, algebra: BorelAlgebra, coproduct_coeffs, antipode_gens):
         self.algebra = algebra
         self.square = tensor(algebra, algebra)
-        T2 = self.square.algebra
-        self.coproduct_gens = [g if isinstance(g, El) else El(T2, g) for g in coproduct_gens]
+        self.coproduct_coeffs = [np.asarray(M, dtype=np.int64) % algebra.p
+                                 for M in coproduct_coeffs]
         self.antipode_gens = [g if isinstance(g, El) else El(algebra, g) for g in antipode_gens]
-        if len(self.coproduct_gens) != algebra.nvars or len(self.antipode_gens) != algebra.nvars:
-            raise ExactKernelError("need one coproduct and antipode image per generator")
+        if (len(self.coproduct_coeffs) != algebra.nvars or len(self.antipode_gens) != algebra.nvars
+                or any(M.shape != (algebra.dim,) * 2 for M in self.coproduct_coeffs)):
+            raise ExactKernelError("need one (dim x dim) coproduct and antipode image per generator")
+
+    @cached_property
+    def coproduct_gens(self) -> list[El]:
+        """psi(x_i) as elements of A (x) A (pair_index is a bijection)."""
+        order = np.argsort(self.square.pair_index, axis=None)
+        return [El(self.square.algebra, M.ravel()[order]) for M in self.coproduct_coeffs]
 
     @cached_property
     def coproduct(self) -> AlgebraMap:
@@ -55,11 +67,6 @@ class HopfStructure:
     @cached_property
     def antipode(self) -> AlgebraMap:
         return AlgebraMap.from_generator_images(self.algebra, self.algebra, self.antipode_gens)
-
-    def gen_coeff_matrix(self, i: int = 0) -> np.ndarray:
-        """psi(x_i) as a (dim x dim) coefficient array M[a, b]."""
-        vec = self.coproduct_gens[i].vec
-        return vec[self.square.pair_index]
 
 
 @dataclass
@@ -100,7 +107,7 @@ def hopf_check(H: HopfStructure) -> HopfReport:
 
     coassoc = counital = antipode_ok = cocomm = True
     for i in range(A.nvars):
-        M = H.gen_coeff_matrix(i)
+        M = H.coproduct_coeffs[i]
         xvec = A.gen(i).vec
         # (psi (x) id) psi(x) [u,v,w] = sum_a ps[a,u,v] M[a,w]
         lhs = np.tensordot(ps, M, axes=([0], [0])) % p  # [u, v, w]
@@ -143,16 +150,19 @@ def integrals(H: HopfStructure) -> list[El]:
 
 @dataclass
 class HondaLevel:
-    """Level r of the height-n tower: F_p[x]/(x^{q^r}) with its Hopf data."""
+    """Level r of the height-n tower: F_p[x]/(x^{q^r}) with its Hopf data,
+    built on first read of hopf."""
 
     params: HondaParams
     r: int
     fgl: Fgl
-    hopf: HopfStructure = field(repr=False)
+    algebra: BorelAlgebra
 
-    @property
-    def algebra(self) -> BorelAlgebra:
-        return self.hopf.algebra
+    @cached_property
+    def hopf(self) -> HopfStructure:
+        """psi(x) = F(x (x) 1, 1 (x) x), whose coefficient matrix is the law
+        itself, and the antipode chi(x) = the formal inverse series."""
+        return HopfStructure(self.algebra, [self.fgl.F], [formal_inverse(self.fgl, self.dim)])
 
     @property
     def q(self) -> int:
@@ -174,12 +184,10 @@ _level_lock = threading.Lock()
 
 
 def honda_level(params: HondaParams, r: int, budget: int = DEFAULT_BUDGET) -> HondaLevel:
-    """Construct (and cache) level r of the tower for (p, n).
-
-    The coproduct generator image is F(x (x) 1, 1 (x) x) with caps q^r and
-    the antipode is the formal inverse series; hopf_check passes for every
-    constructed level (asserted in the test-suite, not here, to keep
-    construction cheap).
+    """Construct (and cache) level r of the tower for (p, n): its algebra
+    and group law.  The Hopf data is built when level.hopf is first read;
+    hopf_check passes for every level (asserted in the test-suite, not
+    here, to keep construction cheap).
     """
     if r < 1:
         raise ExactKernelError("tower level must be >= 1")
@@ -193,12 +201,7 @@ def honda_level(params: HondaParams, r: int, budget: int = DEFAULT_BUDGET) -> Ho
         if hit is not None:
             return hit
         fgl = honda_fgl(HondaParams(p, n, Q))
-        alg = BorelAlgebra(p, (Q,), ("x",))
-        square = tensor(alg, alg)
-        psi_x = np.zeros(square.algebra.dim, dtype=np.int64)
-        psi_x[square.pair_index] = fgl.F
-        hopf = HopfStructure(alg, [psi_x], [formal_inverse(fgl, Q)])
-        level = HondaLevel(params, r, fgl, hopf)
+        level = HondaLevel(params, r, fgl, BorelAlgebra(p, (Q,), ("x",)))
         _level_cache[key] = level
         return level
 
@@ -213,7 +216,7 @@ def is_hopf_map(f: AlgebraMap, src: HopfStructure, tgt: HopfStructure) -> bool:
     for i, g in enumerate(src.algebra.gens()):
         fg = f.apply(g)
         lhs = tgt.coproduct.apply(fg).vec[tgt.square.pair_index]
-        rhs = (F @ src.gen_coeff_matrix(i)) % p @ F.T % p
+        rhs = (F @ src.coproduct_coeffs[i]) % p @ F.T % p
         if not np.array_equal(lhs, rhs):
             return False
         if f.apply(src.antipode.apply(g)) != tgt.antipode.apply(fg):

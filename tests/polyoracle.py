@@ -1,6 +1,8 @@
 """Test-side polynomial oracle: truncated polynomials, the Honda logarithm
-and Fraction exponential, the formal sum by powers, and restriction through
-the iterated coproduct.
+and Fraction exponential, the formal sum by powers, restriction through
+the iterated coproduct, subspace intersection and stable elements by
+per-coset kernels, and the element and embedding helpers only the tests
+read.
 
 The package computes with coordinate arrays only (Kronecker-coded Borel
 vectors, the (D, D) residue array of the group law).  These slow,
@@ -13,10 +15,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from greenkernel import green
 from greenkernel.borel import AlgebraMap, El, format_terms
-from greenkernel.exactkernel import ExactKernelError
+from greenkernel.exactkernel import ExactKernelError, FpMatrix, mat_kernel, row_space_basis
 from greenkernel.fgl import Fgl, HondaParams, _check_cap, _honda_phi, m_series
 from greenkernel.green import value_abelian
+from greenkernel.grp import abelian_decompose, double_cosets, perm_inv, sylow
 
 
 class TruncPoly:
@@ -300,3 +304,75 @@ def restrict_by_coproduct(alpha, p: int, n: int) -> AlgebraMap:
                 out[A_src.index[exps]] = (out[A_src.index[exps]] + coeff) % p
         images.append(El(A_src, out))
     return AlgebraMap.from_generator_images(v_tgt.algebra, A_src, images)
+
+
+# -- stable elements, one kernel per double coset ----------------------------------
+
+
+def subspace_intersect(bases, d: int, p: int) -> list[np.ndarray]:
+    """The RREF basis of the intersection of the given subspaces of GF(p)^d.
+
+    Pairwise: stack the two bases as columns [U | -W]; kernel vectors split
+    as (a, b) with Ua = Wb, so Ua runs through the intersection.
+    """
+    cleaned = [row_space_basis(b, d, p) for b in bases]
+    if not cleaned:
+        raise ExactKernelError("need at least one subspace")
+    cur = cleaned[0]
+    for nxt in cleaned[1:]:
+        if not cur or not nxt:
+            return []
+        U = np.array(cur).T
+        W = np.array(nxt).T
+        combos = mat_kernel(FpMatrix(np.hstack([U, (-W) % p]), p))
+        cur = row_space_basis([(U @ kv[: len(cur)]) % p for kv in combos], d, p)
+    return cur
+
+
+
+def stable_basis_by_intersection(G, p: int, n: int) -> list:
+    """The RREF basis of A(G) inside A(P): one kernel of res_H - c_g res_K
+    per double coset PgP, intersected pairwise."""
+    P = sylow(G, p)
+    dec_P = abelian_decompose(P, p)
+    A_P = value_abelian(dec_P.exponents, p, n).algebra
+    kernels = []
+    for g in double_cosets(G, P, P):
+        dec_H = abelian_decompose(P.intersection(G.conjugate_subgroup(P, g)), p)
+        dec_K = abelian_decompose(P.intersection(G.conjugate_subgroup(P, perm_inv(g))), p)
+        res_H = green.restrict(green._inclusion_hom(dec_H, dec_P), p, n)
+        res_K = green.restrict(green._inclusion_hom(dec_K, dec_P), p, n)
+        cg = green.restrict(green._conjugation_hom(dec_H, dec_K, g), p, n)
+        kernels.append(mat_kernel((res_H - cg.compose(res_K)).as_fpmatrix()))
+    return subspace_intersect(kernels, A_P.dim, p)
+
+
+# -- element and embedding helpers ---------------------------------------------------
+
+
+def from_exp_dict(A, d) -> El:
+    """The element sum c x^e of A for d = {e: c}."""
+    v = np.zeros(A.dim, dtype=np.int64)
+    for e, c in d.items():
+        v[A.index[tuple(e)]] = (v[A.index[tuple(e)]] + int(c)) % A.p
+    return El(A, v)
+
+
+def element_from_ambient(S, el: El) -> El:
+    """An element of the ambient algebra of the Subalgebra S, in S's
+    coordinates (raises when it lies outside S)."""
+    return El(S, S.to_sub(el.vec))
+
+
+def emb_left(T) -> AlgebraMap:
+    """a -> a (x) 1 for the TensorProduct T: monomials to monomials."""
+    M = np.zeros((T.algebra.dim, T.left.dim), dtype=np.int64)
+    M[T.pair_index[:, 0], np.arange(T.left.dim)] = 1
+    return AlgebraMap(T.left, T.algebra, M, is_algebra_map=True)
+
+
+def emb_right(T) -> AlgebraMap:
+    """b -> 1 (x) b for the TensorProduct T."""
+    M = np.zeros((T.algebra.dim, T.right.dim), dtype=np.int64)
+    M[T.pair_index[0, :], np.arange(T.right.dim)] = 1
+    return AlgebraMap(T.right, T.algebra, M, is_algebra_map=True)

@@ -119,6 +119,27 @@ def test_green_stable(capsys):
     assert data["lim_dim"] == 2 == data["colim_dim"]
 
 
+# SHA-256 of `green stable --format json --no-timing`, recorded before the
+# limit became one stacked kernel and the colimit was computed on read;
+# lim_basis and colim_dim must stay byte-identical.
+GREEN_STABLE_DIGESTS = {
+    ("S3", "3", "2"): "9831dc68bf0f1cc96040dfd45b838178f3eec90985255d105983651d9adce7b7",
+    ("A4", "2", "2"): "318a5bce91d4e75f2207e7304fec116e013be4410c479f7e7cf56bed7e412f22",
+    ("S4", "3", "2"): "70ffc656784fbd975710a9a9d430d58e18929609486bb5a35aba20c6bd78605e",
+    ("D5", "5", "1"): "7108ed00a53752c20d019c29bd2aaf623d1bdffb5ca0f8bf01680e6abeb287d7",
+    ("S3", "2", "3"): "493de51d42dfa05033eb182f4d5602d47d19f5fe42df7dce8bc6c1df89c82606",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GREEN_STABLE_DIGESTS))
+def test_green_stable_output_is_byte_identical(capsys, key):
+    group, p, n = key
+    code, out, _ = run(capsys, "green", "stable", "--group", group, "--p", p, "--n", n,
+                       "--format", "json", "--no-timing")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == GREEN_STABLE_DIGESTS[key]
+
+
 def test_group_file_input(tmp_path, capsys):
     path = tmp_path / "v4.grp"
     path.write_text("# klein four\n(1 2)(3 4)\n(1 3)(2 4)\n")

@@ -16,9 +16,8 @@ from greenkernel.exactkernel import (
     row_space_basis,
     subspace_contains,
     subspace_eq,
-    subspace_intersect,
 )
-from polyoracle import TruncPoly
+from polyoracle import TruncPoly, subspace_intersect
 
 
 # -- moduli ------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from greenkernel import green, hopftower
+from greenkernel.audit import DEFAULT_BATTERY
 from greenkernel.exactkernel import BudgetError, ExactKernelError, ScopeError
 from greenkernel.borel import El, Subalgebra
 from greenkernel.fgl import HondaParams, honda_fgl, m_series
@@ -36,7 +37,7 @@ from greenkernel.grp import (
     sylow,
     _perm_pow,
 )
-from polyoracle import restrict_by_coproduct
+from polyoracle import restrict_by_coproduct, stable_basis_by_intersection
 
 
 # -- values --------------------------------------------------------------------
@@ -242,7 +243,7 @@ def test_restrict_builds_no_tower_coproduct(monkeypatch):
     assert r.check_multiplicative()
     levels = value_abelian((7,), 2, 1).levels + value_abelian((6, 1), 2, 1).levels
     assert [lv.r for lv in levels] == [7, 6, 1]
-    assert all("coproduct" not in lv.hopf.__dict__ for lv in levels)
+    assert all("hopf" not in vars(lv) for lv in levels)
 
 
 def test_restrict_mono_epi_theorem():
@@ -422,6 +423,33 @@ def test_stable_lim_equals_colim_battery():
     for (name, p) in [("S3", 3), ("S3", 2), ("A4", 2), ("A4", 3), ("C6", 2), ("C6", 3)]:
         st = stable_elements(named_group(name), p, 1)
         assert st.lim_dim == st.colim_dim, (name, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_stacked_kernel_matches_per_coset_intersection(p):
+    # the one kernel of the stacked differences against one kernel per
+    # double coset, intersected pairwise: the same canonical basis
+    for name in DEFAULT_BATTERY:
+        for n in (1, 2):
+            G = named_group(name)
+            got = stable_elements(G, p, n).lim_basis
+            want = stable_basis_by_intersection(G, p, n)
+            assert len(got) == len(want) and all(
+                np.array_equal(a, b) for a, b in zip(got, want)), (name, p, n)
+
+
+@pytest.mark.parametrize("name,p", [("S3", 3), ("A4", 2)])
+def test_value_general_computes_no_colimit(monkeypatch, name, p):
+    monkeypatch.setattr(green, "_general_cache", {})
+    calls = []
+    real = green.transfer
+    monkeypatch.setattr(green, "transfer", lambda *a, **k: calls.append(1) or real(*a, **k))
+    v = value_general(named_group(name), p, 1)
+    assert v.kind == "general" and calls == []
+    st = v.stable
+    assert st.colim_dim == st.lim_dim == v.dim and calls
+    seen = len(calls)
+    assert st.colim_dim == st.lim_dim and len(calls) == seen  # read once, kept
 
 
 def test_ind_to_sylow_surjective():

@@ -5,8 +5,9 @@ import threading
 import numpy as np
 import pytest
 
-from greenkernel.exactkernel import BudgetError
-from greenkernel.borel import AlgebraMap, make_algebra, tensor
+from greenkernel import hopftower
+from greenkernel.exactkernel import BudgetError, ExactKernelError
+from greenkernel.borel import AlgebraMap, make_algebra
 from greenkernel.fgl import HondaParams
 from greenkernel.frobform import canonical_form, is_frobenius_form
 from greenkernel.hopftower import (
@@ -20,6 +21,7 @@ from greenkernel.hopftower import (
     pdiv_check,
     tower_maps,
 )
+from polyoracle import from_exp_dict
 
 
 def params(p, n):
@@ -29,13 +31,25 @@ def params(p, n):
 def test_level_one_coproducts():
     L = honda_level(params(2, 1), 1)
     T2 = L.hopf.square.algebra
-    assert L.hopf.coproduct_gens[0] == T2.from_exp_dict({(1, 0): 1, (0, 1): 1, (1, 1): 1})
+    assert L.hopf.coproduct_gens[0] == from_exp_dict(T2, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
     assert format_tensor_element(L.hopf, L.hopf.coproduct_gens[0]) == "x⊗1 + 1⊗x + x⊗x"
     L3 = honda_level(params(3, 1), 1)
     T23 = L3.hopf.square.algebra
-    assert L3.hopf.coproduct_gens[0] == T23.from_exp_dict(
-        {(1, 0): 1, (0, 1): 1, (1, 2): 2, (2, 1): 2}
+    assert L3.hopf.coproduct_gens[0] == from_exp_dict(
+        T23, {(1, 0): 1, (0, 1): 1, (1, 2): 2, (2, 1): 2}
     )
+
+
+def test_honda_level_builds_hopf_data_on_first_read(monkeypatch):
+    monkeypatch.setattr(hopftower, "_level_cache", {})
+    calls = []
+    real = hopftower.tensor
+    monkeypatch.setattr(hopftower, "tensor", lambda *a: calls.append(a) or real(*a))
+    L = honda_level(params(2, 1), 3)
+    assert L.algebra.dim == 8 and calls == []
+    H = L.hopf
+    assert H.coproduct.matrix.shape == (64, 8) and hopf_check(H).all_pass
+    assert L.hopf is H and len(calls) == 1  # one tensor square per level
 
 
 def test_level_two_dim_and_socle():
@@ -61,11 +75,12 @@ def test_hopf_check_passes_small_levels():
 
 def test_hopf_check_detects_fake_coproduct():
     A = make_algebra(2, (2,))
-    T2 = tensor(A, A).algebra
-    fake = HopfStructure(A, [T2.from_exp_dict({(1, 1): 1})], [A.gen().vec])
+    fake = HopfStructure(A, [np.array([[0, 0], [0, 1]])], [A.gen().vec])  # psi(x) = x(x)x
     rep = hopf_check(fake)
     assert not rep.counital
     assert not rep.all_pass
+    with pytest.raises(ExactKernelError):  # psi(x) must be a (dim x dim) matrix
+        HopfStructure(A, [np.zeros((2, 3))], [A.gen().vec])
 
 
 def antipode_law_oracle(H: HopfStructure) -> bool:
@@ -74,7 +89,7 @@ def antipode_law_oracle(H: HopfStructure) -> bool:
     chi = H.antipode.matrix
     eye = np.eye(A.dim, dtype=np.int64)
     for i in range(A.nvars):
-        M = H.gen_coeff_matrix(i)
+        M = H.coproduct_coeffs[i]
         acc = np.zeros(A.dim, dtype=np.int64)
         for b in range(A.dim):
             acc = (acc + A.mul_vec((chi @ M[:, b]) % p, eye[b])) % p
@@ -93,7 +108,7 @@ def test_hopf_check_detects_fake_antipode(p, n, r):
     for fake in fakes:
         if fake == chi:
             continue
-        F = HopfStructure(A, H.coproduct_gens, [fake])
+        F = HopfStructure(A, H.coproduct_coeffs, [fake])
         rep = hopf_check(F)
         assert not rep.antipode_law, (p, n, r, fake)
         assert rep.antipode_law == antipode_law_oracle(F)
