@@ -645,11 +645,11 @@ class Subalgebra(_LocalAlgebraOps):
         return self.to_sub(self.ambient.frobenius(self.from_sub(vec)))
 
     def mult_matrix(self, vec) -> FpMatrix:
-        """Left multiplication in subalgebra coordinates: the ambient matrix
-        applied to the basis, read off at the pivots (closure was verified
-        on construction)."""
-        M = self.ambient.mult_matrix(self.from_sub(vec)).a @ self.basis_matrix.T
-        return FpMatrix(M[self.pivots], self.p)
+        """Left multiplication in subalgebra coordinates: the pivot rows of
+        the ambient matrix applied to the basis (closure was verified on
+        construction)."""
+        M = self.ambient.mult_matrix(self.from_sub(vec)).a[self.pivots] @ self.basis_matrix.T
+        return FpMatrix(M, self.p)
 
     def pairing_matrix(self, lam) -> FpMatrix:
         """G[i, j] = lam(b_i b_j) = B . G_ambient(lam') . B^T, where lam' is

@@ -18,12 +18,14 @@ phi_{(a+b-1)/(q-1)} are integers, and the sandwich L~^T M~ L~ is
 p^{(i+j-1)/(q-1)} F[i, j] at (i, j).  It is computed mod p^N,
 N = floor((2D-3)/(q-1)) + 2, one block per residue class mod q-1 (the
 grading); each entry is divided by its own power of p (the p-integrality
-check) and reduced once.  An Fgl owns the result as a dense (D, D) int64
-residue array and keeps L~ with phi: every [m]-series, the formal inverse
-[-1] among them, is exp(m log x), one vector-matrix product with L~ under
-the same scaling.  Nothing here computes with polynomials or Fractions: the
-logarithm, the Fraction exponential, the formal sum by powers and the
-rational group law are the tests' oracles.
+check) and reduced once.  An Fgl keeps L~ with phi, which every series
+needs: every [m]-series, the formal inverse [-1] among them, is exp(m log x),
+one vector-matrix product with L~ under the same scaling.  Its dense (D, D)
+int64 residue array F is computed on first read, so a law read only through
+its series never runs the sandwich, and is sliced from the largest F
+computed so far for (p, n).  Nothing here computes with polynomials or
+Fractions: the logarithm, the Fraction exponential, the formal sum by
+powers and the rational group law are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -73,13 +75,27 @@ class _LogPowers(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Fgl:
-    """A computed formal group law: F[i, j] is the coefficient of x^i y^j
-    mod p, for i, j < D (a read-only (D, D) int64 array).  The scaled log
-    powers it was built from serve the series; cached truncations share them."""
+    """A formal group law below x^D: the scaled log powers it was built from
+    serve the series (cached truncations share them), and F, computed on
+    first read, is its residue array."""
 
     params: HondaParams
-    F: np.ndarray
     _logs: _LogPowers = field(repr=False)
+
+    @property
+    def F(self) -> np.ndarray:
+        """F[i, j], the coefficient of x^i y^j mod p for i, j < D, as a
+        read-only (D, D) int64 array: a slice of the largest F computed for
+        (p, n), else computed once from the log powers sliced to D."""
+        D, key = self.params.trunc, (self.p, self.params.n)
+        with _fgl_lock:
+            law, F = _fgl_cache.get(key, (self, None))
+            if F is None or len(F) < D:
+                L, exp, N = self._logs
+                F = _fgl_residues(self.params, _LogPowers(L[:D, :D], exp[: 2 * D - 1], N))
+                F.flags.writeable = False
+                _fgl_cache[key] = (law, F)
+        return F[:D, :D]
 
     @property
     def p(self) -> int:
@@ -211,32 +227,28 @@ def _divide_reduce(scaled: np.ndarray, v: np.ndarray, p: int, what: str) -> np.n
     return ((scaled // scale) % p).astype(np.int64)
 
 
-_fgl_cache: dict[tuple[int, int], Fgl] = {}
-_fgl_lock = threading.Lock()
+# per (p, n): the largest law built so far and the largest F computed so far
+_fgl_cache: dict[tuple[int, int], tuple[Fgl, np.ndarray | None]] = {}
+_fgl_lock = threading.Lock()  # not reentrant: code holding it must not read Fgl.F
 
 
 def honda_fgl(params: HondaParams) -> Fgl:
     """The Honda FGL over GF(p) at the requested truncation.
 
-    Requires trunc >= q so the level-1 reduction is faithful.  Results are
-    cached per (p, n) at the largest truncation computed so far; smaller
-    requests are served by slicing the residue array.
+    Requires trunc >= q so the level-1 reduction is faithful.  Laws are
+    cached per (p, n) at the largest truncation built so far; smaller
+    requests share its log powers.  Only the log powers are built here:
+    F waits for its first read.
     """
     if params.trunc < params.q:
         raise ExactKernelError("truncation %d below q = %d" % (params.trunc, params.q))
     key = (params.p, params.n)
     with _fgl_lock:
-        hit = _fgl_cache.get(key)
-        if hit is not None and hit.params.trunc >= params.trunc:
-            if hit.params.trunc == params.trunc:
-                return hit
-            D = params.trunc
-            return Fgl(params, hit.F[:D, :D], hit._logs)
-        logs = _log_powers(params)
-        F = _fgl_residues(params, logs)
-        F.flags.writeable = False
-        out = Fgl(params, F, logs)
-        _fgl_cache[key] = out
+        law, F = _fgl_cache.get(key, (None, None))
+        if law is not None and law.params.trunc >= params.trunc:
+            return law if law.params.trunc == params.trunc else Fgl(params, law._logs)
+        out = Fgl(params, _log_powers(params))
+        _fgl_cache[key] = (out, F)
         return out
 
 

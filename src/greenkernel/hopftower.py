@@ -336,17 +336,18 @@ def pdiv_check(params: HondaParams, r: int, s: int, budget: int = DEFAULT_BUDGET
     def up(src: HondaLevel, tgt: HondaLevel, t: int) -> AlgebraMap:
         return AlgebraMap.from_generator_images(src.algebra, tgt.algebra, [tgt.x() ** (q ** t)])
 
-    sq1a = down(bigger, low) == down(big, low).compose(down(bigger, big))
+    trunc = down(bigger, big)
+    sq1a = down(bigger, low) == maps.surj.compose(trunc)
     # H_{s+1} -> H_{r+s}: restrict then include vs include then restrict
-    lhs = up(mid, big, r).compose(down(next_mid, mid))
-    rhs = down(bigger, big).compose(up(next_mid, bigger, r))
+    lhs = maps.inj.compose(down(next_mid, mid))
+    rhs = trunc.compose(up(next_mid, bigger, r))
     sq1b = lhs == rhs
     # multiplication by p^{r+1} commutes with truncation H_{r+s+1} -> H_{r+s}
-    mlhs = down(bigger, big).compose(multiplication_map(bigger, p ** (r + 1)))
-    mrhs = multiplication_map(big, p ** (r + 1)).compose(down(bigger, big))
+    mlhs = trunc.compose(multiplication_map(bigger, p ** (r + 1)))
+    mrhs = multiplication_map(big, p ** (r + 1)).compose(trunc)
     sq2a = mlhs == mrhs
     # multiplication by p^r on H_{r+s} factors as inj o surj through H_s
-    factor = up(mid, big, r).compose(down(big, mid))
+    factor = maps.inj.compose(down(big, mid))
     sq2b = factor == multiplication_map(big, p ** r)
 
     return PdivReport(

@@ -82,6 +82,20 @@ def test_tower_check_h6_output_pinned(capsys):
             == "f117c91c1b5bd68d0e123fe604d63bfa6bd51ffec4b6e8dc4aa04e348303ae0a")
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("--p", "3", "--r", "2", "--s", "2"),
+     "1e99cdba29121be65e2f5652fef1ac908e309584530d80080dbf992e1a75666f"),
+    (("--p", "2", "--n", "2", "--r", "1", "--s", "2"),
+     "c4a315c853298fee8e8d343e2cc7a984b36edbe1949955d5c7728b2f14589e05"),
+])
+def test_tower_check_output_pinned(capsys, argv, digest):
+    # p = 3 (levels 2, 4, 5) and q = 4 (levels 1, 2, 3, 4); digests
+    # recorded while every level's law was computed in full
+    code, out, _ = run(capsys, "tower", "check", *argv, "--format", "json", "--no-timing")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_green_value_s3(capsys):
     code, out, _ = run(capsys, "green", "value", "--group", "S3", "--p", "3",
                        "--n", "1", "--format", "json")

@@ -6,12 +6,16 @@ recursion and the one-dot series of the library; the logarithm, the Fraction
 exp and the formal sum come from the test-side polyoracle."""
 
 import hashlib
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import greenkernel.fgl as fgl
+from greenkernel import hopftower
+from greenkernel.cli import EXIT_OK, dispatch
 from greenkernel.exactkernel import ExactKernelError
 from greenkernel.fgl import (
     Fgl,
@@ -389,7 +393,7 @@ def test_series_refuse_perturbed_log_data():
     for k in (1, 3):
         bad = list(gm)
         bad[k] += 1
-        g = Fgl(f.params, f.F, fgl._LogPowers(L, bad, S))
+        g = Fgl(f.params, fgl._LogPowers(L, bad, S))
         with pytest.raises(ExactKernelError, match="non p-integral series"):
             m_series(g, 1, 8)
         with pytest.raises(ExactKernelError, match="non p-integral series"):
@@ -461,6 +465,87 @@ def test_cache_serves_truncations():
     assert small.F.shape == (8, 8)
     assert np.array_equal(small.F, big.F[:8, :8])
     assert not small.F.flags.writeable and not big.F.flags.writeable
+
+
+def _count_sandwiches(monkeypatch) -> list:
+    """Empty the law cache and record the (p, n, D) of every F computed."""
+    monkeypatch.setattr(fgl, "_fgl_cache", {})
+    computed = []
+    real = fgl._fgl_residues
+
+    def counted(params, logs=None):
+        computed.append((params.p, params.n, params.trunc))
+        return real(params, logs)
+
+    monkeypatch.setattr(fgl, "_fgl_residues", counted)
+    return computed
+
+
+@pytest.mark.parametrize("p,n,small,big", [(2, 1, 64, 128), (3, 1, 81, 243)])
+def test_law_computed_on_first_read(p, n, small, big, monkeypatch):
+    computed = _count_sandwiches(monkeypatch)
+    f = honda_fgl(HondaParams(p, n, small))
+    for m in (-1, 2):
+        m_series(f, m, small)
+    assert computed == []  # the series need only the log powers
+    before = f.F
+    assert computed == [(p, n, small)]
+    g = honda_fgl(HondaParams(p, n, big))  # a larger law, its F not yet read
+    assert np.array_equal(f.F, before)
+    sliced = honda_fgl(HondaParams(p, n, small))
+    assert sliced._logs is g._logs and np.array_equal(sliced.F, before)
+    assert computed == [(p, n, small)]
+    assert sha(g.F) == GOLDEN_F[(p, n, big)]
+    assert computed == [(p, n, small), (p, n, big)]
+    # every later read is a slice of the largest F
+    after = f.F
+    assert after.base is g.F.base and sha(after) == GOLDEN_F[(p, n, small)]
+    for F in (before, after, sliced.F, g.F):
+        assert not F.flags.writeable
+        with pytest.raises(ValueError):
+            F[0, 1] = 0
+    assert computed == [(p, n, small), (p, n, big)]
+    monkeypatch.setattr(fgl, "_fgl_cache", {})
+    assert np.array_equal(honda_fgl(HondaParams(p, n, small)).F, after)
+
+
+def test_tower_check_reads_no_law_of_the_top_level(monkeypatch, capsys):
+    # pdiv_check reads level r+s+1 only through series and algebra maps: its
+    # law is built for the log powers, and no F is computed at D = 64
+    computed = _count_sandwiches(monkeypatch)
+    monkeypatch.setattr(hopftower, "_level_cache", {})
+    argv = ["tower", "check", "--p", "2", "--r", "3", "--s", "2", "--format", "json"]
+    assert dispatch(argv) == dispatch(argv) == EXIT_OK
+    capsys.readouterr()
+    assert fgl._fgl_cache[2, 1][0].params.trunc == 64
+    assert computed and all(D < 64 for (_, _, D) in computed)
+    assert len(computed) == len(set(computed))
+
+
+def test_law_computed_once_across_threads(monkeypatch):
+    computed = _count_sandwiches(monkeypatch)
+    f = honda_fgl(HondaParams(2, 1, 64))
+    results = []
+    barrier = threading.Barrier(4)  # more readers than cores
+
+    def read():
+        barrier.wait()
+        results.append(f.F)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert computed == [(2, 1, 64)]
+    assert len(results) == 4 and all(F.base is results[0].base for F in results)
+    assert sha(results[0]) == GOLDEN_F[(2, 1, 64)]
 
 
 def test_sandwich_refuses_inconsistent_exp(monkeypatch):
