@@ -150,6 +150,23 @@ def frobenius_axiom(res: AlgebraMap, ind: AlgebraMap):
     return EXACT, None, None
 
 
+def _mackey_sum(terms) -> AlgebraMap:
+    """The sum of the chains ind o c_g o res, one per double coset, as one
+    matrix.  Every chain must compose and share the first chain's source and
+    target; a mismatch raises.  Each product is reduced mod p before the
+    next, so the int64 envelope stays cols * (p-1)^2."""
+    source, target = terms[0][2].source, terms[0][0].target
+    p = target.p
+    acc = np.zeros((target.dim, source.dim), dtype=np.int64)
+    for k, (ind, c, res) in enumerate(terms):
+        if c.source != res.target or ind.source != c.target:
+            raise ExactKernelError("MF5 term %d: maps do not compose" % k)
+        if res.source != source or ind.target != target:
+            raise ExactKernelError("MF5 term %d: endpoints differ from term 0" % k)
+        acc += ind.matrix @ (c.matrix @ res.matrix % p) % p
+    return AlgebraMap(source, target, acc)
+
+
 def _timed(report: AuditReport, name: str, anchor: str, instance: str, fn) -> None:
     t0 = time.perf_counter()
     try:
@@ -294,13 +311,12 @@ def audit_mackey(G: PermGroup, p: int, n: int, subgroup_family=None,
             _lbl(H), _lbl(L), _lbl(H), _lbl(K))
         def mf5(H=H, K=K, L=L):
             lhs = fx.res(H, L).compose(fx.ind(H, K))
-            acc = None
+            terms = []
             for g in double_cosets(H, L, K):
                 X = K.intersection(H.conjugate_subgroup(L, perm_inv(g)))  # g^{-1}Lg cap K
                 Y = L.intersection(H.conjugate_subgroup(K, g))            # L cap gKg^{-1}
-                term = fx.ind(L, Y).compose(fx.conj(g, X)).compose(fx.res(K, X))
-                acc = term if acc is None else acc + term
-            return compare_maps(lhs, acc)
+                terms.append((fx.ind(L, Y), fx.conj(g, X), fx.res(K, X)))
+            return compare_maps(lhs, _mackey_sum(terms))
         _timed(report, "MF5", "MF5 (Mackey formula) / GD5", inst, mf5)
 
     for (H, K) in pairs:

@@ -270,7 +270,7 @@ class BorelAlgebra(_LocalAlgebraOps):
         self._slot = next(np.dtype("<u%d" % b) for b in (1, 2, 4, 8) if bound < 256 ** b)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, BorelAlgebra)
             and self.p == other.p
             and self.profile == other.profile
@@ -605,7 +605,7 @@ class Subalgebra(_LocalAlgebraOps):
         return bool(np.array_equal((V[:, self.pivots] @ self.basis_matrix) % self.p, V))
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Subalgebra)
             and self.ambient == other.ambient
             and self.dim == other.dim

@@ -230,8 +230,11 @@ def _cmd_tower_check(args) -> int:
     s = args.s or 1
     if args.r >= 1 and params.q ** (args.r + s) <= budget:
         # pdiv_check reads level r+s+1; built first, its law serves every
-        # smaller level as a slice instead of a cold build per level
+        # smaller level as a slice instead of a cold build per level.  The F
+        # of level r+s, the largest F read, is computed first for the same
+        # reason: every smaller F is a slice of it
         honda_level(params, args.r + s + 1, max(budget, params.q ** (args.r + s + 1)))
+        honda_level(params, args.r + s, budget).fgl.F
     axioms = {}
     for r in sorted({args.r, s, args.r + s}):
         rep = hopf_check(honda_level(params, r, budget).hopf)

@@ -165,6 +165,15 @@ def form_unit(A, lam: FrobeniusForm, theta) -> El:
     return winv.inv()
 
 
+def check_gysin_input(f: AlgebraMap, lam_A: FrobeniusForm, lam_B: FrobeniusForm) -> None:
+    """Raise on what gysin refuses: forms that do not live on the endpoints
+    of f, or an f not known to be an algebra map."""
+    if lam_A.algebra != f.source or lam_B.algebra != f.target:
+        raise ExactKernelError("forms do not match the map endpoints")
+    if not f.is_algebra_map:
+        raise ExactKernelError("gysin needs a (local) algebra map")
+
+
 def gysin(f: AlgebraMap, lam_A: FrobeniusForm, lam_B: FrobeniusForm) -> AlgebraMap:
     """The wrong-way map alpha: B -> A adjoint to the local algebra map
     f: A -> B, characterized by <alpha(b)|a>_A = <b|f(a)>_B.
@@ -173,10 +182,7 @@ def gysin(f: AlgebraMap, lam_A: FrobeniusForm, lam_B: FrobeniusForm) -> AlgebraM
     onto soc A.
     """
     A, B = f.source, f.target
-    if lam_A.algebra != A or lam_B.algebra != B:
-        raise ExactKernelError("forms do not match the map endpoints")
-    if not f.is_algebra_map:
-        raise ExactKernelError("gysin needs a (local) algebra map")
+    check_gysin_input(f, lam_A, lam_B)
     mat = (lam_A.dual @ f.matrix.T @ lam_B.pairing.a) % A.p
     alpha = AlgebraMap(B, A, mat, module_over=f)
     if not alpha.check_module_map(f):

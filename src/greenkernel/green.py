@@ -10,6 +10,9 @@ p-subgroup P are computed inside A(P) by the stable elements formula, with
 the colimit formula and the invariant-subalgebra computation as
 independent cross-checks.  The colimit side is computed only when read
 (by `green stable` and the tests), so a value never pays for it.
+Restriction depends only on the abstract hom and a transfer only on its
+map and forms, so each is built once per distinct input and shared, with
+a read-only matrix.
 
 Orientation conventions: a group homomorphism alpha: G -> H induces
 restrict(alpha): A(H) -> A(G); conjugation c_g: A(H) -> A(gHg^{-1}) is
@@ -36,7 +39,7 @@ from .exactkernel import (
 )
 from .borel import AlgebraMap, BorelAlgebra, El, Subalgebra
 from .fgl import HondaParams, m_series
-from .frobform import FrobeniusForm, canonical_form, gysin
+from .frobform import FrobeniusForm, canonical_form, check_gysin_input, gysin
 from .grp import (
     AbelianHom,
     AbelianPGroup,
@@ -215,6 +218,10 @@ def _formal_add(A: BorelAlgebra, level: HondaLevel, a, b) -> np.ndarray:
     return out % A.p
 
 
+_restrict_cache: dict = {}
+_restrict_lock = threading.Lock()
+
+
 def restrict(alpha: AbelianHom, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGET) -> AlgebraMap:
     """The algebra map A(alpha.target) -> A(alpha.source).
 
@@ -222,28 +229,61 @@ def restrict(alpha: AbelianHom, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGE
     target value goes to the formal sum c_1 +_F (c_2 +_F ...) of its
     component images, one per cyclic factor of the source, folded from 0,
     the unit of +_F (so a trivial source sends every generator to 0).
+
+    The map depends only on the abstract hom, so it is built once per
+    (source type, target type, matrix, p, n) and shared, with a read-only
+    matrix.  Both values are read first: a hit checks the budget as a cold
+    call does.
     """
-    src, tgt = alpha.source, alpha.target
-    v_src = value_for_decomposition(src, p, n, budget)
-    v_tgt = value_for_decomposition(tgt, p, n, budget)
+    v_src = value_abelian(alpha.source.exponents, p, n, budget)
+    v_tgt = value_abelian(alpha.target.exponents, p, n, budget)
+    matrix = tuple(tuple(int(m) for m in row) for row in alpha.matrix)
+    key = (v_src.abelian_type, v_tgt.abelian_type, matrix, p, n)
+    with _restrict_lock:
+        out = _restrict_cache.get(key)
+        if out is None:
+            out = _restrict_cache[key] = _restrict(matrix, v_src, v_tgt)
+    return out
+
+
+def _restrict(matrix, v_src: GreenValue, v_tgt: GreenValue) -> AlgebraMap:
+    """restrict computed cold, along the hom with the given matrix."""
     A_src: BorelAlgebra = v_src.algebra
     images = []
-    for j, (s_j, level_j) in enumerate(zip(tgt.exponents, v_tgt.levels)):
+    for j, (s_j, level_j) in enumerate(zip(v_tgt.abelian_type, v_tgt.levels)):
         acc = np.zeros(A_src.dim, dtype=np.int64)
-        for i in reversed(range(src.rank)):
-            c = _component_image(A_src, i, v_src.levels[i], s_j, alpha.matrix[j][i])
+        for i in reversed(range(len(v_src.levels))):
+            c = _component_image(A_src, i, v_src.levels[i], s_j, matrix[j][i])
             acc = _formal_add(A_src, level_j, c, acc)
         images.append(acc)
-    return AlgebraMap.from_generator_images(v_tgt.algebra, A_src, images)
+    out = AlgebraMap.from_generator_images(v_tgt.algebra, A_src, images)
+    out.matrix.flags.writeable = False
+    return out
+
+
+_transfer_cache: dict = {}
+_transfer_lock = threading.Lock()
 
 
 def transfer(f: AlgebraMap, form_source: FrobeniusForm | None = None,
              form_target: FrobeniusForm | None = None) -> AlgebraMap:
     """The Gysin transfer along the (restriction) algebra map f: A -> B,
-    i.e. the module map B -> A adjoint for the canonical forms."""
+    i.e. the module map B -> A adjoint for the canonical forms.
+
+    Built once per (A, B, matrix of f, both form covectors) and shared, with
+    a read-only matrix.  What gysin refuses is refused before the lookup,
+    and only maps that passed gysin's checks are kept."""
     lam_A = form_source or canonical_form(f.source)
     lam_B = form_target or canonical_form(f.target)
-    return gysin(f, lam_A, lam_B)
+    check_gysin_input(f, lam_A, lam_B)
+    key = (f.source, f.target, f.matrix.tobytes(), lam_A.vec.tobytes(), lam_B.vec.tobytes())
+    with _transfer_lock:
+        out = _transfer_cache.get(key)
+        if out is None:
+            out = gysin(f, lam_A, lam_B)
+            out.matrix.flags.writeable = False
+            _transfer_cache[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

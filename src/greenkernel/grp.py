@@ -142,7 +142,6 @@ class PermGroup:
         self.elements = sorted(eset)
         self.order = len(self.elements)
         self._conjugates: dict = {}
-        self._double_cosets: dict = {}
 
     # -- basic structure -----------------------------------------------------
 
@@ -367,24 +366,20 @@ def double_cosets(G: PermGroup, L: PermGroup, K: PermGroup) -> list[Perm]:
     the lexicographically smallest element of its double coset.
 
     The covered set is a union of left cosets xK, so lgK is formed only
-    when lg is not yet covered.  Memoized on G per (L, K) element sets."""
+    when lg is not yet covered."""
     if not L.is_subgroup_of(G) or not K.is_subgroup_of(G):
         raise ExactKernelError("double cosets need subgroups of G")
-    key = (L._eset, K._eset)
-    reps = G._double_cosets.get(key)
-    if reps is None:
-        covered: set = set()
-        reps = []
-        for g in G.elements:  # sorted: the first uncovered element is the least
-            if g in covered:
-                continue
-            reps.append(g)
-            for l in L.elements:
-                lg = perm_mul(l, g)
-                if lg not in covered:
-                    covered.update(perm_mul(lg, k) for k in K.elements)
-        G._double_cosets[key] = reps
-    return list(reps)
+    covered: set = set()
+    reps = []
+    for g in G.elements:  # sorted: the first uncovered element is the least
+        if g in covered:
+            continue
+        reps.append(g)
+        for l in L.elements:
+            lg = perm_mul(l, g)
+            if lg not in covered:
+                covered.update(perm_mul(lg, k) for k in K.elements)
+    return reps
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ from greenkernel.audit import (
     compare_maps,
     default_subgroup_family,
     frobenius_axiom,
+    _mackey_sum,
 )
 from greenkernel.borel import AlgebraMap, make_algebra
+from greenkernel.exactkernel import ExactKernelError
 from greenkernel.green import SubgroupGreenFunctor
 from greenkernel.grp import named_group
 
@@ -64,6 +66,28 @@ def test_mackey_c4_chain():
     assert mf2_ind and all(r.status == EXACT for r in mf2_ind)
     mf1 = [r for r in rep.checks if r.name.startswith("MF1")]
     assert mf1 and all(r.status == EXACT for r in mf1)
+
+
+def test_mf5_term_that_does_not_compose_is_a_fail_row(monkeypatch):
+    # every conjugation returned with the wrong endpoints: each MF5 chain
+    # ind o c_g o res breaks, and each MF5 row must fail with a witness
+    C4 = named_group("C4")
+    wrong = AlgebraMap.identity(make_algebra(2, (8,)))
+    monkeypatch.setattr(SubgroupGreenFunctor, "conj", lambda self, g, H: wrong)
+    mf5 = [r for r in audit_mackey(C4, 2, 1, group_name="C4").checks if r.name == "MF5"]
+    assert mf5 and all(r.status == FAIL and "do not compose" in r.witness for r in mf5)
+
+
+def test_mf5_sum_refuses_terms_with_other_endpoints():
+    # two chains that compose, over different algebras of the same dimension:
+    # their matrices would add, but the sum is refused
+    A, B = make_algebra(2, (4,)), make_algebra(2, (2, 2))
+    ida, idb = AlgebraMap.identity(A), AlgebraMap.identity(B)
+    assert np.array_equal(_mackey_sum([(ida, ida, ida)]).matrix, np.eye(4))
+    with pytest.raises(ExactKernelError, match="term 1: endpoints differ"):
+        _mackey_sum([(ida, ida, ida), (idb, idb, idb)])
+    with pytest.raises(ExactKernelError, match="term 0: maps do not compose"):
+        _mackey_sum([(ida, idb, ida)])
 
 
 def test_mackey_c3():

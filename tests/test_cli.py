@@ -238,13 +238,27 @@ def test_audit_assumptions_warm_equals_cold(capsys, monkeypatch):
     import greenkernel.hopftower as hopftower
 
     for mod, name in ((fgl, "_fgl_cache"), (hopftower, "_level_cache"),
-                      (green, "_value_cache"), (green, "_general_cache")):
+                      (green, "_value_cache"), (green, "_general_cache"),
+                      (green, "_restrict_cache"), (green, "_transfer_cache")):
         monkeypatch.setattr(mod, name, {})
     argv = ["audit", "assumptions", "--p", "2", "--n", "2", "--format", "json", "--no-timing"]
     _, cold, _ = run(capsys, *argv)
     run(capsys, "audit", "mackey", "--group", "A4", "--p", "2", "--n", "2", "--no-timing")
     _, warm, _ = run(capsys, *argv)
     assert warm == cold
+
+
+@pytest.mark.parametrize("group,p,exit_code,digest", [
+    ("S4", "3", EXIT_AUDIT, "b9a8eb77f27f5ba0808e4066c166144774cc1d2dcfe94dfbe16a07d8b7e94bec"),
+    ("A4", "2", EXIT_OK, "d7cf844c640019c7341e1be752eccf328651b48705e4a5c8419c616a076ac6a9"),
+])
+def test_audit_mackey_output_pinned(capsys, group, p, exit_code, digest):
+    # digests recorded while every restriction and transfer was built per
+    # subgroup pair and each MF5 sum was added term by term
+    code, out, _ = run(capsys, "audit", "mackey", "--group", group, "--p", p, "--n", "2",
+                       "--format", "json", "--no-timing")
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_out_file(tmp_path, capsys):

@@ -522,6 +522,20 @@ def test_tower_check_reads_no_law_of_the_top_level(monkeypatch, capsys):
     assert len(computed) == len(set(computed))
 
 
+@pytest.mark.parametrize("argv,law", [
+    (("--p", "2", "--r", "1", "--s", "2"), (2, 1, 8)),
+    (("--p", "3", "--r", "1", "--s", "1"), (3, 1, 9)),
+])
+def test_tower_check_runs_one_sandwich(monkeypatch, capsys, argv, law):
+    # the largest level read (r+s) computes its F first; every smaller
+    # level's F is a slice of it
+    computed = _count_sandwiches(monkeypatch)
+    monkeypatch.setattr(hopftower, "_level_cache", {})
+    assert dispatch(["tower", "check", *argv, "--format", "json"]) == EXIT_OK
+    capsys.readouterr()
+    assert computed == [law]
+
+
 def test_law_computed_once_across_threads(monkeypatch):
     computed = _count_sandwiches(monkeypatch)
     f = honda_fgl(HondaParams(2, 1, 64))

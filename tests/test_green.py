@@ -10,7 +10,7 @@ import pytest
 from greenkernel import green, hopftower
 from greenkernel.audit import DEFAULT_BATTERY
 from greenkernel.exactkernel import BudgetError, ExactKernelError, ScopeError
-from greenkernel.borel import El, Subalgebra
+from greenkernel.borel import AlgebraMap, El, Subalgebra
 from greenkernel.fgl import HondaParams, honda_fgl, m_series
 from greenkernel.green import (
     SubgroupGreenFunctor,
@@ -152,6 +152,10 @@ def dec(name):
     return abelian_decompose(named_group(name))
 
 
+def dec_p(name, p):
+    return abelian_decompose(named_group(name), p)
+
+
 def test_restrict_canonical_quotient():
     # C_{p^2} ->> C_p pulls the generator back to x^q
     d9, d3 = dec("C9"), dec("C3")
@@ -237,6 +241,7 @@ def test_restrict_builds_no_tower_coproduct(monkeypatch):
     # cold caches, so no other test's coproduct is seen
     monkeypatch.setattr(hopftower, "_level_cache", {})
     monkeypatch.setattr(green, "_value_cache", {})
+    monkeypatch.setattr(green, "_restrict_cache", {})
     src, tgt = dec("C2xC64"), dec("C128")
     r = restrict(hom_between(src, tgt, [_perm_pow(tgt.basis[0], 6), _perm_pow(tgt.basis[0], 64)]),
                  2, 1)
@@ -244,6 +249,113 @@ def test_restrict_builds_no_tower_coproduct(monkeypatch):
     levels = value_abelian((7,), 2, 1).levels + value_abelian((6, 1), 2, 1).levels
     assert [lv.r for lv in levels] == [7, 6, 1]
     assert all("hopf" not in vars(lv) for lv in levels)
+
+
+# -- memos: restrict once per abstract hom, transfer once per input ------------
+
+
+def _two_c4_in_s4():
+    """The automorphism x -> x^3 of two different cyclic subgroups of order
+    4 in S4: the same abstract hom on different concrete groups."""
+    S4 = named_group("S4")
+    homs = []
+    for cyc in ("(1 2 3 4)", "(1 2 4 3)"):
+        d = abelian_decompose(S4.subgroup([parse_cycles(cyc, 4)]), 2)
+        homs.append(hom_between(d, d, [_perm_pow(d.basis[0], 3)]))
+    return homs
+
+
+def test_restrict_shared_per_abstract_hom(monkeypatch):
+    monkeypatch.setattr(green, "_restrict_cache", {})
+    a, b = _two_c4_in_s4()
+    assert a.source.group != b.source.group and a.matrix == b.matrix
+    r = restrict(a, 2, 1)
+    assert restrict(b, 2, 1) is r
+    assert restrict(a, 2, 2) is not r and restrict(a, 2, 2).matrix.shape == (16, 16)
+
+
+def test_shared_maps_refuse_writes(monkeypatch):
+    monkeypatch.setattr(green, "_restrict_cache", {})
+    monkeypatch.setattr(green, "_transfer_cache", {})
+    r = restrict(_two_c4_in_s4()[0], 2, 1)
+    t = transfer(r)
+    for shared in (r, t):
+        with pytest.raises(ValueError):
+            shared.matrix[0, 0] = 1
+    # a composite is a fresh map, which the caller may change
+    c = t.compose(r)
+    c.matrix[0, 0] = 1
+
+
+def test_restrict_memo_rechecks_budget(monkeypatch):
+    monkeypatch.setattr(green, "_restrict_cache", {})
+    alpha = hom_between(dec("C9"), dec("C9"), [_perm_pow(dec("C9").basis[0], 2)])
+    with pytest.raises(BudgetError) as cold:
+        restrict(alpha, 3, 1, budget=8)
+    restrict(alpha, 3, 1)
+    with pytest.raises(BudgetError) as warm:
+        restrict(alpha, 3, 1, budget=8)
+    assert str(warm.value) == str(cold.value)
+    assert warm.value.required == cold.value.required
+
+
+def test_memos_build_once_across_threads(monkeypatch):
+    monkeypatch.setattr(green, "_restrict_cache", {})
+    monkeypatch.setattr(green, "_transfer_cache", {})
+    builds = []
+    for name in ("_restrict", "gysin"):
+        real = getattr(green, name)
+        monkeypatch.setattr(green, name,
+                            lambda *a, real=real, name=name: builds.append(name) or real(*a))
+    alpha = _two_c4_in_s4()[0]
+    results = []
+    barrier = threading.Barrier(4)  # more threads than cores
+
+    def build():
+        barrier.wait()
+        r = restrict(alpha, 2, 2)
+        results.append((r, transfer(r)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4
+    assert all(x is y for r in results for x, y in zip(r, results[0]))
+    assert sorted(builds) == ["_restrict", "gysin"]
+
+
+def test_transfer_memo_refuses_what_gysin_refuses(monkeypatch):
+    monkeypatch.setattr(green, "_transfer_cache", {})
+    r = restrict(_two_c4_in_s4()[0], 2, 1)
+    transfer(r)
+    linear = AlgebraMap(r.source, r.target, r.matrix)  # equal matrix, no algebra-map flag
+    with pytest.raises(ExactKernelError, match="algebra map"):
+        transfer(linear)
+    other = value_abelian((1,), 2, 1).form
+    with pytest.raises(ExactKernelError, match="endpoints"):
+        transfer(r, form_source=other)
+    with pytest.raises(ExactKernelError, match="endpoints"):
+        transfer(r, form_target=other)
+    assert len(green._transfer_cache) == 1
+
+
+def test_restrict_oracle_sweep_cold_and_warm(monkeypatch):
+    monkeypatch.setattr(green, "_restrict_cache", {})
+    cases = [(alpha, p, n) for p, names in _SWEEP.items() for a in names for b in names
+             for n in (1, 2) for alpha in _sample_homs(dec_p(a, p), dec_p(b, p))]
+    want = [restrict_by_coproduct(alpha, p, n).matrix for alpha, p, n in cases]
+    cold = [restrict(alpha, p, n) for alpha, p, n in cases]
+    warm = [restrict(alpha, p, n) for alpha, p, n in cases]
+    assert all(np.array_equal(c.matrix, w) for c, w in zip(cold, want))
+    assert all(w is c for w, c in zip(warm, cold))
 
 
 def test_restrict_mono_epi_theorem():
