@@ -68,10 +68,9 @@ class FpMatrix:
 
     def __init__(self, entries, p: int):
         _check_prime(p)
-        a = np.array(entries, dtype=np.int64)
-        if a.ndim != 2:
+        self.a = np.asarray(entries, dtype=np.int64) % p  # one pass, never the caller's array
+        if self.a.ndim != 2:
             raise ExactKernelError("matrix entries must be 2-dimensional")
-        self.a = a % p
         self.p = p
 
     @classmethod
@@ -134,7 +133,8 @@ class FpMatrix:
         """Reduced row echelon form.
 
         Pivots walk columns left to right, choosing the smallest row index
-        with a nonzero entry; returns (matrix, pivot column list).
+        with a nonzero entry; returns (matrix, pivot column list).  Each
+        pivot is one update of columns c onward (the pivot row is 0 left of c).
         """
         p = self.p
         _check_envelope((p - 1) ** 2, "(p-1)^2")
@@ -145,19 +145,20 @@ class FpMatrix:
         for c in range(nc):
             if r >= nr:
                 break
-            nz = np.flatnonzero(m[r:, c])
+            nz = m[r:, c].nonzero()[0]
             if not len(nz):
                 continue
             sel = r + int(nz[0])
             if sel != r:
-                m[[r, sel]] = m[[sel, r]]
-            inv = pow(int(m[r, c]), -1, p)
-            m[r] = (m[r] * inv) % p
-            # the pivot row is fixed while its column is cleared, so one
-            # update over all other nonzero rows equals the row-by-row loop
-            rows = np.flatnonzero(m[:, c])
-            rows = rows[rows != r]
-            m[rows] = (m[rows] - np.outer(m[rows, c], m[r])) % p
+                m[[r, sel], c:] = m[[sel, r], c:]
+            if m[r, c] != 1:
+                m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+            rows = m[:, c].nonzero()[0]
+            if len(rows) > 1:
+                # clear column c in every nonzero row at once, then restore the pivot row
+                row = m[r, c:].copy()
+                m[rows, c:] = (m[rows, c:] - m[rows, c, None] * row) % p
+                m[r, c:] = row
             pivots.append(c)
             r += 1
         return FpMatrix(m, p), pivots
@@ -166,18 +167,13 @@ class FpMatrix:
         return len(self.rref()[1])
 
     def kernel(self) -> list[np.ndarray]:
-        """Basis of the right nullspace, one vector per free column."""
+        """Right nullspace basis: per free column f, 1 at f and -R[i, f] at pivot c_i."""
         R, pivots = self.rref()
-        nc = self.cols
-        free = [c for c in range(nc) if c not in pivots]
-        basis = []
-        for f in free:
-            v = np.zeros(nc, dtype=np.int64)
-            v[f] = 1
-            for i, c in enumerate(pivots):
-                v[c] = (-R.a[i, f]) % self.p
-            basis.append(v)
-        return basis
+        free = np.delete(np.arange(self.cols), pivots)
+        K = np.zeros((len(free), self.cols), dtype=np.int64)
+        K[np.arange(len(free)), free] = 1
+        K[:, pivots] = -R.a[:len(pivots), free].T % self.p
+        return list(K)
 
     def solve(self, b) -> np.ndarray | None:
         """One solution of Ax = b, or None if inconsistent (deterministic:
@@ -188,8 +184,7 @@ class FpMatrix:
         if self.cols in pivots:
             return None
         x = np.zeros(self.cols, dtype=np.int64)
-        for i, c in enumerate(pivots):
-            x[c] = R.a[i, -1]
+        x[pivots] = R.a[:len(pivots), -1]
         return x
 
     def inv(self) -> "FpMatrix":
@@ -218,7 +213,7 @@ def mat_kernel(M: FpMatrix) -> list[np.ndarray]:
 
 def row_space_basis(vectors: Iterable, d: int, p: int) -> list[np.ndarray]:
     """Canonical (RREF) basis of the span of the given vectors in GF(p)^d."""
-    vecs = [np.asarray(v, dtype=np.int64) % p for v in vectors]
+    vecs = [np.asarray(v, dtype=np.int64) for v in vectors]  # FpMatrix reduces mod p
     for v in vecs:
         if v.shape != (d,):
             raise ExactKernelError("vector of length %d in ambient dimension %d" % (len(v), d))
@@ -229,19 +224,18 @@ def row_space_basis(vectors: Iterable, d: int, p: int) -> list[np.ndarray]:
 
 
 def subspace_contains(basis: Sequence, v, p: int) -> bool:
-    """Membership test with one row reduction: reduce the basis, clear v at
-    the pivots (an RREF row is 0 at every other pivot, so the order does not
-    matter) and test for zero."""
+    """Membership test with one row reduction: reduce the basis and clear v
+    at every pivot at once, v - v[pivots] R, as RREF rows are the identity
+    at their pivots (each term reduced before the sum: the rref envelope)."""
     v = np.asarray(v, dtype=np.int64) % p
     if not len(basis):
         return not v.any()
     R, pivots = FpMatrix(np.array(list(basis)), p).rref()
     if v.shape != (R.cols,):
         raise ExactKernelError("vector of shape %r in ambient dimension %d" % (v.shape, R.cols))
-    for row, c in zip(R.a, pivots):
-        if v[c]:
-            v = (v - v[c] * row) % p
-    return not v.any()
+    terms = v[pivots, None] * R.a[:len(pivots)] % p
+    return not ((v - terms.sum(axis=0)) % p).any()
+
 
 def subspace_eq(b1: Sequence, b2: Sequence, d: int, p: int) -> bool:
     r1 = row_space_basis(b1, d, p)

@@ -327,7 +327,8 @@ def stable_elements(G: PermGroup, p: int, n: int,
         cosets.append((res_H, res_K, partial(restrict, _conjugation_hom(dec_K, dec_H, gi),
                                              p, n, budget)))
     lim_basis = row_space_basis(mat_kernel(FpMatrix(np.vstack(diffs), p)), A_P.dim, p)
-    if not subspace_contains(lim_basis, A_P.one_vec(), p):
+    lim, one = np.array(lim_basis, dtype=np.int64).reshape(-1, A_P.dim), A_P.one_vec()
+    if not np.array_equal(one[(lim != 0).argmax(axis=1)] @ lim % p, one):  # RREF: pivot test
         raise ExactKernelError("internal consistency: 1 is not stable")
     return StableResult(
         sylow=dec_P,

@@ -15,6 +15,7 @@ with ``#`` comments; the degree is inferred.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .exactkernel import BudgetError, ExactKernelError
 
@@ -23,7 +24,7 @@ DEFAULT_GROUP_BUDGET = 1000
 Perm = tuple
 
 def perm_mul(a: Perm, b: Perm) -> Perm:
-    return tuple(a[x] for x in b)
+    return itemgetter(*b)(a) if len(b) > 1 else tuple(a[x] for x in b)  # 1 index: a scalar
 
 
 def perm_inv(a: Perm) -> Perm:
@@ -366,19 +367,23 @@ def double_cosets(G: PermGroup, L: PermGroup, K: PermGroup) -> list[Perm]:
     the lexicographically smallest element of its double coset.
 
     The covered set is a union of left cosets xK, so lgK is formed only
-    when lg is not yet covered."""
+    when lg is not yet covered; right multiplication by g or k is one itemgetter."""
     if not L.is_subgroup_of(G) or not K.is_subgroup_of(G):
         raise ExactKernelError("double cosets need subgroups of G")
+    if G.degree < 2:  # the trivial group; itemgetter needs two indices
+        return list(G.elements)
+    by_k = [itemgetter(*k) for k in K.elements]
     covered: set = set()
     reps = []
     for g in G.elements:  # sorted: the first uncovered element is the least
         if g in covered:
             continue
         reps.append(g)
+        by_g = itemgetter(*g)
         for l in L.elements:
-            lg = perm_mul(l, g)
+            lg = by_g(l)
             if lg not in covered:
-                covered.update(perm_mul(lg, k) for k in K.elements)
+                covered.update(by(lg) for by in by_k)
     return reps
 
 

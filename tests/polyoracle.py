@@ -1,8 +1,8 @@
 """Test-side polynomial oracle: truncated polynomials, the Honda logarithm
 and Fraction exponential, the formal sum by powers, restriction through
 the iterated coproduct, subspace intersection and stable elements by
-per-coset kernels, and the element and embedding helpers only the tests
-read.
+per-coset kernels, permutation products and double cosets one product at
+a time, and the element and embedding helpers only the tests read.
 
 The package computes with coordinate arrays only (Kronecker-coded Borel
 vectors, the (D, D) residue array of the group law).  These slow,
@@ -345,6 +345,32 @@ def stable_basis_by_intersection(G, p: int, n: int) -> list:
         cg = green.restrict(green._conjugation_hom(dec_H, dec_K, g), p, n)
         kernels.append(mat_kernel((res_H - cg.compose(res_K)).as_fpmatrix()))
     return subspace_intersect(kernels, A_P.dim, p)
+
+
+# -- permutation products and double cosets, one product at a time ------------------
+
+
+def perm_mul_by_images(a, b) -> tuple:
+    """(a * b)(i) = a[b[i]], one image at a time."""
+    return tuple(a[x] for x in b)
+
+
+def double_cosets_by_products(G, L, K) -> list:
+    """Representatives of L\\G/K, each the least element of its double
+    coset, found by forming every l g k with perm_mul_by_images."""
+    if not L.is_subgroup_of(G) or not K.is_subgroup_of(G):
+        raise ExactKernelError("double cosets need subgroups of G")
+    covered: set = set()
+    reps = []
+    for g in G.elements:  # sorted: the first uncovered element is the least
+        if g in covered:
+            continue
+        reps.append(g)
+        for l in L.elements:
+            lg = perm_mul_by_images(l, g)
+            if lg not in covered:
+                covered.update(perm_mul_by_images(lg, k) for k in K.elements)
+    return reps
 
 
 # -- element and embedding helpers ---------------------------------------------------

@@ -96,6 +96,16 @@ def test_tower_check_output_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_green_value_a4_frontier_output_pinned(capsys):
+    # A(A4) at p = 2, n = 4: a size above the benchmark's value jobs (about
+    # 1 s); digest recorded before row reduction updated columns c onward
+    code, out, _ = run(capsys, "green", "value", "--group", "A4", "--p", "2", "--n", "4",
+                       "--format", "json", "--no-timing")
+    assert code == EXIT_OK
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "351ed40af0bcbfd8f3ee66c1297546e71e9ec79579937fcb8770ca5281ea220a")
+
+
 def test_green_value_s3(capsys):
     code, out, _ = run(capsys, "green", "value", "--group", "S3", "--p", "3",
                        "--n", "1", "--format", "json")

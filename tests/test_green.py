@@ -475,6 +475,16 @@ def test_stable_elements_a4():
     assert len(fixed) == st.lim_dim
 
 
+@pytest.mark.parametrize("kept", [[], [1], [1, 2]])
+def test_stable_elements_refuses_a_limit_without_one(monkeypatch, kept):
+    # a limit that has lost 1 (here: spanned by chosen radical monomials,
+    # or empty) is an internal fault, reported before any Subalgebra
+    monkeypatch.setattr(green, "mat_kernel",
+                        lambda M: [np.eye(M.cols, dtype=np.int64)[i] for i in kept])
+    with pytest.raises(ExactKernelError, match="internal consistency: 1 is not stable"):
+        stable_elements(named_group("S3"), 3, 2)
+
+
 def test_stable_elements_scope_error():
     with pytest.raises(ScopeError):
         stable_elements(named_group("D4"), 2, 1)  # D4 is its own nonabelian Sylow

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from greenkernel import grp
+from greenkernel.audit import default_subgroup_family
 from greenkernel.exactkernel import BudgetError, ExactKernelError
 from greenkernel.grp import (
     AbelianHom,
@@ -23,6 +24,7 @@ from greenkernel.grp import (
     sylow,
     _perm_pow,
 )
+from polyoracle import double_cosets_by_products, perm_mul_by_images
 
 
 def test_group_from_generators_examples():
@@ -145,6 +147,21 @@ def test_double_cosets_partition():
                     }
                     total += len(coset)
                 assert total == G.order
+
+
+# C1 and S1 have degree 1, where perm_mul keeps its generator path
+ORACLE_GROUPS = ("C1", "S1", "S2", "C1xC2", "C3", "C4", "C6", "V4", "C2xC4",
+                 "D4", "D5", "D6", "S3", "A4", "S4", "A5")
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_perm_mul_and_double_cosets_match_oracle(name):
+    G = named_group(name)
+    assert all(perm_mul(a, b) == perm_mul_by_images(a, b) for a in G.elements for b in G.elements)
+    family = default_subgroup_family(G)
+    for L in family:
+        for K in family:
+            assert double_cosets(G, L, K) == double_cosets_by_products(G, L, K)
 
 
 def test_double_cosets_requires_subgroups():

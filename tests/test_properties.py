@@ -4,10 +4,12 @@ Borel products (mul_vec, mult_matrix, pairing_matrix, sum_of_products) are
 compared with the truncated-polynomial product of polyoracle, and FpMatrix
 row reduction with Gaussian elimination over Python ints, at small primes,
 at primes near 2^31 and at p = 3037000493, the largest prime with
-(p-1)^2 < 2^63.  The int64 envelopes are probed on both sides of 2^63.
-The one-reduction subspace membership test is compared with the two-rank
-one.  Subalgebras drawn as closures of random elements check their memoized
-socle and radical, their product path and their canonical form.  Gysin
+(p-1)^2 < 2^63, on small, tall and wide matrices, full-rank,
+rank-deficient and zero; kernels are also checked against M v = 0.  The
+int64 envelopes are probed on both sides of 2^63.  The one-reduction
+subspace membership test is compared with the two-rank one.  Subalgebras
+drawn as closures of random elements check their memoized socle and
+radical, their product path and their canonical form.  Gysin
 adjointness and restrict functoriality are checked on homomorphisms between
 small abelian p-groups.  Every run draws the same examples and
 writes nothing into the working tree.
@@ -36,6 +38,9 @@ from polyoracle import TruncPoly
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "greenkernel-hypothesis")
 
 PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+# enough draws that small, tall and wide shapes each come full-rank and
+# rank-deficient, at small and large primes
+MATRIX_PROPS = settings(PROPS, max_examples=100)
 
 SMALL_PRIMES = (2, 3, 5, 7)
 # two primes just below 2^31, and the largest prime with (p-1)^2 < 2^63
@@ -122,14 +127,27 @@ def _py_rref(rows, p: int):
     return m, pivots
 
 
-def matrices(p: int, max_rows: int = 6, max_cols: int = 6):
-    # zeros are drawn often, so rank drops and empty pivot columns occur
+@st.composite
+def matrices(draw, p: int):
+    """Small (up to 6x6), tall (up to 40x12) or wide (up to 12x40) matrices
+    as lists of rows.  Zeros are drawn often, so empty pivot columns occur;
+    some matrices are all zero, and some are a product of an (r x k) and a
+    (k x c) matrix with k below min(r, c), so rank-deficient."""
+    max_rows, max_cols = draw(st.sampled_from([(6, 6), (40, 12), (12, 40)]))
+    nr, nc = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
     entry = st.one_of(st.just(0), st.integers(0, p - 1))
-    return st.integers(1, max_rows).flatmap(lambda r: st.integers(1, max_cols).flatmap(
-        lambda c: st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)))
+    kind = draw(st.sampled_from(["dense", "zero", "low rank"]))
+    if kind == "zero":
+        return [[0] * nc for _ in range(nr)]
+    if kind == "dense" or min(nr, nc) == 1:
+        return draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    k = draw(st.integers(1, min(nr, nc) - 1))
+    left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=nr, max_size=nr))
+    right = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=k, max_size=k))
+    return [[_mod_dot(row, col, p) for col in zip(*right)] for row in left]
 
 
-@PROPS
+@MATRIX_PROPS
 @given(st.data())
 def test_fpmatrix_matches_python_elimination(data):
     p = data.draw(st.sampled_from(SMALL_PRIMES + LARGE_PRIMES))
@@ -148,6 +166,9 @@ def test_fpmatrix_matches_python_elimination(data):
             v[c] = -want[i][f] % p
         kernel.append(v)
     assert [k.tolist() for k in M.kernel()] == kernel
+    # and directly: M v = 0 for each, nc - rank of them
+    assert len(kernel) == nc - len(want_pivots)
+    assert all(_mod_dot(r, v, p) == 0 for v in kernel for r in rows)
     # solve: free variables 0, None when b is outside the column space
     b = data.draw(st.lists(st.integers(0, p - 1), min_size=nr, max_size=nr))
     aug, aug_pivots = _py_rref([r + [x] for r, x in zip(rows, b)], p)
@@ -172,7 +193,7 @@ def _rank_contains(basis, v, p: int) -> bool:
     return FpMatrix(np.vstack([M.a, v]), p).rank() == M.rank()
 
 
-@PROPS
+@MATRIX_PROPS
 @given(st.data())
 def test_subspace_contains_matches_rank_oracle(data):
     p = data.draw(st.sampled_from(SMALL_PRIMES + LARGE_PRIMES))
@@ -285,6 +306,15 @@ def test_envelopes_refuse_exactly_two_to_the_63():
         FpMatrix([[3037000506, 1]], 3037000507).rref()
     with pytest.raises(ScopeError):
         BorelAlgebra(3037000507, ())
+
+
+def test_subspace_contains_at_the_row_reduction_envelope():
+    # at the largest prime with (p-1)^2 < 2^63, each term v[c] R[i] fits in
+    # int64 but a sum of two does not: the terms are reduced before the sum
+    p = 3037000493
+    basis = [[1, 0, p - 1], [0, 1, p - 1]]
+    assert subspace_contains(basis, [p - 1, p - 1, 2], p)
+    assert not subspace_contains(basis, [p - 1, p - 1, 1], p)
 
 
 # -- Gysin adjointness and restrict functoriality on abelian p-groups -----------
