@@ -173,9 +173,19 @@ def _read_only(vecs) -> tuple[np.ndarray, ...]:
     return tuple(vecs)
 
 
+def _read_only_pairs(pairs) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (vector, matrix) pairs, each array frozen against writes."""
+    return tuple(_read_only(pair) for pair in pairs)
+
+
 class _LocalAlgebraOps:
     """Shared derived operations; concrete classes provide p, dim, one_vec,
-    aug_vec, mul_vec, mult_matrix, pairing_matrix and radical_span_vecs."""
+    aug_vec, mul_vec, mult_matrix, pairing_matrix, radical_span_vecs (the
+    RREF basis of the maximal ideal m) and ideal_generators: pairs (g, M(g))
+    of lifts g of a basis of m/m^2 and their multiplication matrices.  By
+    Nakayama's lemma the g generate m as an ideal and the algebra as an
+    algebra, so identities that are linear in one factor and multiplicative
+    are decided on them."""
 
     def one(self) -> El:
         return El(self, self.one_vec())
@@ -194,28 +204,29 @@ class _LocalAlgebraOps:
 
     @cached_property
     def _socle(self) -> tuple[np.ndarray, ...]:
-        rad = self.radical_span_vecs()
-        if not rad:
-            return _read_only([self.one_vec()])
-        stacked = np.vstack([self.mult_matrix(v).a for v in rad])
+        gens = self.ideal_generators
+        if not gens:
+            return (self.one_vec(),)
+        stacked = np.vstack([M for _, M in gens])
         return _read_only(mat_kernel(FpMatrix(stacked, self.p)))
 
     def socle_vecs(self) -> list[np.ndarray]:
         """Basis of the annihilator of the maximal ideal, via the kernel of
-        stacked multiplication matrices of a radical spanning set.  Computed
-        once per algebra; the vectors are read-only."""
+        the stacked multiplication matrices of the ideal generators (z m = 0
+        iff z g = 0 for each g).  Computed once per algebra; the vectors are
+        read-only."""
         return list(self._socle)
 
     def socle_basis(self) -> list[El]:
         return [El(self, v) for v in self.socle_vecs()]
 
     def nilpotency_exponent(self) -> int:
-        """Least e with m^e = 0, computed by repeated span products."""
+        """Least e with m^e = 0: m^{e+1} = m^e m is spanned by the products
+        of a basis of m^e with the ideal generators (m^e is an ideal)."""
         span = self.radical_span_vecs()
-        by_gen = [self.mult_matrix(g).a for g in span]
         e = 1
         while span:
-            nxt = np.vstack([np.array(span) @ M.T for M in by_gen])
+            nxt = np.vstack([np.array(span) @ M.T for _, M in self.ideal_generators])
             span = row_space_basis(nxt, self.dim, self.p)
             e += 1
             if e > self.dim + 1:
@@ -268,6 +279,9 @@ class BorelAlgebra(_LocalAlgebraOps):
         self.enc = np.array(exps, dtype=np.int64).reshape(dim, -1) @ weights[:-1]
         self._ncodes = int(weights[-1])
         self._slot = next(np.dtype("<u%d" % b) for b in (1, 2, 4, 8) if bound < 256 ** b)
+        one = np.zeros(dim, dtype=np.int64)
+        one[0] = 1
+        self._one = _read_only([one])[0]
 
     def __eq__(self, other):
         return other is self or (
@@ -289,9 +303,8 @@ class BorelAlgebra(_LocalAlgebraOps):
     # -- primitive operations -----------------------------------------------
 
     def one_vec(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.int64)
-        v[0] = 1
-        return v
+        """The unit; one read-only array per algebra."""
+        return self._one
 
     def aug_vec(self, vec) -> int:
         return int(vec[0])
@@ -350,14 +363,21 @@ class BorelAlgebra(_LocalAlgebraOps):
         np.add.at(acc, self.enc[:, None] + self.enc[None, :], np.asarray(C, dtype=np.int64) % self.p)
         return acc[self.enc] % self.p
 
+    @cached_property
+    def _radical(self) -> tuple[np.ndarray, ...]:
+        return _read_only(list(np.eye(self.dim, dtype=np.int64)[1:]))
+
     def radical_span_vecs(self) -> list[np.ndarray]:
-        out = []
-        for i in range(self.nvars):
-            e = tuple(1 if j == i else 0 for j in range(self.nvars))
-            v = np.zeros(self.dim, dtype=np.int64)
-            v[self.index[e]] = 1
-            out.append(v)
-        return out
+        """RREF basis of the maximal ideal, the non-constant monomials;
+        computed once, read-only."""
+        return list(self._radical)
+
+    @cached_property
+    def ideal_generators(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The variables x_i, in order, with their multiplication matrices;
+        computed once, read-only."""
+        gens = (self.gen(i).vec for i in range(self.nvars))
+        return _read_only_pairs((g, self.mult_matrix(g).a) for g in gens)
 
     # -- convenience ---------------------------------------------------------
 
@@ -411,14 +431,11 @@ def _pair_products(A, rows) -> np.ndarray:
     return np.vstack([(R[i:] @ A.mult_matrix(r).a.T) % A.p for i, r in enumerate(R)])
 
 
-def _intertwines(X, S, T, pairs) -> bool:
-    """X . M_S(s) = M_T(t) . X for every (s, t) in pairs: the linear map X
-    from S to T turns multiplication by s into multiplication by t."""
-    p = T.p
-    return all(
-        np.array_equal((X @ S.mult_matrix(s).a) % p, (T.mult_matrix(t).a @ X) % p)
-        for s, t in pairs
-    )
+def _intertwines(X, pairs, p: int) -> bool:
+    """X . M_s = M_t . X for every pair (M_s, M_t) of multiplication
+    matrices: the linear map X turns multiplication by s into
+    multiplication by t.  pairs may be lazy; the first failure stops it."""
+    return all(np.array_equal((X @ Ms) % p, (Mt @ X) % p) for Ms, Mt in pairs)
 
 
 class AlgebraMap:
@@ -536,36 +553,38 @@ class AlgebraMap:
     def check_multiplicative(self) -> bool:
         """Is this linear map A -> B a unital algebra map?
 
-        Decided on the algebra generators g of A as f . M_A(g) = M_B(f(g)) . f:
-        then f(g a) = f(g) f(a) for every a, and induction on monomials in
-        the generators gives f(ab) = f(a) f(b).  The exhaustive check over
-        basis pairs is kept in the tests as an oracle.
+        Decided on the ideal generators g of A as f . M_A(g) = M_B(f(g)) . f,
+        with M_A(g) read from A's cache: then f(g a) = f(g) f(a) for every a,
+        and induction on monomials in the generators gives f(ab) = f(a) f(b).
+        The exhaustive check over basis pairs is kept in the tests as an
+        oracle.
         """
-        src = self.source
+        X, T = self.matrix, self.target
         if not self.check_unital():
             return False
         return _intertwines(
-            self.matrix, src, self.target,
-            [(g, self.matrix @ g) for g in src.radical_span_vecs()],
+            X, ((M, T.mult_matrix(X @ g).a) for g, M in self.source.ideal_generators), T.p,
         )
 
     def check_module_map(self, f: "AlgebraMap") -> bool:
         """Is self: B -> A an A-module map along the algebra map f: A -> B,
         self(f(a) b) = a self(b)?
 
-        Decided on a = 1 and the algebra generators a = g of A as
-        X . M_B(f(a)) = M_A(a) . X for X the matrix of self; since f is
-        multiplicative, induction on monomials gives the identity for every
-        a.  The exhaustive check over basis pairs is kept in the tests as an
-        oracle.
+        Decided on a = 1 and the ideal generators a = g of A as
+        X . M_B(f(a)) = M_A(a) . X for X the matrix of self, with M_A(g) read
+        from A's cache and M_A(1) the identity; since f is multiplicative,
+        induction on monomials gives the identity for every a.  The
+        exhaustive check over basis pairs is kept in the tests as an oracle.
         """
         A, B = self.target, self.source
         if f.source != A or f.target != B:
             raise ExactKernelError("module structure map has wrong endpoints")
         if not f.is_algebra_map:
             raise ExactKernelError("module structure map must be an algebra map")
-        gens = [A.one_vec()] + A.radical_span_vecs()
-        return _intertwines(self.matrix, B, A, [(f.matrix @ a, a) for a in gens])
+        X, F, p = self.matrix, f.matrix, A.p
+        if not np.array_equal((X @ B.mult_matrix(F @ A.one_vec()).a) % p, X):
+            return False
+        return _intertwines(X, ((B.mult_matrix(F @ g).a, M) for g, M in A.ideal_generators), p)
 
     def __repr__(self):
         return "AlgebraMap(%r -> %r)" % (self.source, self.target)
@@ -594,8 +613,10 @@ class Subalgebra(_LocalAlgebraOps):
         self.basis_matrix = np.array(rows)  # (dim x ambient.dim), RREF rows
         self.pivots = [int(np.flatnonzero(r)[0]) for r in rows]
         self.dim = len(rows)
-        if not self._spans([ambient.one_vec()]):
+        one = ambient.one_vec()
+        if not self._spans([one]):
             raise ExactKernelError("subalgebra must contain 1")
+        self._one = _read_only([one[self.pivots]])[0]
         if not self._spans(_pair_products(ambient, rows)):
             raise ExactKernelError("subspace is not closed under multiplication")
 
@@ -632,7 +653,9 @@ class Subalgebra(_LocalAlgebraOps):
         return (c @ self.basis_matrix) % self.p
 
     def one_vec(self) -> np.ndarray:
-        return self.to_sub(self.ambient.one_vec())
+        """The unit's coordinates (construction checked that 1 is in the
+        span); one read-only array per algebra."""
+        return self._one
 
     def aug_vec(self, vec) -> int:
         return self.ambient.aug_vec(self.from_sub(vec))
@@ -675,6 +698,22 @@ class Subalgebra(_LocalAlgebraOps):
     def radical_span_vecs(self) -> list[np.ndarray]:
         """RREF basis of the maximal ideal; computed once, read-only."""
         return list(self._radical)
+
+    @cached_property
+    def ideal_generators(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The RREF radical rows whose pivot is no pivot of the RREF basis
+        of m^2, with their multiplication matrices; computed once, read-only.
+
+        m^2 is spanned by the products of radical rows, and the pivots of a
+        subspace in RREF are among those of the whole space, so these rows
+        and m^2 together span m: they lift a basis of m/m^2."""
+        rad = self._radical
+        if not rad:
+            return ()
+        square = row_space_basis(_pair_products(self, rad), self.dim, self.p)
+        taken = {int(np.flatnonzero(r)[0]) for r in square}
+        return _read_only_pairs(
+            (r, self.mult_matrix(r).a) for r in rad if int(np.flatnonzero(r)[0]) not in taken)
 
     def include(self) -> AlgebraMap:
         """The inclusion into the ambient algebra, as an AlgebraMap."""

@@ -199,8 +199,10 @@ def extend_socle_map(f: AlgebraMap, socle_image: El, socle_gen_B: El | None = No
     of B to the prescribed nonzero socle element of A.
 
     Existence is guaranteed by self-injectivity of A; the linear system is
-    the module-map identity on algebra generators of A plus the socle
-    condition, solved deterministically (free coordinates = 0).
+    the module-map identity on the ideal generators of A plus the socle
+    condition, solved deterministically (free coordinates = 0).  Any set
+    of generators gives the same solution set, hence the same augmented
+    RREF and the same X.
     """
     A, B = f.source, f.target
     if socle_gen_B is None:
@@ -217,9 +219,7 @@ def extend_socle_map(f: AlgebraMap, socle_image: El, socle_gen_B: El | None = No
     IA = np.eye(dA, dtype=np.int64)
     blocks = []
     rhs = []
-    gens = A.radical_span_vecs()
-    for g in gens:
-        Mg_A = A.mult_matrix(g).a
+    for g, Mg_A in A.ideal_generators:
         Mg_B = B.mult_matrix((f.matrix @ g) % p).a
         # X * M_B - M_A * X = 0 on vec(X) (row-major)
         blocks.append((np.kron(IA, Mg_B.T) - np.kron(Mg_A, IB)) % p)

@@ -2,7 +2,9 @@
 and Fraction exponential, the formal sum by powers, restriction through
 the iterated coproduct, subspace intersection and stable elements by
 per-coset kernels, permutation products and double cosets one product at
-a time, and the element and embedding helpers only the tests read.
+a time, the nilpotency exponent and socle extensions on the whole radical
+basis rather than on ideal generators, and the element and embedding
+helpers only the tests read.
 
 The package computes with coordinate arrays only (Kronecker-coded Borel
 vectors, the (D, D) residue array of the group law).  These slow,
@@ -17,8 +19,15 @@ import numpy as np
 
 from greenkernel import green
 from greenkernel.borel import AlgebraMap, El, format_terms
-from greenkernel.exactkernel import ExactKernelError, FpMatrix, mat_kernel, row_space_basis
+from greenkernel.exactkernel import (
+    ExactKernelError,
+    FpMatrix,
+    mat_kernel,
+    row_space_basis,
+    subspace_contains,
+)
 from greenkernel.fgl import Fgl, HondaParams, _check_cap, _honda_phi, m_series
+from greenkernel.frobform import socle_generator
 from greenkernel.green import value_abelian
 from greenkernel.grp import abelian_decompose, double_cosets, perm_inv, sylow
 
@@ -371,6 +380,61 @@ def double_cosets_by_products(G, L, K) -> list:
             if lg not in covered:
                 covered.update(perm_mul_by_images(lg, k) for k in K.elements)
     return reps
+
+
+# -- the whole radical basis where the package reads ideal generators -------------
+
+
+def nilpotency_exponent_by_radical(A) -> int:
+    """Least e with m^e = 0, each power spanned by the products of a basis
+    of the one before with every vector of the RREF radical basis."""
+    rad = A.radical_span_vecs()
+    mats = [A.mult_matrix(r).a for r in rad]
+    span, e = rad, 1
+    while span:
+        span = row_space_basis(np.vstack([np.array(span) @ M.T for M in mats]), A.dim, A.p)
+        e += 1
+        if e > A.dim + 1:
+            raise ExactKernelError("radical fails to be nilpotent")
+    return e
+
+
+def extend_socle_map_by_radical(f: AlgebraMap, socle_image, socle_gen_B=None) -> AlgebraMap:
+    """frobform.extend_socle_map with one Kronecker block per RREF radical
+    vector of A instead of one per ideal generator (same errors, no
+    module-map check on the result)."""
+    A, B = f.source, f.target
+    z = (socle_gen_B if socle_gen_B is not None else socle_generator(B)).vec
+    img = socle_image.vec if isinstance(socle_image, El) else np.asarray(socle_image)
+    if not img.any():
+        raise ExactKernelError("socle image must be nonzero")
+    if not subspace_contains(A.socle_vecs(), img, A.p):
+        raise ExactKernelError("image must lie in soc A")
+    p, dA, dB = A.p, A.dim, B.dim
+    IA, IB = np.eye(dA, dtype=np.int64), np.eye(dB, dtype=np.int64)
+    blocks = []
+    for g in A.radical_span_vecs():
+        Mg_A = A.mult_matrix(g).a
+        Mg_B = B.mult_matrix((f.matrix @ g) % p).a
+        blocks.append((np.kron(IA, Mg_B.T) - np.kron(Mg_A, IB)) % p)
+    blocks.append(np.kron(IA, z.reshape(1, -1)) % p)
+    rhs = np.zeros(sum(len(b) for b in blocks), dtype=np.int64)
+    rhs[-dA:] = img
+    sol = FpMatrix(np.vstack(blocks), p).solve(rhs)
+    if sol is None:
+        raise ExactKernelError(
+            "internal consistency: no module extension exists (contradicts self-injectivity)"
+        )
+    return AlgebraMap(B, A, sol.reshape(dA, dB), module_over=f)
+
+
+def extension_or_error(extend, f: AlgebraMap, socle_image):
+    """The matrix of extend(f, socle_image) as lists, or the message of the
+    ExactKernelError it raises: what two socle-extension routes must agree on."""
+    try:
+        return extend(f, socle_image).matrix.tolist()
+    except ExactKernelError as err:
+        return str(err)
 
 
 # -- element and embedding helpers ---------------------------------------------------

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from greenkernel.exactkernel import ExactKernelError, ScopeError
+from greenkernel.exactkernel import ExactKernelError, ScopeError, row_space_basis
 from greenkernel.borel import (
     AlgebraMap,
     BorelAlgebra,
@@ -21,11 +21,20 @@ from greenkernel.borel import (
 )
 from greenkernel.audit import default_subgroup_family
 from greenkernel.fgl import HondaParams
-from greenkernel.frobform import pairing_matrix
-from greenkernel.green import SubgroupGreenFunctor
+from greenkernel.frobform import canonical_form, extend_socle_map, gysin, pairing_matrix
+from greenkernel.green import SubgroupGreenFunctor, value_general
 from greenkernel.grp import named_group
 from greenkernel.hopftower import honda_level, tower_maps
-from polyoracle import TruncPoly, element_from_ambient, emb_left, emb_right, from_exp_dict
+from polyoracle import (
+    TruncPoly,
+    element_from_ambient,
+    emb_left,
+    emb_right,
+    extend_socle_map_by_radical,
+    extension_or_error,
+    from_exp_dict,
+    nilpotency_exponent_by_radical,
+)
 
 
 def test_make_algebra_dims():
@@ -613,3 +622,66 @@ def test_cached_socle_and_radical_refuse_writes():
         assert len(alg.socle_vecs()) == 1
     with pytest.raises(ValueError):
         S.radical_span_vecs()[0][0] = 1
+
+
+def test_cached_unit_and_ideal_generators_refuse_writes():
+    A = make_algebra(3, (9, 3))
+    S = subalgebra_close(A, [A.monomial((3, 0)), A.monomial((1, 1))])
+    for alg in (A, S):
+        one = alg.one_vec()
+        assert one is alg.one_vec() and alg.aug_vec(one) == 1
+        with pytest.raises(ValueError):
+            one[0] = 2
+        assert alg.ideal_generators is alg.ideal_generators
+        for g, M in alg.ideal_generators:
+            with pytest.raises(ValueError):
+                g[0] = 1
+            with pytest.raises(ValueError):
+                M[0, 0] = 1
+    # x^3 and xy generate S; x^6 = (x^3)^2 lies in m^2
+    assert len(S.ideal_generators) == 2 < len(S.radical_span_vecs())
+
+
+def test_second_module_map_check_builds_only_source_matrices(monkeypatch):
+    # the stable value of `green value --group A4 --p 2 --n 3` inside A(V4)
+    S = value_general(named_group("A4"), 2, 3).algebra
+    A_P = S.ambient
+    f = S.include()
+    alpha = gysin(f, canonical_form(S), canonical_form(A_P))  # the first check
+    rad = S.radical_span_vecs()
+    k = len(rad) - len(row_space_basis([S.mul_vec(u, v) for u in rad for v in rad], S.dim, S.p))
+    assert k < len(rad)  # dim m/m^2 < dim m
+    built = []
+    for cls in (BorelAlgebra, Subalgebra):
+        def counting(self, vec, _orig=cls.mult_matrix):
+            built.append(self)
+            return _orig(self, vec)
+        monkeypatch.setattr(cls, "mult_matrix", counting)
+    assert alpha.check_module_map(f)
+    assert not any(a is S for a in built)
+    assert 0 < len(built) <= k + 1  # one for a = 1
+    built.clear()
+    assert f.check_multiplicative()
+    assert not any(a is S for a in built) and len(built) <= k
+
+
+@pytest.mark.parametrize("p,profile,gens,k", [
+    (3, (9, 3), lambda A: [A.monomial((3, 0)), A.monomial((1, 1))], 2),
+    (2, (4, 2), lambda A: [A.gen(0), A.gen(1)], 2),
+    (2, (8, 2), lambda A: [A.gen(0) ** 2 + A.gen(1), A.gen(0) ** 3], 2),
+    (5, (5, 5), lambda A: [A.gen(0) + A.gen(1) ** 2, A.gen(1) ** 3], 2),
+    (3, (3, 3, 3), lambda A: [A.gen(0) * A.gen(1), A.gen(2), A.gen(0) ** 2], 3),
+])
+def test_generator_routes_match_radical_oracles(p, profile, gens, k):
+    # subalgebras needing several generators of unequal nilpotency, some
+    # not Gorenstein (extend_socle_map raises on both routes there)
+    A = make_algebra(p, profile)
+    S = subalgebra_close(A, gens(A))
+    assert len(S.ideal_generators) == k
+    assert S.nilpotency_exponent() == nilpotency_exponent_by_radical(S)
+    B = make_algebra(p, (p,), ("y",))
+    to_B = algebra_map(A, B, [B.gen()] + [B.zero()] * (A.nvars - 1))
+    z = S.socle_vecs()[0]
+    for f in (to_B.compose(S.include()), S.include()):
+        assert (extension_or_error(extend_socle_map, f, z)
+                == extension_or_error(extend_socle_map_by_radical, f, z))

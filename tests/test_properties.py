@@ -9,9 +9,11 @@ rank-deficient and zero; kernels are also checked against M v = 0.  The
 int64 envelopes are probed on both sides of 2^63.  The one-reduction
 subspace membership test is compared with the two-rank one.  Subalgebras
 drawn as closures of random elements check their memoized socle and
-radical, their product path and their canonical form.  Gysin
-adjointness and restrict functoriality are checked on homomorphisms between
-small abelian p-groups.  Every run draws the same examples and
+radical, their product path and their canonical form, and that their ideal
+generators lift a basis of m/m^2, generate the subalgebra and give the
+nilpotency exponent and socle extensions of the whole radical basis.
+Gysin adjointness and restrict functoriality are checked on homomorphisms
+between small abelian p-groups.  Every run draws the same examples and
 writes nothing into the working tree.
 """
 
@@ -25,12 +27,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from greenkernel.borel import BorelAlgebra, subalgebra_close
+from greenkernel.borel import AlgebraMap, BorelAlgebra, subalgebra_close
 from greenkernel.exactkernel import FpMatrix, ScopeError, mat_kernel, row_space_basis, subspace_contains
-from greenkernel.frobform import canonical_form, gysin
+from greenkernel.frobform import canonical_form, extend_socle_map, gysin
 from greenkernel.green import restrict
 from greenkernel.grp import abelian_decompose, hom_between, named_group
-from polyoracle import TruncPoly
+from polyoracle import (
+    TruncPoly,
+    extend_socle_map_by_radical,
+    extension_or_error,
+    nilpotency_exponent_by_radical,
+)
 
 # with no example database, hypothesis's pytest plugin still caches the
 # constants it reads from source files, under .hypothesis/ in the working
@@ -213,11 +220,25 @@ def test_subspace_contains_matches_rank_oracle(data):
 # -- Subalgebra: memoized invariants, product path, canonical form --------------
 
 
+def sparse_radical_vectors(A):
+    """Elements of the maximal ideal with one or two monomial terms."""
+    terms = st.tuples(st.integers(1, A.dim - 1), st.integers(1, A.p - 1))
+
+    def build(pairs):
+        v = np.zeros(A.dim, dtype=np.int64)
+        for i, c in pairs:
+            v[i] = c
+        return v
+
+    return st.lists(terms, min_size=1, max_size=2).map(build)
+
+
 @st.composite
-def subalgebras(draw):
+def subalgebras(draw, sparse=False):
     """The closure of one or two random elements of a Borel algebra of dim
     <= 32 at a small prime; one element gives a monogenic, hence Gorenstein,
-    subalgebra."""
+    subalgebra.  With sparse, one to three elements of sparse_radical_vectors,
+    whose closures often need several generators."""
     p = draw(st.sampled_from(SMALL_PRIMES))
     profile, dim = [], 1
     for _ in range(draw(st.integers(1, 2))):
@@ -227,7 +248,10 @@ def subalgebras(draw):
         profile.append(draw(st.sampled_from(caps)))
         dim *= profile[-1]
     A = BorelAlgebra(p, profile)
-    gens = [draw(vectors(A)) for _ in range(draw(st.integers(1, 2)))]
+    if sparse:
+        gens = [draw(sparse_radical_vectors(A)) for _ in range(draw(st.integers(1, 3)))]
+    else:
+        gens = [draw(vectors(A)) for _ in range(draw(st.integers(1, 2)))]
     return subalgebra_close(A, gens)
 
 
@@ -251,6 +275,31 @@ def test_subalgebra_invariants_products_and_form(data):
     if len(fresh_soc) == 1:
         lam = canonical_form(S)
         assert np.array_equal((lam.dual @ lam.pairing.a) % p, np.eye(d, dtype=np.int64))
+
+
+@settings(PROPS, max_examples=100)
+@given(st.data())
+def test_ideal_generators_lift_a_basis_of_m_mod_m2(data):
+    S = data.draw(subalgebras(sparse=data.draw(st.booleans())))
+    p, d, A = S.p, S.dim, S.ambient
+    gens = [g for g, _ in S.ideal_generators]
+    # in m, as many as dim m - dim m^2, with m^2 spanned by all radical products
+    rad = S.radical_span_vecs()
+    assert all(S.aug_vec(g) == 0 for g in gens)
+    square = row_space_basis([S.mul_vec(u, v) for u in rad for v in rad], d, p)
+    assert len(gens) == len(rad) - len(square)
+    assert all(np.array_equal(M, S.mult_matrix(g).a) for g, M in S.ideal_generators)
+    # they generate S as an algebra, and decide what the whole radical decides
+    assert subalgebra_close(A, [S.from_sub(g) for g in gens]) == S
+    assert S.nilpotency_exponent() == nilpotency_exponent_by_radical(S)
+    # a module map to k[y]/(y^p) along S -> A -> k[y]/(y^p), x_1 -> y: few
+    # columns, and dim B - 1 free directions for the deterministic solve
+    B = BorelAlgebra(p, (p,), ("y",))
+    images = [B.gen()] + [B.zero()] * (A.nvars - 1)
+    f = AlgebraMap.from_generator_images(A, B, images).compose(S.include())
+    z = S.socle_vecs()[0]
+    assert (extension_or_error(extend_socle_map, f, z)
+            == extension_or_error(extend_socle_map_by_radical, f, z))
 
 
 # (k, p, q): p is the largest prime with k (p-1)^2 < 2^63, so a product with
