@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exactkernel import ExactKernelError, subspace_contains
+from .exactkernel import BudgetError, ExactKernelError, ScopeError, _is_prime, subspace_contains
 from .borel import AlgebraMap
 from .fgl import HondaParams
 from .green import (
@@ -168,9 +168,14 @@ def _mackey_sum(terms) -> AlgebraMap:
 
 
 def _timed(report: AuditReport, name: str, anchor: str, instance: str, fn) -> None:
+    """One row: fn's status, or fail with the error as witness.  A budget or
+    scope error is no failed axiom but a request the model cannot answer, so
+    it ends the audit."""
     t0 = time.perf_counter()
     try:
         status, scalar, witness = fn()
+    except (BudgetError, ScopeError):
+        raise
     except ExactKernelError as ex:
         status, scalar, witness = FAIL, None, str(ex)
     ms = (time.perf_counter() - t0) * 1000.0
@@ -208,7 +213,7 @@ def default_subgroup_family(G: PermGroup) -> list[PermGroup]:
         put(G.subgroup([g]))
     o = G.order
     for q in range(2, o + 1):
-        if o % q == 0 and all(q % d for d in range(2, q)):
+        if o % q == 0 and _is_prime(q):
             put(sylow(G, q))
     put(G)
     fam = list(seen.values())

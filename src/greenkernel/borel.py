@@ -18,6 +18,12 @@ matching scatter-add.  The Frobenius u -> u^p is one index scatter from
 code e to code p e, so an algebra map fills the column of x^{pk} from that
 of x^k and checks each relation img^q = 0 with no product.
 
+A Subalgebra works in the coordinates of its RREF basis b_0, ..., b_{k-1}.
+It contains 1 = e_0, so b_0 = 1 and every other b_i is 0 at index 0.  Both
+kinds of algebra thus share one convention: coordinate 0 is the unit and
+the augmentation, and the maximal ideal m is spanned by the other
+coordinates.
+
 The arithmetic envelope is dim * (p-1)^2 < 2^63, the bound on any product
 coefficient before reduction; BorelAlgebra refuses anything larger.
 """
@@ -34,17 +40,10 @@ from .exactkernel import (
     FpMatrix,
     _check_envelope,
     _check_prime,
+    _is_p_power,
     mat_kernel,
     row_space_basis,
 )
-
-
-def _is_p_power(q: int, p: int) -> bool:
-    if q < p:
-        return False
-    while q % p == 0:
-        q //= p
-    return q == 1
 
 
 class El:
@@ -179,13 +178,34 @@ def _read_only_pairs(pairs) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 class _LocalAlgebraOps:
-    """Shared derived operations; concrete classes provide p, dim, one_vec,
-    aug_vec, mul_vec, mult_matrix, pairing_matrix, radical_span_vecs (the
-    RREF basis of the maximal ideal m) and ideal_generators: pairs (g, M(g))
-    of lifts g of a basis of m/m^2 and their multiplication matrices.  By
-    Nakayama's lemma the g generate m as an ideal and the algebra as an
-    algebra, so identities that are linear in one factor and multiplicative
-    are decided on them."""
+    """Shared derived operations on coordinates where index 0 is the unit and
+    the augmentation, and the maximal ideal m is every other coordinate.
+
+    Concrete classes provide p, dim, mul_vec, mult_matrix, pairing_matrix and
+    ideal_generators: pairs (g, M(g)) of lifts g of a basis of m/m^2 and
+    their multiplication matrices.  By Nakayama's lemma the g generate m as
+    an ideal and the algebra as an algebra, so identities that are linear in
+    one factor and multiplicative are decided on them."""
+
+    @cached_property
+    def _one(self) -> np.ndarray:
+        return _read_only([np.eye(1, self.dim, dtype=np.int64)[0]])[0]
+
+    def one_vec(self) -> np.ndarray:
+        """The unit e_0; one read-only array per algebra."""
+        return self._one
+
+    def aug_vec(self, vec) -> int:
+        return int(vec[0])
+
+    @cached_property
+    def _radical(self) -> tuple[np.ndarray, ...]:
+        return _read_only(list(np.eye(self.dim, dtype=np.int64)[1:]))
+
+    def radical_span_vecs(self) -> list[np.ndarray]:
+        """RREF basis of the maximal ideal, e_1, ..., e_{dim-1}; computed
+        once, read-only."""
+        return list(self._radical)
 
     def one(self) -> El:
         return El(self, self.one_vec())
@@ -252,7 +272,7 @@ class BorelAlgebra(_LocalAlgebraOps):
         _check_prime(p)
         profile = tuple(int(q) for q in profile)
         for q in profile:
-            if not _is_p_power(q, p):
+            if q < p or not _is_p_power(q, p):
                 raise ExactKernelError("profile entry %d is not a positive power of %d" % (q, p))
         self.p = p
         self.profile = profile
@@ -279,9 +299,6 @@ class BorelAlgebra(_LocalAlgebraOps):
         self.enc = np.array(exps, dtype=np.int64).reshape(dim, -1) @ weights[:-1]
         self._ncodes = int(weights[-1])
         self._slot = next(np.dtype("<u%d" % b) for b in (1, 2, 4, 8) if bound < 256 ** b)
-        one = np.zeros(dim, dtype=np.int64)
-        one[0] = 1
-        self._one = _read_only([one])[0]
 
     def __eq__(self, other):
         return other is self or (
@@ -301,13 +318,6 @@ class BorelAlgebra(_LocalAlgebraOps):
         return "BorelAlgebra(F_%d[%s]/(%s))" % (self.p, ", ".join(self.var_names), rel)
 
     # -- primitive operations -----------------------------------------------
-
-    def one_vec(self) -> np.ndarray:
-        """The unit; one read-only array per algebra."""
-        return self._one
-
-    def aug_vec(self, vec) -> int:
-        return int(vec[0])
 
     def _scatter(self, vec, dtype=np.int64) -> np.ndarray:
         """vec reduced mod p and placed at the codes; other positions hold 0."""
@@ -364,15 +374,6 @@ class BorelAlgebra(_LocalAlgebraOps):
         return acc[self.enc] % self.p
 
     @cached_property
-    def _radical(self) -> tuple[np.ndarray, ...]:
-        return _read_only(list(np.eye(self.dim, dtype=np.int64)[1:]))
-
-    def radical_span_vecs(self) -> list[np.ndarray]:
-        """RREF basis of the maximal ideal, the non-constant monomials;
-        computed once, read-only."""
-        return list(self._radical)
-
-    @cached_property
     def ideal_generators(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The variables x_i, in order, with their multiplication matrices;
         computed once, read-only."""
@@ -426,9 +427,11 @@ def tensor(A: BorelAlgebra, B: BorelAlgebra) -> TensorProduct:
 
 
 def _pair_products(A, rows) -> np.ndarray:
-    """The products rows[i] rows[j], i <= j, in A, one per output row."""
-    R = np.asarray(rows, dtype=np.int64)
-    return np.vstack([(R[i:] @ A.mult_matrix(r).a.T) % A.p for i, r in enumerate(R)])
+    """The products rows[i] rows[j], i <= j, in A, one per output row; a
+    (0, A.dim) stack when there are no rows."""
+    R = np.asarray(rows, dtype=np.int64).reshape(-1, A.dim)
+    out = [(R[i:] @ A.mult_matrix(r).a.T) % A.p for i, r in enumerate(R)]
+    return np.vstack(out) if out else np.zeros((0, A.dim), dtype=np.int64)
 
 
 def _intertwines(X, pairs, p: int) -> bool:
@@ -599,9 +602,13 @@ class Subalgebra(_LocalAlgebraOps):
     """A unital, multiplicatively closed subspace of a Borel algebra, in its
     own coordinates; the RREF basis makes coordinates a plain column pick.
 
-    Construction verifies that 1 and every product b_i b_j of basis vectors
-    lie in the span, by the same pivot-coordinate test as to_sub (exact for
-    an RREF basis, no row reduction).
+    The span contains 1 = e_0 exactly when the first RREF row b_0 is 1; the
+    other rows are then 0 at index 0, so they span the maximal ideal m.
+    Construction checks b_0 = 1 and that every product b_i b_j, 1 <= i <= j,
+    lies in the span, by the same pivot-coordinate test as to_sub (exact for
+    an RREF basis, no row reduction).  Those products span m^2; the pivots of
+    their coordinates' RREF are kept, and the ideal generators are read off
+    them with no further product.
     """
 
     def __init__(self, ambient, basis_vecs):
@@ -610,15 +617,16 @@ class Subalgebra(_LocalAlgebraOps):
         rows = row_space_basis(list(basis_vecs), ambient.dim, ambient.p)
         if not rows:
             raise ExactKernelError("empty subalgebra")
+        if not np.array_equal(rows[0], ambient.one_vec()):
+            raise ExactKernelError("subalgebra must contain 1")
         self.basis_matrix = np.array(rows)  # (dim x ambient.dim), RREF rows
         self.pivots = [int(np.flatnonzero(r)[0]) for r in rows]
         self.dim = len(rows)
-        one = ambient.one_vec()
-        if not self._spans([one]):
-            raise ExactKernelError("subalgebra must contain 1")
-        self._one = _read_only([one[self.pivots]])[0]
-        if not self._spans(_pair_products(ambient, rows)):
+        square = _pair_products(ambient, rows[1:])
+        if not self._spans(square):
             raise ExactKernelError("subspace is not closed under multiplication")
+        square = square[:, self.pivots]  # free the ambient stack first: it sets the peak memory
+        self._square_pivots = frozenset(FpMatrix(square, self.p).rref()[1])
 
     def _spans(self, vecs) -> bool:
         """Do the ambient vectors all lie in the span of the basis?"""
@@ -652,14 +660,6 @@ class Subalgebra(_LocalAlgebraOps):
         c = np.asarray(coords, dtype=np.int64) % self.p
         return (c @ self.basis_matrix) % self.p
 
-    def one_vec(self) -> np.ndarray:
-        """The unit's coordinates (construction checked that 1 is in the
-        span); one read-only array per algebra."""
-        return self._one
-
-    def aug_vec(self, vec) -> int:
-        return self.ambient.aug_vec(self.from_sub(vec))
-
     def mul_vec(self, u, v) -> np.ndarray:
         prod = self.ambient.mul_vec(self.from_sub(u), self.from_sub(v))
         return self.to_sub(prod)
@@ -683,37 +683,16 @@ class Subalgebra(_LocalAlgebraOps):
         return FpMatrix((B @ self.ambient.pairing_matrix(amb).a) % self.p @ B.T, self.p)
 
     @cached_property
-    def _radical(self) -> tuple[np.ndarray, ...]:
-        rows = []
-        for i in range(self.dim):
-            e = np.zeros(self.dim, dtype=np.int64)
-            e[i] = 1
-            if self.aug_vec(e):
-                # subtract aug * 1 to land in the radical
-                e = (e - self.aug_vec(e) * self.one_vec()) % self.p
-            if e.any():
-                rows.append(e)
-        return _read_only(row_space_basis(rows, self.dim, self.p))
-
-    def radical_span_vecs(self) -> list[np.ndarray]:
-        """RREF basis of the maximal ideal; computed once, read-only."""
-        return list(self._radical)
-
-    @cached_property
     def ideal_generators(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The RREF radical rows whose pivot is no pivot of the RREF basis
-        of m^2, with their multiplication matrices; computed once, read-only.
+        """The e_i, i >= 1, whose index is no pivot of the RREF basis of m^2,
+        with their multiplication matrices; computed once, read-only.
 
-        m^2 is spanned by the products of radical rows, and the pivots of a
-        subspace in RREF are among those of the whole space, so these rows
-        and m^2 together span m: they lift a basis of m/m^2."""
-        rad = self._radical
-        if not rad:
-            return ()
-        square = row_space_basis(_pair_products(self, rad), self.dim, self.p)
-        taken = {int(np.flatnonzero(r)[0]) for r in square}
+        The pivots of a subspace in RREF are among those of the whole space,
+        and m is e_1, ..., e_{dim-1}, so these e_i and m^2 together span m:
+        they lift a basis of m/m^2."""
         return _read_only_pairs(
-            (r, self.mult_matrix(r).a) for r in rad if int(np.flatnonzero(r)[0]) not in taken)
+            (e, self.mult_matrix(e).a) for i, e in enumerate(self._radical, 1)
+            if i not in self._square_pivots)
 
     def include(self) -> AlgebraMap:
         """The inclusion into the ambient algebra, as an AlgebraMap."""
@@ -725,11 +704,12 @@ class Subalgebra(_LocalAlgebraOps):
 
 def subalgebra_close(A, vectors) -> Subalgebra:
     """Smallest unital subalgebra of A containing the given elements
-    (span-grow under products to a fixed point)."""
+    (span-grow under products to a fixed point).  The span holds 1, so its
+    first RREF row is 1 and only the products of the rows after it count."""
     vecs = [v.vec if isinstance(v, El) else np.asarray(v, dtype=np.int64) for v in vectors]
     span = row_space_basis(vecs + [A.one_vec()], A.dim, A.p)
     while True:
-        new = row_space_basis(np.vstack([span, _pair_products(A, span)]), A.dim, A.p)
+        new = row_space_basis(np.vstack([span, _pair_products(A, span[1:])]), A.dim, A.p)
         if len(new) == len(span):
             return Subalgebra(A, new)
         span = new

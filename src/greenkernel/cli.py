@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .exactkernel import BudgetError, ExactKernelError, ScopeError
+from .exactkernel import BudgetError, ExactKernelError, ScopeError, _is_prime
 from .borel import AlgebraMap, BorelAlgebra, El, Subalgebra, format_terms
 from .fgl import HondaParams, honda_fgl
 from .frobform import FrobeniusForm, canonical_form, gysin, is_frobenius_form
@@ -71,7 +71,7 @@ def _validate_config(args) -> None:
     p = getattr(args, "p", None)
     if p is None:
         return
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if not _is_prime(p):
         raise UsageError("--p must be prime (got %d)" % p)
     n = getattr(args, "n", 1)
     if n < 1:

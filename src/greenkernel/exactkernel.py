@@ -41,6 +41,13 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and not any(p % d == 0 for d in range(2, isqrt(p) + 1))
 
 
+def _is_p_power(n: int, p: int) -> bool:
+    """Is n = p^k for some k >= 0?"""
+    while n > 1 and n % p == 0:
+        n //= p
+    return n == 1
+
+
 def _check_prime(p: int) -> None:
     if not _is_prime(p):
         raise ExactKernelError(f"modulus {p} is not prime")

@@ -114,12 +114,10 @@ def _trivial_algebra(p: int) -> BorelAlgebra:
 
 
 def augmentation_map(A) -> AlgebraMap:
-    """The counit A -> F_p as an AlgebraMap (it is an algebra map)."""
-    F = _trivial_algebra(A.p)
-    row = np.zeros((1, A.dim), dtype=np.int64)
-    for i, e in enumerate(np.eye(A.dim, dtype=np.int64)):
-        row[0, i] = A.aug_vec(e)
-    return AlgebraMap(A, F, row, is_algebra_map=True)
+    """The counit A -> F_p as an AlgebraMap (it is an algebra map): the
+    row e_0, as coordinate 0 is the augmentation."""
+    return AlgebraMap(A, _trivial_algebra(A.p), np.eye(1, A.dim, dtype=np.int64),
+                      is_algebra_map=True)
 
 
 def unit_map(A) -> AlgebraMap:

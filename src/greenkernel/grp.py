@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .exactkernel import BudgetError, ExactKernelError
+from .exactkernel import BudgetError, ExactKernelError, _is_p_power
 
 DEFAULT_GROUP_BUDGET = 1000
 
@@ -350,12 +350,6 @@ def sylow(G: PermGroup, p: int) -> PermGroup:
     if H.order != target:
         raise ExactKernelError("internal consistency: Sylow search stalled")
     return H
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _is_p_power_order(g: Perm, p: int) -> bool:

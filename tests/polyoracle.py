@@ -3,8 +3,9 @@ and Fraction exponential, the formal sum by powers, restriction through
 the iterated coproduct, subspace intersection and stable elements by
 per-coset kernels, permutation products and double cosets one product at
 a time, the nilpotency exponent and socle extensions on the whole radical
-basis rather than on ideal generators, and the element and embedding
-helpers only the tests read.
+basis rather than on ideal generators, a subalgebra's ideal generators from
+its own radical products, and the element and embedding helpers only the
+tests read.
 
 The package computes with coordinate arrays only (Kronecker-coded Borel
 vectors, the (D, D) residue array of the group law).  These slow,
@@ -397,6 +398,20 @@ def nilpotency_exponent_by_radical(A) -> int:
         if e > A.dim + 1:
             raise ExactKernelError("radical fails to be nilpotent")
     return e
+
+
+def ideal_generators_two_pass(S) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Subalgebra.ideal_generators in two passes over S's own products: the
+    RREF radical of e_i - aug(e_i) 1, the augmentation read in the ambient
+    algebra; m^2 from every product of two radical rows by S.mult_matrix; and
+    the radical rows whose pivot is no pivot of m^2, with their matrices."""
+    p, d = S.p, S.dim
+    one = S.to_sub(S.ambient.one_vec())
+    rad = row_space_basis([(e - S.ambient.aug_vec(S.from_sub(e)) * one) % p
+                           for e in np.eye(d, dtype=np.int64)], d, p)
+    square = row_space_basis([v for r in rad for v in np.array(rad) @ S.mult_matrix(r).a.T], d, p)
+    taken = {int(np.flatnonzero(r)[0]) for r in square}
+    return [(r, S.mult_matrix(r).a) for r in rad if int(np.flatnonzero(r)[0]) not in taken]
 
 
 def extend_socle_map_by_radical(f: AlgebraMap, socle_image, socle_gen_B=None) -> AlgebraMap:

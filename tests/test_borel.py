@@ -12,6 +12,7 @@ from greenkernel.borel import (
     BorelAlgebra,
     El,
     Subalgebra,
+    _pair_products,
     algebra_map,
     is_unit,
     make_algebra,
@@ -286,6 +287,25 @@ def test_subalgebra_rejects_non_closed():
     A = make_algebra(2, (4,))
     with pytest.raises(ExactKernelError):
         Subalgebra(A, [A.one_vec(), A.gen().vec])  # x^2 missing
+
+
+def test_subalgebra_must_contain_one():
+    # 1 + x^2 has a pivot at index 0 but spans no 1
+    A = make_algebra(3, (9,))
+    with pytest.raises(ExactKernelError, match="must contain 1"):
+        Subalgebra(A, [(A.one() + A.gen() ** 2).vec, (A.gen() ** 3).vec])
+    with pytest.raises(ExactKernelError, match="must contain 1"):
+        Subalgebra(A, [(A.gen() ** 3).vec])
+
+
+def test_dimension_one_subalgebra_has_empty_radical():
+    A = make_algebra(3, (9, 3))
+    S = Subalgebra(A, [A.one_vec()])
+    assert S.dim == 1 and S.radical_span_vecs() == [] and S.ideal_generators == ()
+    assert [v.tolist() for v in S.socle_vecs()] == [[1]]
+    assert S.nilpotency_exponent() == 1
+    assert _pair_products(A, []).shape == (0, A.dim)
+    assert subalgebra_close(A, [A.one()]) == S
 
 
 def test_subalgebra_to_sub_rejects_outside_vectors():

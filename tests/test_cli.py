@@ -206,6 +206,18 @@ def test_scope_error_nonabelian_sylow(capsys):
     assert "scope" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--group", "S4", "--p", "2"), "Sylow 2-subgroup is non-abelian"),
+    (("--group", "C2xC4", "--p", "2", "--n", "3"), "required budget: 512"),
+])
+def test_audit_mackey_stops_on_scope_and_budget_errors(capsys, argv, message):
+    # a value out of scope or over budget ends the audit as it ends
+    # `green value`, with no report, rather than as a column of fail rows
+    code, out, err = run(capsys, "audit", "mackey", *argv)
+    assert code == EXIT_SCOPE and out == ""
+    assert "scope/budget error" in err and message in err
+
+
 def test_audit_assumptions_exit_zero(capsys):
     code, out, _ = run(capsys, "audit", "assumptions", "--p", "2", "--format", "json",
                        "--no-timing")
@@ -352,6 +364,13 @@ def test_composite_p_rejected(capsys):
     code, _, err = run(capsys, "green", "value", "--group", "C4", "--p", "4")
     assert code == EXIT_USAGE
     assert "prime" in err
+
+
+@pytest.mark.parametrize("p", ["1", "0", "-3", "9", "91"])
+def test_non_prime_p_usage_text(capsys, p):
+    code, _, err = run(capsys, "green", "value", "--group", "C4", "--p", p)
+    assert code == EXIT_USAGE
+    assert err == "usage error: --p must be prime (got %s)\n" % p
 
 
 def test_frob_check_explicit_covector(capsys):

@@ -12,6 +12,7 @@ from greenkernel.exactkernel import (
     ExactKernelError,
     FpMatrix,
     ScopeError,
+    _is_p_power,
     mat_kernel,
     row_space_basis,
     subspace_contains,
@@ -39,6 +40,11 @@ def test_composite_modulus_rejected_after_a_prime_is_cached(prime, composite):
             BorelAlgebra(composite, ())
         with pytest.raises(ExactKernelError):
             HondaParams(composite, 1, 8)
+
+
+def test_is_p_power_includes_p_to_the_zero():
+    assert [n for n in range(-2, 30) if _is_p_power(n, 3)] == [1, 3, 9, 27]
+    assert [n for n in range(-2, 70) if _is_p_power(n, 2)] == [1, 2, 4, 8, 16, 32, 64]
 
 
 # -- matrices ----------------------------------------------------------------

@@ -10,8 +10,10 @@ int64 envelopes are probed on both sides of 2^63.  The one-reduction
 subspace membership test is compared with the two-rank one.  Subalgebras
 drawn as closures of random elements check their memoized socle and
 radical, their product path and their canonical form, and that their ideal
-generators lift a basis of m/m^2, generate the subalgebra and give the
-nilpotency exponent and socle extensions of the whole radical basis.
+generators lift a basis of m/m^2, equal those of the two-pass oracle,
+generate the subalgebra and give the nilpotency exponent and socle
+extensions of the whole radical basis.  Subalgebra accepts exactly the
+spans that contain 1 and hold the products of all their rows.
 Gysin adjointness and restrict functoriality are checked on homomorphisms
 between small abelian p-groups.  Every run draws the same examples and
 writes nothing into the working tree.
@@ -27,8 +29,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from greenkernel.borel import AlgebraMap, BorelAlgebra, subalgebra_close
-from greenkernel.exactkernel import FpMatrix, ScopeError, mat_kernel, row_space_basis, subspace_contains
+from greenkernel.borel import AlgebraMap, BorelAlgebra, Subalgebra, _pair_products, subalgebra_close
+from greenkernel.exactkernel import (
+    ExactKernelError,
+    FpMatrix,
+    ScopeError,
+    mat_kernel,
+    row_space_basis,
+    subspace_contains,
+)
 from greenkernel.frobform import canonical_form, extend_socle_map, gysin
 from greenkernel.green import restrict
 from greenkernel.grp import abelian_decompose, hom_between, named_group
@@ -36,6 +45,7 @@ from polyoracle import (
     TruncPoly,
     extend_socle_map_by_radical,
     extension_or_error,
+    ideal_generators_two_pass,
     nilpotency_exponent_by_radical,
 )
 
@@ -261,8 +271,10 @@ def test_subalgebra_invariants_products_and_form(data):
     S = data.draw(subalgebras())
     p, d = S.p, S.dim
     # the memo against a fresh computation by the kernel oracle
-    one = S.one_vec()
-    fresh_rad = row_space_basis([(e - S.aug_vec(e) * one) % p for e in np.eye(d, dtype=np.int64)], d, p)
+    # the unit and augmentation read in the ambient algebra, not off coordinate 0
+    one = S.to_sub(S.ambient.one_vec())
+    fresh_rad = row_space_basis([(e - S.ambient.aug_vec(S.from_sub(e)) * one) % p
+                                 for e in np.eye(d, dtype=np.int64)], d, p)
     assert [r.tolist() for r in S.radical_span_vecs()] == [r.tolist() for r in fresh_rad]
     fresh_soc = ([one] if not fresh_rad else
                  mat_kernel(FpMatrix(np.vstack([S.mult_matrix(r).a for r in fresh_rad]), p)))
@@ -275,6 +287,41 @@ def test_subalgebra_invariants_products_and_form(data):
     if len(fresh_soc) == 1:
         lam = canonical_form(S)
         assert np.array_equal((lam.dual @ lam.pairing.a) % p, np.eye(d, dtype=np.int64))
+
+
+@settings(PROPS, max_examples=100)
+@given(st.data())
+def test_ideal_generators_match_the_two_pass_oracle(data):
+    S = data.draw(subalgebras(sparse=data.draw(st.booleans())))
+    want = ideal_generators_two_pass(S)
+    assert len(S.ideal_generators) == len(want)
+    for (g, M), (h, N) in zip(S.ideal_generators, want):
+        assert np.array_equal(g, h) and np.array_equal(M, N)
+
+
+@settings(PROPS, max_examples=100)
+@given(st.data())
+def test_subalgebra_accepts_exactly_the_closed_spans_with_one(data):
+    # a closed span, perturbed half the time by an extra vector or a lost row
+    S = data.draw(subalgebras(sparse=data.draw(st.booleans())))
+    A, p = S.ambient, S.p
+    rows = list(S.basis_matrix)
+    change = data.draw(st.sampled_from(("none", "add", "drop")))
+    if change == "add":
+        rows.append(data.draw(vectors(A)))
+    elif change == "drop":
+        del rows[data.draw(st.integers(0, len(rows) - 1))]
+    span = row_space_basis(rows, A.dim, p)
+    # the oracle: 1 in the span, and the products of all rows, row 0 included
+    has_one = subspace_contains(span, A.one_vec(), p)
+    closed = bool(span) and len(row_space_basis(
+        np.vstack([span, _pair_products(A, span)]), A.dim, p)) == len(span)
+    if has_one and closed:
+        assert Subalgebra(A, rows).basis_matrix.tolist() == [r.tolist() for r in span]
+    else:
+        with pytest.raises(ExactKernelError, match="empty subalgebra" if not span else
+                           "must contain 1" if not has_one else "not closed"):
+            Subalgebra(A, rows)
 
 
 @settings(PROPS, max_examples=100)
