@@ -42,6 +42,7 @@ from .exactkernel import (
     _check_prime,
     _is_p_power,
     mat_kernel,
+    reduce_mod,
     row_space_basis,
 )
 
@@ -426,14 +427,6 @@ def tensor(A: BorelAlgebra, B: BorelAlgebra) -> TensorProduct:
     return TensorProduct(C, A, B, pair)
 
 
-def _pair_products(A, rows) -> np.ndarray:
-    """The products rows[i] rows[j], i <= j, in A, one per output row; a
-    (0, A.dim) stack when there are no rows."""
-    R = np.asarray(rows, dtype=np.int64).reshape(-1, A.dim)
-    out = [(R[i:] @ A.mult_matrix(r).a.T) % A.p for i, r in enumerate(R)]
-    return np.vstack(out) if out else np.zeros((0, A.dim), dtype=np.int64)
-
-
 def _intertwines(X, pairs, p: int) -> bool:
     """X . M_s = M_t . X for every pair (M_s, M_t) of multiplication
     matrices: the linear map X turns multiplication by s into
@@ -602,13 +595,24 @@ class Subalgebra(_LocalAlgebraOps):
     """A unital, multiplicatively closed subspace of a Borel algebra, in its
     own coordinates; the RREF basis makes coordinates a plain column pick.
 
-    The span contains 1 = e_0 exactly when the first RREF row b_0 is 1; the
-    other rows are then 0 at index 0, so they span the maximal ideal m.
-    Construction checks b_0 = 1 and that every product b_i b_j, 1 <= i <= j,
-    lies in the span, by the same pivot-coordinate test as to_sub (exact for
-    an RREF basis, no row reduction).  Those products span m^2; the pivots of
-    their coordinates' RREF are kept, and the ideal generators are read off
-    them with no further product.
+    The span S contains 1 = e_0 exactly when the first RREF row b_0 is 1;
+    the other rows are then 0 at index 0, so they span the maximal ideal m.
+    Closure is proved on generators, by the pivot-coordinate test of to_sub
+    (exact for an RREF basis, no row reduction).  Let D = span(G) + G m for
+    the generators G found so far.  While D != m, the first e_i (i >= 1)
+    whose index is no pivot of D lies outside D; it joins G once
+    b_i S = {b_i b_j} lies in S, and its products b_i m join D.  At the end
+    m = span(G) + G m.  G lies in the nilpotent ideal of the ambient
+    algebra, so iterating this (Nakayama) gives m in the span of the
+    monomials in G; those lie in S as each g S lies in S.  So S is the
+    algebra generated by G, and closed.  It costs one ambient
+    multiplication matrix per generator, not one per basis row.
+
+    G m = m^2, and the e_i chosen are exactly those whose index is no pivot
+    of m^2: a product g u, u in m, has its leading index after g's, so an
+    index that is a pivot of m^2 is already one of D when the walk reaches
+    it.  Hence G lifts a basis of m/m^2, and the products of the proof give
+    the ideal generators and their matrices with no second pass.
     """
 
     def __init__(self, ambient, basis_vecs):
@@ -619,19 +623,26 @@ class Subalgebra(_LocalAlgebraOps):
             raise ExactKernelError("empty subalgebra")
         if not np.array_equal(rows[0], ambient.one_vec()):
             raise ExactKernelError("subalgebra must contain 1")
-        self.basis_matrix = np.array(rows)  # (dim x ambient.dim), RREF rows
+        self.basis_matrix = B = np.array(rows)  # (dim x ambient.dim), RREF rows
         self.pivots = [int(np.flatnonzero(r)[0]) for r in rows]
-        self.dim = len(rows)
-        square = _pair_products(ambient, rows[1:])
-        if not self._spans(square):
-            raise ExactKernelError("subspace is not closed under multiplication")
-        square = square[:, self.pivots]  # free the ambient stack first: it sets the peak memory
-        self._square_pivots = frozenset(FpMatrix(square, self.p).rref()[1])
+        self.dim = k = len(rows)
+        self._gen_matrices: dict[int, np.ndarray] = {}  # i -> M(e_i), e_i in G
+        span, lead = np.zeros((0, k), dtype=np.int64), set()  # D in RREF, its pivots
+        while len(lead) < k - 1:
+            i = next(j for j in range(1, k) if j not in lead)
+            prods = reduce_mod(B @ ambient.mult_matrix(rows[i]).a.T, self.p)  # rows b_j b_i
+            if not self._spans(prods):
+                raise ExactKernelError("subspace is not closed under multiplication")
+            coords = prods[:, self.pivots]  # row 0 is e_i itself, the rest b_i m
+            self._gen_matrices[i] = coords.T
+            R, piv = FpMatrix(np.vstack([span, coords]), self.p).rref()
+            span, lead = R.a[:len(piv)], set(piv)
+        self._square_pivots = frozenset(range(1, k)) - self._gen_matrices.keys()
 
     def _spans(self, vecs) -> bool:
         """Do the ambient vectors all lie in the span of the basis?"""
-        V = np.array(vecs) % self.p
-        return bool(np.array_equal((V[:, self.pivots] @ self.basis_matrix) % self.p, V))
+        V = reduce_mod(vecs, self.p)
+        return bool(np.array_equal(reduce_mod(V[:, self.pivots] @ self.basis_matrix, self.p), V))
 
     def __eq__(self, other):
         return other is self or (
@@ -651,7 +662,7 @@ class Subalgebra(_LocalAlgebraOps):
     def to_sub(self, ambient_vec) -> np.ndarray:
         """Coordinates of an ambient vector, or of each row of a stack of them
         (one span check for the whole stack)."""
-        v = np.asarray(ambient_vec, dtype=np.int64) % self.p
+        v = reduce_mod(ambient_vec, self.p)
         if not self._spans(v.reshape(-1, self.ambient.dim)):
             raise ExactKernelError("vector lies outside the subalgebra")
         return v[..., self.pivots]
@@ -685,14 +696,14 @@ class Subalgebra(_LocalAlgebraOps):
     @cached_property
     def ideal_generators(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The e_i, i >= 1, whose index is no pivot of the RREF basis of m^2,
-        with their multiplication matrices; computed once, read-only.
+        with their multiplication matrices; read-only.  These are the
+        generators of the closure proof, with the matrices it formed.
 
         The pivots of a subspace in RREF are among those of the whole space,
         and m is e_1, ..., e_{dim-1}, so these e_i and m^2 together span m:
         they lift a basis of m/m^2."""
         return _read_only_pairs(
-            (e, self.mult_matrix(e).a) for i, e in enumerate(self._radical, 1)
-            if i not in self._square_pivots)
+            (self._radical[i - 1], M) for i, M in sorted(self._gen_matrices.items()))
 
     def include(self) -> AlgebraMap:
         """The inclusion into the ambient algebra, as an AlgebraMap."""
@@ -703,16 +714,22 @@ class Subalgebra(_LocalAlgebraOps):
 
 
 def subalgebra_close(A, vectors) -> Subalgebra:
-    """Smallest unital subalgebra of A containing the given elements
-    (span-grow under products to a fixed point).  The span holds 1, so its
-    first RREF row is 1 and only the products of the rows after it count."""
+    """Smallest unital subalgebra of A containing the given elements.
+
+    The span C of 1 and the elements grows by the products of the given
+    vectors with what was added last, to a fixed point; then v C lies in C
+    for every given v, so C holds every monomial in them and is the algebra
+    they generate.  Subalgebra proves it closed on its own generators."""
     vecs = [v.vec if isinstance(v, El) else np.asarray(v, dtype=np.int64) for v in vectors]
-    span = row_space_basis(vecs + [A.one_vec()], A.dim, A.p)
-    while True:
-        new = row_space_basis(np.vstack([span, _pair_products(A, span[1:])]), A.dim, A.p)
-        if len(new) == len(span):
-            return Subalgebra(A, new)
-        span = new
+    mats = [A.mult_matrix(v).a.T for v in vecs]
+    span = fresh = row_space_basis(vecs + [A.one_vec()], A.dim, A.p)
+    while mats:
+        fresh = row_space_basis(np.vstack([np.array(fresh) @ M for M in mats]), A.dim, A.p)
+        grown = row_space_basis(span + fresh, A.dim, A.p)
+        if len(grown) == len(span):
+            break
+        span = grown
+    return Subalgebra(A, span)
 
 
 def socle_basis(A) -> list[El]:

@@ -65,6 +65,15 @@ def _check_envelope(bound: int, what: str) -> None:
         raise ScopeError("%s = %d leaves the int64 envelope (< 2^63)" % (what, bound))
 
 
+def reduce_mod(a, p: int) -> np.ndarray:
+    """The int64 array a reduced into [0, p), as a - (a // p) p: numpy's
+    floor division by a scalar takes a fast path that % does not, and the
+    result equals a % p for every int64 entry (any wrap in (a // p) p
+    cancels in the difference, which lies in [0, p))."""
+    a = np.asarray(a, dtype=np.int64)
+    return a - a // p * p
+
+
 class FpMatrix:
     """Dense matrix over GF(p) with deterministic row reduction.
 
@@ -75,7 +84,7 @@ class FpMatrix:
 
     def __init__(self, entries, p: int):
         _check_prime(p)
-        self.a = np.asarray(entries, dtype=np.int64) % p  # one pass, never the caller's array
+        self.a = reduce_mod(entries, p)  # a new array, never the caller's
         if self.a.ndim != 2:
             raise ExactKernelError("matrix entries must be 2-dimensional")
         self.p = p
@@ -164,7 +173,7 @@ class FpMatrix:
             if len(rows) > 1:
                 # clear column c in every nonzero row at once, then restore the pivot row
                 row = m[r, c:].copy()
-                m[rows, c:] = (m[rows, c:] - m[rows, c, None] * row) % p
+                m[rows, c:] = reduce_mod(m[rows, c:] - m[rows, c, None] * row, p)
                 m[r, c:] = row
             pivots.append(c)
             r += 1

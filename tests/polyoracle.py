@@ -4,7 +4,8 @@ the iterated coproduct, subspace intersection and stable elements by
 per-coset kernels, permutation products and double cosets one product at
 a time, the nilpotency exponent and socle extensions on the whole radical
 basis rather than on ideal generators, a subalgebra's ideal generators from
-its own radical products, and the element and embedding helpers only the
+its own radical products, every pair product of a list of rows (the closure
+test Subalgebra once ran), and the element and embedding helpers only the
 tests read.
 
 The package computes with coordinate arrays only (Kronecker-coded Borel
@@ -398,6 +399,14 @@ def nilpotency_exponent_by_radical(A) -> int:
         if e > A.dim + 1:
             raise ExactKernelError("radical fails to be nilpotent")
     return e
+
+
+def _pair_products(A, rows) -> np.ndarray:
+    """The products rows[i] rows[j], i <= j, in A, one per output row; a
+    (0, A.dim) stack when there are no rows."""
+    R = np.asarray(rows, dtype=np.int64).reshape(-1, A.dim)
+    out = [(R[i:] @ A.mult_matrix(r).a.T) % A.p for i, r in enumerate(R)]
+    return np.vstack(out) if out else np.zeros((0, A.dim), dtype=np.int64)
 
 
 def ideal_generators_two_pass(S) -> list[tuple[np.ndarray, np.ndarray]]:

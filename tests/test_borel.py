@@ -12,7 +12,6 @@ from greenkernel.borel import (
     BorelAlgebra,
     El,
     Subalgebra,
-    _pair_products,
     algebra_map,
     is_unit,
     make_algebra,
@@ -28,6 +27,7 @@ from greenkernel.grp import named_group
 from greenkernel.hopftower import honda_level, tower_maps
 from polyoracle import (
     TruncPoly,
+    _pair_products,
     element_from_ambient,
     emb_left,
     emb_right,
@@ -287,6 +287,58 @@ def test_subalgebra_rejects_non_closed():
     A = make_algebra(2, (4,))
     with pytest.raises(ExactKernelError):
         Subalgebra(A, [A.one_vec(), A.gen().vec])  # x^2 missing
+
+
+def _count_ambient_matrices(monkeypatch, A) -> list:
+    """The vectors A.mult_matrix is called on from now on (patched on the
+    class: A may be a cached algebra that later tests patch there too)."""
+    seen = []
+
+    def counting(self, vec, _orig=BorelAlgebra.mult_matrix):
+        if self is A:
+            seen.append(np.asarray(vec).copy())
+        return _orig(self, vec)
+
+    monkeypatch.setattr(BorelAlgebra, "mult_matrix", counting)
+    return seen
+
+
+def test_subalgebra_refuses_on_a_later_generator(monkeypatch):
+    # span(1, y, x, xy) in F_2[x, y]/(x^4, y^2): the first generator y
+    # passes (y S = span(y, xy)), and y m = span(xy) leaves x outside D;
+    # x S holds x^2, so the second pass of the walk refuses
+    A = make_algebra(2, (4, 2))
+    y, x = A.monomial((0, 1)), A.monomial((1, 0))
+    rows = [A.one_vec(), y.vec, x.vec, (x * y).vec]
+    y_s = [(y * El(A, r)).vec for r in rows]
+    assert len(row_space_basis(rows + y_s, A.dim, 2)) == len(rows)
+    seen = _count_ambient_matrices(monkeypatch, A)
+    with pytest.raises(ExactKernelError, match="not closed under multiplication"):
+        Subalgebra(A, rows)
+    assert [v.tolist() for v in seen] == [y.vec.tolist(), x.vec.tolist()]
+
+
+def _closure(p, profile, exps) -> Subalgebra:
+    A = make_algebra(p, profile)
+    return subalgebra_close(A, [A.monomial(e) for e in exps])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _closure(3, (9, 3), [(3, 0), (1, 1)]),
+    lambda: _closure(2, (16, 16), [(2, 0), (1, 1), (0, 4)]),
+    lambda: value_general(named_group("A4"), 2, 3).algebra,
+], ids=["p3-9x3", "p2-16x16", "a4-value"])
+def test_subalgebra_builds_one_ambient_matrix_per_generator(monkeypatch, build):
+    # every pair product would take dim - 1 ambient matrices, one per row
+    S0 = build()
+    A = S0.ambient
+    seen = _count_ambient_matrices(monkeypatch, A)
+    S = Subalgebra(A, S0.basis_matrix)
+    gens = S.ideal_generators
+    assert len(seen) == len(gens) < S.dim - 1
+    assert [v.tolist() for v in seen] == [S.from_sub(g).tolist() for g, _ in gens]
+    assert all(np.array_equal(M, S.mult_matrix(g).a) for g, M in gens)
+    assert len(seen) == 2 * len(gens)  # the check above built its own, once each
 
 
 def test_subalgebra_must_contain_one():

@@ -106,6 +106,21 @@ def test_green_value_a4_frontier_output_pinned(capsys):
             == "351ed40af0bcbfd8f3ee66c1297546e71e9ec79579937fcb8770ca5281ea220a")
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["--n", "5"], "d8bfc8d12c10346e9292ecff06ee07267c9fc01db4dc63f97026b4a01a36ed0a"),
+    (["--n", "6", "--budget", "1024"],
+     "357c041e29afac059d48c77fedda5ac433f7b94612d0688b68b33e71c9f7131a"),
+])
+def test_green_value_s3_frontier_output_pinned(capsys, argv, digest):
+    # A(S3) at p = 3: the stable subalgebras of F_3[x]/(x^243) and of
+    # F_3[x]/(x^729) (about 0.2 s and 3 s); digests recorded while closure
+    # was still tested on every pair product of the basis
+    code, out, _ = run(capsys, "green", "value", "--group", "S3", "--p", "3", *argv,
+                       "--format", "json", "--no-timing")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_green_value_s3(capsys):
     code, out, _ = run(capsys, "green", "value", "--group", "S3", "--p", "3",
                        "--n", "1", "--format", "json")

@@ -14,6 +14,7 @@ from greenkernel.exactkernel import (
     ScopeError,
     _is_p_power,
     mat_kernel,
+    reduce_mod,
     row_space_basis,
     subspace_contains,
     subspace_eq,
@@ -170,6 +171,20 @@ def test_fpmatrix_int64_envelope_enforced():
     assert (FpMatrix([[p - 1]], p) @ FpMatrix([[p - 1]], p)).a.tolist() == [[1]]
     with pytest.raises(ScopeError):
         m @ m
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2147483647, 3037000493])
+def test_reduce_mod_equals_percent_on_every_int64(p):
+    # a - (a // p) p wraps near the int64 ends, and the wrap cancels
+    info = np.iinfo(np.int64)
+    edges = [info.min, info.min + 1, info.max - 1, info.max, -p, -p - 1, -1, 0, p - 1, p]
+    rng = np.random.default_rng(p)
+    a = np.concatenate([edges, rng.integers(info.min, info.max, 200, endpoint=True),
+                        rng.integers(-3 * p, 3 * p, 200)]).astype(np.int64)
+    assert np.array_equal(reduce_mod(a, p), a % p)
+    square = a[:400].reshape(20, 20)
+    assert np.array_equal(reduce_mod(square, p), square % p)
+    assert np.array_equal(FpMatrix(square, p).a, square % p)
 
 
 def test_singular_inverse_raises():

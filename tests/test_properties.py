@@ -12,8 +12,10 @@ drawn as closures of random elements check their memoized socle and
 radical, their product path and their canonical form, and that their ideal
 generators lift a basis of m/m^2, equal those of the two-pass oracle,
 generate the subalgebra and give the nilpotency exponent and socle
-extensions of the whole radical basis.  Subalgebra accepts exactly the
-spans that contain 1 and hold the products of all their rows.
+extensions of the whole radical basis, and that the pivots of m^2 read off
+the closure proof equal those of every radical pair product.  Subalgebra
+accepts exactly the spans that contain 1 and hold the products of all their
+rows.
 Gysin adjointness and restrict functoriality are checked on homomorphisms
 between small abelian p-groups.  Every run draws the same examples and
 writes nothing into the working tree.
@@ -29,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from greenkernel.borel import AlgebraMap, BorelAlgebra, Subalgebra, _pair_products, subalgebra_close
+from greenkernel.borel import AlgebraMap, BorelAlgebra, Subalgebra, subalgebra_close
 from greenkernel.exactkernel import (
     ExactKernelError,
     FpMatrix,
@@ -43,6 +45,7 @@ from greenkernel.green import restrict
 from greenkernel.grp import abelian_decompose, hom_between, named_group
 from polyoracle import (
     TruncPoly,
+    _pair_products,
     extend_socle_map_by_radical,
     extension_or_error,
     ideal_generators_two_pass,
@@ -297,6 +300,9 @@ def test_ideal_generators_match_the_two_pass_oracle(data):
     assert len(S.ideal_generators) == len(want)
     for (g, M), (h, N) in zip(S.ideal_generators, want):
         assert np.array_equal(g, h) and np.array_equal(M, N)
+    # the pivots of m^2 from every product of two radical rows
+    square = _pair_products(S.ambient, S.basis_matrix[1:])[:, S.pivots]
+    assert S._square_pivots == frozenset(FpMatrix(square, S.p).rref()[1])
 
 
 @settings(PROPS, max_examples=100)
