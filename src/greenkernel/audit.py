@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exactkernel import BudgetError, ExactKernelError, ScopeError, _is_prime, subspace_contains
+from .exactkernel import (BudgetError, ExactKernelError, ScopeError, _is_prime, fp_matmul,
+                          subspace_contains)
 from .borel import AlgebraMap
 from .fgl import HondaParams
 from .green import (
@@ -153,8 +154,8 @@ def frobenius_axiom(res: AlgebraMap, ind: AlgebraMap):
 def _mackey_sum(terms) -> AlgebraMap:
     """The sum of the chains ind o c_g o res, one per double coset, as one
     matrix.  Every chain must compose and share the first chain's source and
-    target; a mismatch raises.  Each product is reduced mod p before the
-    next, so the int64 envelope stays cols * (p-1)^2."""
+    target; a mismatch raises.  Each product is an fp_matmul, reduced mod p
+    before the next, so the int64 envelope stays cols * (p-1)^2."""
     source, target = terms[0][2].source, terms[0][0].target
     p = target.p
     acc = np.zeros((target.dim, source.dim), dtype=np.int64)
@@ -163,7 +164,7 @@ def _mackey_sum(terms) -> AlgebraMap:
             raise ExactKernelError("MF5 term %d: maps do not compose" % k)
         if res.source != source or ind.target != target:
             raise ExactKernelError("MF5 term %d: endpoints differ from term 0" % k)
-        acc += ind.matrix @ (c.matrix @ res.matrix % p) % p
+        acc += fp_matmul(ind.matrix, fp_matmul(c.matrix, res.matrix, p), p)
     return AlgebraMap(source, target, acc)
 
 

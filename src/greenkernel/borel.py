@@ -41,6 +41,7 @@ from .exactkernel import (
     _check_envelope,
     _check_prime,
     _is_p_power,
+    fp_matmul,
     mat_kernel,
     reduce_mod,
     row_space_basis,
@@ -247,8 +248,8 @@ class _LocalAlgebraOps:
         span = self.radical_span_vecs()
         e = 1
         while span:
-            nxt = np.vstack([np.array(span) @ M.T for _, M in self.ideal_generators])
-            span = row_space_basis(nxt, self.dim, self.p)
+            span = row_space_basis(np.vstack([fp_matmul(np.array(span), M.T, self.p)
+                                              for _, M in self.ideal_generators]), self.dim, self.p)
             e += 1
             if e > self.dim + 1:
                 raise ExactKernelError("radical fails to be nilpotent")
@@ -431,7 +432,7 @@ def _intertwines(X, pairs, p: int) -> bool:
     """X . M_s = M_t . X for every pair (M_s, M_t) of multiplication
     matrices: the linear map X turns multiplication by s into
     multiplication by t.  pairs may be lazy; the first failure stops it."""
-    return all(np.array_equal((X @ Ms) % p, (Mt @ X) % p) for Ms, Mt in pairs)
+    return all(np.array_equal(fp_matmul(X, Ms, p), fp_matmul(Mt, X, p)) for Ms, Mt in pairs)
 
 
 class AlgebraMap:
@@ -493,7 +494,7 @@ class AlgebraMap:
 
     def apply(self, el):
         vec = el.vec if isinstance(el, El) else np.asarray(el, dtype=np.int64)
-        return El(self.target, (self.matrix @ vec) % self.target.p)
+        return El(self.target, fp_matmul(self.matrix, vec, self.target.p))
 
     def __call__(self, el):
         return self.apply(el)
@@ -505,7 +506,7 @@ class AlgebraMap:
         return AlgebraMap(
             other.source,
             self.target,
-            (self.matrix @ other.matrix) % self.target.p,
+            fp_matmul(self.matrix, other.matrix, self.target.p),
             is_algebra_map=self.is_algebra_map and other.is_algebra_map,
         )
 
@@ -543,8 +544,7 @@ class AlgebraMap:
         return self.rank() == self.target.dim
 
     def check_unital(self) -> bool:
-        return bool(np.array_equal((self.matrix @ self.source.one_vec()) % self.target.p,
-                                   self.target.one_vec()))
+        return bool(np.array_equal(self.matrix[:, 0], self.target.one_vec()))  # f(1): column 0
 
     def check_multiplicative(self) -> bool:
         """Is this linear map A -> B a unital algebra map?
@@ -558,9 +558,8 @@ class AlgebraMap:
         X, T = self.matrix, self.target
         if not self.check_unital():
             return False
-        return _intertwines(
-            X, ((M, T.mult_matrix(X @ g).a) for g, M in self.source.ideal_generators), T.p,
-        )
+        gens = self.source.ideal_generators
+        return _intertwines(X, ((M, T.mult_matrix(fp_matmul(X, g, T.p)).a) for g, M in gens), T.p)
 
     def check_module_map(self, f: "AlgebraMap") -> bool:
         """Is self: B -> A an A-module map along the algebra map f: A -> B,
@@ -578,9 +577,10 @@ class AlgebraMap:
         if not f.is_algebra_map:
             raise ExactKernelError("module structure map must be an algebra map")
         X, F, p = self.matrix, f.matrix, A.p
-        if not np.array_equal((X @ B.mult_matrix(F @ A.one_vec()).a) % p, X):
+        if not np.array_equal(fp_matmul(X, B.mult_matrix(F[:, 0]).a, p), X):  # f(1): column 0
             return False
-        return _intertwines(X, ((B.mult_matrix(F @ g).a, M) for g, M in A.ideal_generators), p)
+        return _intertwines(X, ((B.mult_matrix(fp_matmul(F, g, p)).a, M)
+                                for g, M in A.ideal_generators), p)
 
     def __repr__(self):
         return "AlgebraMap(%r -> %r)" % (self.source, self.target)
@@ -625,24 +625,24 @@ class Subalgebra(_LocalAlgebraOps):
             raise ExactKernelError("subalgebra must contain 1")
         self.basis_matrix = B = np.array(rows)  # (dim x ambient.dim), RREF rows
         self.pivots = [int(np.flatnonzero(r)[0]) for r in rows]
+        self._free = np.delete(np.arange(ambient.dim), self.pivots)
         self.dim = k = len(rows)
         self._gen_matrices: dict[int, np.ndarray] = {}  # i -> M(e_i), e_i in G
         span, lead = np.zeros((0, k), dtype=np.int64), set()  # D in RREF, its pivots
         while len(lead) < k - 1:
             i = next(j for j in range(1, k) if j not in lead)
-            prods = reduce_mod(B @ ambient.mult_matrix(rows[i]).a.T, self.p)  # rows b_j b_i
+            prods = fp_matmul(B, ambient.mult_matrix(rows[i]).a.T, self.p)  # rows b_j b_i
             if not self._spans(prods):
                 raise ExactKernelError("subspace is not closed under multiplication")
             coords = prods[:, self.pivots]  # row 0 is e_i itself, the rest b_i m
             self._gen_matrices[i] = coords.T
             R, piv = FpMatrix(np.vstack([span, coords]), self.p).rref()
             span, lead = R.a[:len(piv)], set(piv)
-        self._square_pivots = frozenset(range(1, k)) - self._gen_matrices.keys()
 
-    def _spans(self, vecs) -> bool:
-        """Do the ambient vectors all lie in the span of the basis?"""
-        V = reduce_mod(vecs, self.p)
-        return bool(np.array_equal(reduce_mod(V[:, self.pivots] @ self.basis_matrix, self.p), V))
+    def _spans(self, V) -> bool:
+        """Do the rows of V, reduced mod p, lie in the span?  Only non-pivot columns can differ."""
+        cols = fp_matmul(V[:, self.pivots], self.basis_matrix[:, self._free], self.p)
+        return bool(np.array_equal(cols, V[:, self._free]))
 
     def __eq__(self, other):
         return other is self or (
@@ -669,7 +669,7 @@ class Subalgebra(_LocalAlgebraOps):
 
     def from_sub(self, coords) -> np.ndarray:
         c = np.asarray(coords, dtype=np.int64) % self.p
-        return (c @ self.basis_matrix) % self.p
+        return fp_matmul(c, self.basis_matrix, self.p)
 
     def mul_vec(self, u, v) -> np.ndarray:
         prod = self.ambient.mul_vec(self.from_sub(u), self.from_sub(v))
@@ -682,16 +682,16 @@ class Subalgebra(_LocalAlgebraOps):
         """Left multiplication in subalgebra coordinates: the pivot rows of
         the ambient matrix applied to the basis (closure was verified on
         construction)."""
-        M = self.ambient.mult_matrix(self.from_sub(vec)).a[self.pivots] @ self.basis_matrix.T
-        return FpMatrix(M, self.p)
+        M = self.ambient.mult_matrix(self.from_sub(vec)).a[self.pivots]
+        return FpMatrix(fp_matmul(M, self.basis_matrix.T, self.p), self.p)
 
     def pairing_matrix(self, lam) -> FpMatrix:
         """G[i, j] = lam(b_i b_j) = B . G_ambient(lam') . B^T, where lam' is
         lam placed at the pivots, so lam'(v) = lam(to_sub(v)) on the span."""
         amb = np.zeros(self.ambient.dim, dtype=np.int64)
         amb[self.pivots] = np.asarray(lam, dtype=np.int64) % self.p
-        B = self.basis_matrix
-        return FpMatrix((B @ self.ambient.pairing_matrix(amb).a) % self.p @ B.T, self.p)
+        B, p = self.basis_matrix, self.p
+        return FpMatrix(fp_matmul(fp_matmul(B, self.ambient.pairing_matrix(amb).a, p), B.T, p), p)
 
     @cached_property
     def ideal_generators(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -724,7 +724,8 @@ def subalgebra_close(A, vectors) -> Subalgebra:
     mats = [A.mult_matrix(v).a.T for v in vecs]
     span = fresh = row_space_basis(vecs + [A.one_vec()], A.dim, A.p)
     while mats:
-        fresh = row_space_basis(np.vstack([np.array(fresh) @ M for M in mats]), A.dim, A.p)
+        fresh = row_space_basis(np.vstack([fp_matmul(np.array(fresh), M, A.p) for M in mats]),
+                                A.dim, A.p)
         grown = row_space_basis(span + fresh, A.dim, A.p)
         if len(grown) == len(span):
             break

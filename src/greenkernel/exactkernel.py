@@ -4,9 +4,11 @@ the package's error types, and the primality and int64-envelope checks.
 Conventions used throughout the package:
 
 * vectors over GF(p) are 1-d numpy int64 arrays with entries in [0, p);
-* matrices are wrapped in :class:`FpMatrix`, which fixes a deterministic
-  row-reduction (leftmost pivot column, smallest row index) so that kernel
-  and subspace bases are reproducible.
+* :func:`fp_matmul` is the one product of such arrays: it refuses an inner
+  dimension k with k (p-1)^2 >= 2^63 and reduces the product mod p;
+* matrices are wrapped in :class:`FpMatrix`, whose row reduction is
+  deterministic (leftmost pivot column, smallest row index), so kernel and
+  subspace bases are reproducible.
 """
 
 from __future__ import annotations
@@ -74,11 +76,22 @@ def reduce_mod(a, p: int) -> np.ndarray:
     return a - a // p * p
 
 
+def fp_matmul(a: np.ndarray, b: np.ndarray, p: int):
+    """a @ b mod p for int64 arrays with entries in [0, p), 1-d or 2-d: the
+    package's one product over GF(p).  Each output entry sums k products
+    below (p-1)^2 for the inner dimension k, so k (p-1)^2 < 2^63 is checked
+    first; outside that envelope it raises ScopeError instead of wrapping."""
+    _check_envelope(a.shape[-1] * (p - 1) ** 2, "k * (p-1)^2")
+    c = a @ b
+    c %= p
+    return c
+
+
 class FpMatrix:
     """Dense matrix over GF(p) with deterministic row reduction.
 
-    Products need cols * (p-1)^2 < 2^63 and row reduction (p-1)^2 < 2^63;
-    outside that envelope they raise ScopeError instead of wrapping."""
+    Products are fp_matmul's; row reduction needs (p-1)^2 < 2^63 and raises
+    ScopeError outside that envelope instead of wrapping."""
 
     __slots__ = ("a", "p")
 
@@ -122,11 +135,9 @@ class FpMatrix:
         return FpMatrix(-self.a, self.p)
 
     def __matmul__(self, other):
-        _check_envelope(self.cols * (self.p - 1) ** 2, "cols * (p-1)^2")
         if isinstance(other, FpMatrix):
-            return FpMatrix(self.a @ other.a, self.p)
-        v = np.asarray(other, dtype=np.int64)
-        return (self.a @ v) % self.p
+            return FpMatrix(fp_matmul(self.a, other.a, self.p), self.p)
+        return fp_matmul(self.a, np.asarray(other, dtype=np.int64), self.p)
 
     def scale(self, c: int) -> "FpMatrix":
         return FpMatrix(self.a * (c % self.p), self.p)

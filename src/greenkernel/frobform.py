@@ -12,13 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exactkernel import ExactKernelError, FpMatrix, subspace_contains
+from .exactkernel import ExactKernelError, FpMatrix, fp_matmul, subspace_contains
 from .borel import AlgebraMap, El
-
-
-def pairing_matrix(A, covector) -> FpMatrix:
-    """G[i, j] = lam(e_i e_j) over the coordinate basis."""
-    return A.pairing_matrix(covector)
 
 
 class FrobeniusForm:
@@ -32,7 +27,7 @@ class FrobeniusForm:
         self.vec = np.asarray(covector, dtype=np.int64) % algebra.p
         if self.vec.shape != (algebra.dim,):
             raise ExactKernelError("covector has wrong length")
-        G = pairing_matrix(algebra, self.vec)
+        G = algebra.pairing_matrix(self.vec)
         try:
             Ginv = G.inv()
         except ExactKernelError:
@@ -44,7 +39,7 @@ class FrobeniusForm:
 
     def value(self, el) -> int:
         v = el.vec if isinstance(el, El) else np.asarray(el, dtype=np.int64)
-        return int(self.vec @ v) % self.algebra.p
+        return int(fp_matmul(self.vec, v, self.algebra.p))
 
     def __call__(self, el) -> int:
         return self.value(el)
@@ -53,7 +48,7 @@ class FrobeniusForm:
         """<u|v> = lam(uv)."""
         uv = u.vec if isinstance(u, El) else np.asarray(u, dtype=np.int64)
         vv = v.vec if isinstance(v, El) else np.asarray(v, dtype=np.int64)
-        return int(uv @ self.pairing.a @ vv) % self.algebra.p
+        return int(fp_matmul(fp_matmul(uv, self.pairing.a, self.algebra.p), vv, self.algebra.p))
 
     def dual_basis(self) -> list[El]:
         return [El(self.algebra, self.dual[:, j]) for j in range(self.algebra.dim)]
@@ -99,11 +94,11 @@ def is_frobenius_form(A, covector):
     """(ok, pairing, dual_basis_or_None); when dim soc = 1 the invertibility
     criterion is cross-checked against nonvanishing on the socle."""
     lam = np.asarray(covector, dtype=np.int64) % A.p
-    G = pairing_matrix(A, lam)
+    G = A.pairing_matrix(lam)
     ok = G.rank() == A.dim
     soc = A.socle_vecs()
     if len(soc) == 1:
-        on_socle = int(lam @ soc[0]) % A.p != 0
+        on_socle = bool(fp_matmul(lam, soc[0], A.p))
         if on_socle != ok:
             raise ExactKernelError(
                 "internal consistency: socle criterion disagrees with pairing rank"
@@ -134,11 +129,11 @@ def modify_form(A, form: FrobeniusForm, basis_els, targets) -> FrobeniusForm:
     if not subspace_contains(A.socle_vecs(), us[0].vec, A.p):
         raise ExactKernelError("u_0 must span the socle")
     # dual basis of (u_i) w.r.t. the pairing: columns of (U G)^{-1}
-    UG = FpMatrix((U.a @ form.pairing.a) % A.p, A.p)
+    UG = FpMatrix(fp_matmul(U.a, form.pairing.a, A.p), A.p)
     V = UG.inv().a
-    w = (V @ np.array(ts, dtype=np.int64)) % A.p
+    w = fp_matmul(V, np.array(ts, dtype=np.int64), A.p)
     Mw = A.mult_matrix(w)
-    lam2 = (Mw.a.T @ form.vec) % A.p
+    lam2 = fp_matmul(Mw.a.T, form.vec, A.p)
     out = FrobeniusForm(A, lam2)
     for u, t in zip(us, ts):
         if out.value(u) != t:
@@ -160,7 +155,7 @@ def form_unit(A, lam: FrobeniusForm, theta) -> El:
     if not winv.is_unit():
         raise ExactKernelError("internal consistency: solved element is not a unit")
     # theta(e_i) = lam(e_i w) for every i, through multiplication by w
-    if not np.array_equal((A.mult_matrix(w).a.T @ lam.vec) % A.p, tvec):
+    if not np.array_equal(fp_matmul(A.mult_matrix(w).a.T, lam.vec, A.p), tvec):
         raise ExactKernelError("internal consistency: form_unit identity fails")
     return winv.inv()
 
@@ -183,7 +178,7 @@ def gysin(f: AlgebraMap, lam_A: FrobeniusForm, lam_B: FrobeniusForm) -> AlgebraM
     """
     A, B = f.source, f.target
     check_gysin_input(f, lam_A, lam_B)
-    mat = (lam_A.dual @ f.matrix.T @ lam_B.pairing.a) % A.p
+    mat = fp_matmul(fp_matmul(lam_A.dual, f.matrix.T, A.p), lam_B.pairing.a, A.p)
     alpha = AlgebraMap(B, A, mat, module_over=f)
     if not alpha.check_module_map(f):
         raise ExactKernelError("internal consistency: gysin map is not a module map")
@@ -220,7 +215,7 @@ def extend_socle_map(f: AlgebraMap, socle_image: El, socle_gen_B: El | None = No
     blocks = []
     rhs = []
     for g, Mg_A in A.ideal_generators:
-        Mg_B = B.mult_matrix((f.matrix @ g) % p).a
+        Mg_B = B.mult_matrix(fp_matmul(f.matrix, g, p)).a
         # X * M_B - M_A * X = 0 on vec(X) (row-major)
         blocks.append((np.kron(IA, Mg_B.T) - np.kron(Mg_A, IB)) % p)
         rhs.extend([0] * (dA * dB))
@@ -246,5 +241,6 @@ def check_reciprocity(f: AlgebraMap, alpha: AlgebraMap, lam_A: FrobeniusForm) ->
     As matrices over the basis pairs (a, b): f^T . G_B = G_A . alpha, with
     G_B the pairing matrix of lam_A o alpha and G_A that of lam_A."""
     B, p = f.target, f.source.p
-    G_B = B.pairing_matrix((alpha.matrix.T @ lam_A.vec) % p).a
-    return bool(np.array_equal((f.matrix.T @ G_B) % p, (lam_A.pairing.a @ alpha.matrix) % p))
+    G_B = B.pairing_matrix(fp_matmul(alpha.matrix.T, lam_A.vec, p)).a
+    return bool(np.array_equal(fp_matmul(f.matrix.T, G_B, p),
+                               fp_matmul(lam_A.pairing.a, alpha.matrix, p)))

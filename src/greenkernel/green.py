@@ -33,6 +33,7 @@ from .exactkernel import (
     ExactKernelError,
     FpMatrix,
     ScopeError,
+    fp_matmul,
     mat_kernel,
     row_space_basis,
     subspace_contains,
@@ -209,7 +210,7 @@ def _formal_add(A: BorelAlgebra, level: HondaLevel, a, b) -> np.ndarray:
     if not (a.any() and b.any()):
         return (a + b) % A.p  # 0 is the unit of +_F
     P_a, P_b = (AlgebraMap.from_generator_images(level.algebra, A, [v]).matrix for v in (a, b))
-    W = (P_b @ level.fgl.F.T) % A.p
+    W = fp_matmul(P_b, level.fgl.F.T, A.p)
     out = np.zeros(A.dim, dtype=np.int64)
     for s in np.flatnonzero(P_a.any(axis=0) & W.any(axis=0)):
         out += A.mul_vec(P_a[:, s], W[:, s])
@@ -325,8 +326,8 @@ def stable_elements(G: PermGroup, p: int, n: int,
         cosets.append((res_H, res_K, partial(restrict, _conjugation_hom(dec_K, dec_H, gi),
                                              p, n, budget)))
     lim_basis = row_space_basis(mat_kernel(FpMatrix(np.vstack(diffs), p)), A_P.dim, p)
-    lim, one = np.array(lim_basis, dtype=np.int64).reshape(-1, A_P.dim), A_P.one_vec()
-    if not np.array_equal(one[(lim != 0).argmax(axis=1)] @ lim % p, one):  # RREF: pivot test
+    # 1 = e_0 lies in an RREF span iff row 0 is e_0: only row 0 may be nonzero at index 0
+    if not (lim_basis and np.array_equal(lim_basis[0], A_P.one_vec())):
         raise ExactKernelError("internal consistency: 1 is not stable")
     return StableResult(
         sylow=dec_P,
@@ -581,7 +582,7 @@ def _restrict_to_stable(full: AlgebraMap, v_src: GreenValue, v_tgt: GreenValue) 
     src_alg, tgt_alg = v_src.algebra, v_tgt.algebra
     X = full.matrix
     if isinstance(src_alg, Subalgebra):
-        X = X @ src_alg.basis_matrix.T
+        X = fp_matmul(X, src_alg.basis_matrix.T, src_alg.p)
     if isinstance(tgt_alg, Subalgebra):
         X = tgt_alg.to_sub(X.T).T  # raises if an image is not stable
     return AlgebraMap(src_alg, tgt_alg, X, is_algebra_map=full.is_algebra_map)

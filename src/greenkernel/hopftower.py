@@ -27,6 +27,7 @@ from .exactkernel import (
     BudgetError,
     ExactKernelError,
     FpMatrix,
+    fp_matmul,
     mat_kernel,
     row_space_basis,
     subspace_eq,
@@ -98,22 +99,20 @@ def hopf_check(H: HopfStructure) -> HopfReport:
     generators decides the axioms on the whole algebra.
     """
     A = H.algebra
-    p = A.p
+    p, d = A.p, A.dim
     psi_full = H.coproduct.matrix  # (dim^2-as-T2, dim)
     pair = H.square.pair_index
-    # ps[b] = psi(e_b) as (dim x dim) coefficient array
-    ps = psi_full.T[:, pair]  # shape (dim, dim, dim): [b, u, v]
+    # row b of ps is psi(e_b) as a flat (dim x dim) coefficient array [u, v]
+    ps = psi_full.T[:, pair].reshape(d, d * d)
     chi = H.antipode.matrix
 
     coassoc = counital = antipode_ok = cocomm = True
     for i in range(A.nvars):
         M = H.coproduct_coeffs[i]
         xvec = A.gen(i).vec
-        # (psi (x) id) psi(x) [u,v,w] = sum_a ps[a,u,v] M[a,w]
-        lhs = np.tensordot(ps, M, axes=([0], [0])) % p  # [u, v, w]
-        # (id (x) psi) psi(x) [u,v,w] = sum_b M[u,b] ps[b,v,w]
-        rhs = np.tensordot(M, ps, axes=([1], [0])) % p
-        if not np.array_equal(lhs, rhs):
+        # in [u, v, w] order: (psi (x) id) psi(x) = sum_a ps[a, (u, v)] M[a, w]
+        # and (id (x) psi) psi(x) = sum_b M[u, b] ps[b, (v, w)]
+        if not np.array_equal(fp_matmul(ps.T, M, p).ravel(), fp_matmul(M, ps, p).ravel()):
             coassoc = False
         if not np.array_equal(M[0, :], xvec) or not np.array_equal(M[:, 0], xvec):
             counital = False
@@ -121,7 +120,7 @@ def hopf_check(H: HopfStructure) -> HopfReport:
             cocomm = False
         # mu (chi (x) id) psi(x) = aug(x) 1 = 0 for a generator: the sum of
         # (chi M)[a, b] e_a e_b
-        if A.sum_of_products((chi @ M) % p).any():
+        if A.sum_of_products(fp_matmul(chi, M, p)).any():
             antipode_ok = False
     return HopfReport(coassoc, counital, antipode_ok, cocomm)
 
@@ -216,7 +215,7 @@ def is_hopf_map(f: AlgebraMap, src: HopfStructure, tgt: HopfStructure) -> bool:
     for i, g in enumerate(src.algebra.gens()):
         fg = f.apply(g)
         lhs = tgt.coproduct.apply(fg).vec[tgt.square.pair_index]
-        rhs = (F @ src.coproduct_coeffs[i]) % p @ F.T % p
+        rhs = fp_matmul(fp_matmul(F, src.coproduct_coeffs[i], p), F.T, p)
         if not np.array_equal(lhs, rhs):
             return False
         if f.apply(src.antipode.apply(g)) != tgt.antipode.apply(fg):

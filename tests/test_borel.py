@@ -21,7 +21,7 @@ from greenkernel.borel import (
 )
 from greenkernel.audit import default_subgroup_family
 from greenkernel.fgl import HondaParams
-from greenkernel.frobform import canonical_form, extend_socle_map, gysin, pairing_matrix
+from greenkernel.frobform import canonical_form, extend_socle_map, gysin
 from greenkernel.green import SubgroupGreenFunctor, value_general
 from greenkernel.grp import named_group
 from greenkernel.hopftower import honda_level, tower_maps
@@ -426,7 +426,7 @@ def test_product_kernel_matches_oracles(case):
         M = A.mult_matrix(u).a
         for j in idx:
             assert np.array_equal(M[:, j], A.mul_vec(u, eye[j]))
-        G = pairing_matrix(A, lam).a
+        G = A.pairing_matrix(lam).a
         for i in idx:
             for j in idx:
                 assert G[i, j] == int(lam @ A.mul_vec(eye[i], eye[j])) % A.p

@@ -1,13 +1,17 @@
 """Arithmetic substrate: matrices and subspaces over GF(p), and the
 test-side capped polynomials (polyoracle) that other tests compare against."""
 
+import ast
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import greenkernel
 from greenkernel.exactkernel import (
     ExactKernelError,
     FpMatrix,
@@ -171,6 +175,51 @@ def test_fpmatrix_int64_envelope_enforced():
     assert (FpMatrix([[p - 1]], p) @ FpMatrix([[p - 1]], p)).a.tolist() == [[1]]
     with pytest.raises(ScopeError):
         m @ m
+
+
+# products outside exactkernel that are not over GF(p), each with its reason
+NON_GF_P_PRODUCTS = {
+    # mixed-radix Kronecker codes of the exponent vectors: integers, no modulus
+    ("borel", "BorelAlgebra.__init__", "@"): 1,
+    # the object-integer sandwich L~^T M~ L~ of the group law, mod p^N
+    ("fgl", "_fgl_residues", ".dot"): 2,
+    # the object-integer series coefficients e_k m^k L~, mod p^N
+    ("fgl", "_series", ".dot"): 1,
+}
+
+
+def _products(tree: ast.AST, module: str) -> Counter:
+    """(module, enclosing def, spelling) of every matrix product in a module:
+    the @ operator and any .matmul/.tensordot/.dot/.einsum/.inner/.vdot call."""
+    found = Counter()
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found[(module, ".".join(scope), "@")] += 1
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("matmul", "tensordot", "dot", "einsum", "inner", "vdot")):
+            found[(module, ".".join(scope), "." + node.func.attr)] += 1
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(tree, ())
+    return found
+
+
+def test_fp_matmul_is_the_only_product_over_gf_p():
+    # every GF(p) product in the package is exactkernel.fp_matmul, which
+    # checks the int64 envelope; elsewhere only the listed non-GF(p) ones
+    found = Counter()
+    for path in sorted(Path(greenkernel.__file__).parent.glob("*.py")):
+        if path.stem != "exactkernel":
+            found += _products(ast.parse(path.read_text()), path.stem)
+    assert dict(found) == NON_GF_P_PRODUCTS
+    # the scan itself sees each spelling
+    probe = "def f(a, b):\n    a @= b\n    return np.matmul(a, b) @ np.tensordot(a, b)\n"
+    assert _products(ast.parse(probe), "m") == {
+        ("m", "f", "@"): 2, ("m", "f", ".matmul"): 1, ("m", "f", ".tensordot"): 1}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 2147483647, 3037000493])

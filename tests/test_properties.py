@@ -36,11 +36,12 @@ from greenkernel.exactkernel import (
     ExactKernelError,
     FpMatrix,
     ScopeError,
+    fp_matmul,
     mat_kernel,
     row_space_basis,
     subspace_contains,
 )
-from greenkernel.frobform import canonical_form, extend_socle_map, gysin
+from greenkernel.frobform import FrobeniusForm, canonical_form, extend_socle_map, gysin
 from greenkernel.green import restrict
 from greenkernel.grp import abelian_decompose, hom_between, named_group
 from polyoracle import (
@@ -300,9 +301,11 @@ def test_ideal_generators_match_the_two_pass_oracle(data):
     assert len(S.ideal_generators) == len(want)
     for (g, M), (h, N) in zip(S.ideal_generators, want):
         assert np.array_equal(g, h) and np.array_equal(M, N)
-    # the pivots of m^2 from every product of two radical rows
+    # the pivots of m^2 from every product of two radical rows are the
+    # indices of the radical that no ideal generator takes
     square = _pair_products(S.ambient, S.basis_matrix[1:])[:, S.pivots]
-    assert S._square_pivots == frozenset(FpMatrix(square, S.p).rref()[1])
+    gen_indices = {int(np.flatnonzero(g)[0]) for g, _ in S.ideal_generators}
+    assert frozenset(range(1, S.dim)) - gen_indices == frozenset(FpMatrix(square, S.p).rref()[1])
 
 
 @settings(PROPS, max_examples=100)
@@ -383,6 +386,19 @@ def test_fpmatrix_product_at_the_envelope(k, p, q, data):
         wide @ FpMatrix(b + [[1, 1]], p)
     with pytest.raises(ScopeError):
         FpMatrix(a, q) @ FpMatrix(b, q)
+    # fp_matmul on each shape pair (2-d or 1-d on either side): inner
+    # dimension k is exact, k + 1 leaves the envelope, and so does q
+    A, B, want = (np.array(x, dtype=np.int64) for x in (a, b, got))
+    A1 = np.hstack([A, np.ones((2, 1), dtype=np.int64)])
+    B1 = np.vstack([B, np.ones((1, 2), dtype=np.int64)])
+    every = slice(None)
+    for rows, cols in ((every, every), (every, 0), (0, every), (0, 0)):
+        x, y, x1, y1 = A[rows], B[:, cols], A1[rows], B1[:, cols]
+        assert np.array_equal(fp_matmul(x, y, p), want[rows][..., cols])
+        with pytest.raises(ScopeError):
+            fp_matmul(x1, y1, p)
+        with pytest.raises(ScopeError):
+            fp_matmul(x, y, q)
 
 
 def test_envelopes_refuse_exactly_two_to_the_63():
@@ -404,6 +420,9 @@ def test_envelopes_refuse_exactly_two_to_the_63():
     # (p-1)^2 against 2^63: row reduction and the trivial algebra
     assert FpMatrix([[3037000492, 1]], 3037000493).rank() == 1
     assert BorelAlgebra(3037000493, ()).dim == 1
+    # a chained pairing u G v reduces between its products: (p-1)^3 would wrap
+    p = 3037000493
+    assert FrobeniusForm(BorelAlgebra(p, ()), [p - 1]).pair([p - 1], [p - 1]) == p - 1
     with pytest.raises(ScopeError):
         FpMatrix([[3037000506, 1]], 3037000507).rref()
     with pytest.raises(ScopeError):
