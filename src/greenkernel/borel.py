@@ -11,12 +11,15 @@ Element vectors are numpy int64 coordinate arrays.  Every product comes
 from one mixed-radix Kronecker encoding of the monomials, enc[i] =
 sum_k e_k w_k with radix 2 q_k - 1 for variable k: a product of monomials is
 the sum of their codes with no carry between digits, and the code sum is a
-basis code exactly when no exponent reaches its cap.  mul_vec multiplies
-two big integers with one slot per code; mult_matrix and pairing_matrix
-gather from a vector scattered to the codes, and sum_of_products is the
-matching scatter-add.  The Frobenius u -> u^p is one index scatter from
-code e to code p e, so an algebra map fills the column of x^{pk} from that
-of x^k and checks each relation img^q = 0 with no product.
+basis code exactly when no exponent reaches its cap.  outer_products
+multiplies two big integers with one slot per code to form every product of
+two stacks of vectors, each pair in its own block of slots; mul_vec is its
+one-by-one case.  mult_matrix and pairing_matrix gather from a vector
+scattered to the codes, and sum_of_products is the matching scatter-add.  The Frobenius u -> u^p is one
+index scatter from code e to code p e, so an algebra map checks each
+relation img^q = 0 with no product and builds each power table img^k by
+p-adic rounds, img^{pk+j} = Frob(img^k) img^j.  The socle of
+k[x_i]/(x_i^{q_i}) is its top monomial, read off the basis with no kernel.
 
 A Subalgebra works in the coordinates of its RREF basis b_0, ..., b_{k-1}.
 It contains 1 = e_0, so b_0 = 1 and every other b_i is 0 at index 0.  Both
@@ -183,11 +186,12 @@ class _LocalAlgebraOps:
     """Shared derived operations on coordinates where index 0 is the unit and
     the augmentation, and the maximal ideal m is every other coordinate.
 
-    Concrete classes provide p, dim, mul_vec, mult_matrix, pairing_matrix and
-    ideal_generators: pairs (g, M(g)) of lifts g of a basis of m/m^2 and
-    their multiplication matrices.  By Nakayama's lemma the g generate m as
-    an ideal and the algebra as an algebra, so identities that are linear in
-    one factor and multiplicative are decided on them."""
+    Concrete classes provide p, dim, mul_vec, mult_matrix, pairing_matrix,
+    the socle basis _socle, and ideal_generators: pairs (g, M(g)) of lifts g
+    of a basis of m/m^2 and their multiplication matrices.  By Nakayama's
+    lemma the g generate m as an ideal and the algebra as an algebra, so
+    identities that are linear in one factor and multiplicative are decided
+    on them."""
 
     @cached_property
     def _one(self) -> np.ndarray:
@@ -224,18 +228,9 @@ class _LocalAlgebraOps:
     def basis_elements(self) -> list[El]:
         return [El(self, v) for v in np.eye(self.dim, dtype=np.int64)]
 
-    @cached_property
-    def _socle(self) -> tuple[np.ndarray, ...]:
-        gens = self.ideal_generators
-        if not gens:
-            return (self.one_vec(),)
-        stacked = np.vstack([M for _, M in gens])
-        return _read_only(mat_kernel(FpMatrix(stacked, self.p)))
-
     def socle_vecs(self) -> list[np.ndarray]:
-        """Basis of the annihilator of the maximal ideal, via the kernel of
-        the stacked multiplication matrices of the ideal generators (z m = 0
-        iff z g = 0 for each g).  Computed once per algebra; the vectors are
+        """Basis of the annihilator of the maximal ideal (the concrete
+        class's _socle).  Computed once per algebra; the vectors are
         read-only."""
         return list(self._socle)
 
@@ -298,7 +293,7 @@ class BorelAlgebra(_LocalAlgebraOps):
         self.index: dict[tuple, int] = {e: i for i, e in enumerate(exps)}
         # mixed-radix Kronecker codes, radix 2q-1 per variable (see module doc)
         weights = np.cumprod([1] + [2 * q - 1 for q in profile])
-        self.enc = np.array(exps, dtype=np.int64).reshape(dim, -1) @ weights[:-1]
+        self.enc = _read_only([np.array(exps, dtype=np.int64).reshape(dim, -1) @ weights[:-1]])[0]
         self._ncodes = int(weights[-1])
         self._slot = next(np.dtype("<u%d" % b) for b in (1, 2, 4, 8) if bound < 256 ** b)
 
@@ -322,18 +317,33 @@ class BorelAlgebra(_LocalAlgebraOps):
     # -- primitive operations -----------------------------------------------
 
     def _scatter(self, vec, dtype=np.int64) -> np.ndarray:
-        """vec reduced mod p and placed at the codes; other positions hold 0."""
-        out = np.zeros(self._ncodes, dtype=dtype)
-        out[self.enc] = np.asarray(vec, dtype=np.int64) % self.p
+        """vec, or each row of a stack of them, reduced mod p and placed at
+        the codes; other positions hold 0."""
+        vec = np.asarray(vec, dtype=np.int64)
+        out = np.zeros(vec.shape[:-1] + (self._ncodes,), dtype=dtype)
+        out[..., self.enc] = vec % self.p
         return out
 
+    def outer_products(self, U, V) -> np.ndarray:
+        """Every product U[i] V[j], as an (m, n, dim) array, from one
+        big-integer product (Kronecker substitution): U[i] sits at slot i S
+        and V[j] at slot j m S, with S = _ncodes and m = len(U).  Every code
+        sum is below S, so U[i] V[j] fills block i + j m alone, and each of
+        its slots sums at most dim products below (p-1)^2, which the slot
+        width holds: nothing wraps or carries."""
+        (m, _), (n, _), S = np.shape(U), np.shape(V), self._ncodes
+        if not (m and n):
+            return np.zeros((m, n, self.dim), dtype=np.int64)
+        Vs = np.zeros(((n - 1) * m + 1) * S, dtype=self._slot)
+        Vs[np.arange(n)[:, None] * (m * S) + self.enc] = np.asarray(V, dtype=np.int64) % self.p
+        a, b = (int.from_bytes(x.tobytes(), "little") for x in (self._scatter(U, self._slot), Vs))
+        c = np.frombuffer((a * b).to_bytes(m * n * S * self._slot.itemsize, "little"),
+                          dtype=self._slot)
+        return (c.reshape(n, m, S).transpose(1, 0, 2)[..., self.enc] % self.p).astype(np.int64)
+
     def mul_vec(self, u, v) -> np.ndarray:
-        """One big-integer product with a slot per code; every code sum is
-        below _ncodes and every slot below 256**itemsize, so nothing wraps."""
-        nbytes = self._ncodes * self._slot.itemsize
-        a, b = (int.from_bytes(self._scatter(x, self._slot).tobytes(), "little") for x in (u, v))
-        c = np.frombuffer((a * b).to_bytes(nbytes, "little"), dtype=self._slot)
-        return c[self.enc].astype(np.int64) % self.p
+        """The product uv: outer_products of one row by one row."""
+        return self.outer_products(np.reshape(u, (1, -1)), np.reshape(v, (1, -1)))[0, 0]
 
     @cached_property
     def _frob(self) -> tuple[np.ndarray, np.ndarray]:
@@ -346,11 +356,13 @@ class BorelAlgebra(_LocalAlgebraOps):
         return keep, pos[self.p * self.enc[keep]]
 
     def frobenius(self, vec) -> np.ndarray:
-        """vec^p by one index scatter: over GF(p), (sum c_e x^e)^p is
-        sum c_e x^{pe}, and x^{pe} = 0 unless every p e_i < q_i."""
+        """vec^p, or that of each row of a stack, by one index scatter: over
+        GF(p), (sum c_e x^e)^p is sum c_e x^{pe}, and x^{pe} = 0 unless
+        every p e_i < q_i."""
         src, dst = self._frob
-        out = np.zeros(self.dim, dtype=np.int64)
-        out[dst] = np.asarray(vec, dtype=np.int64)[src] % self.p
+        vec = np.asarray(vec, dtype=np.int64)
+        out = np.zeros(vec.shape, dtype=np.int64)
+        out[..., dst] = vec[..., src] % self.p
         return out
 
     def mult_matrix(self, vec) -> FpMatrix:
@@ -376,6 +388,12 @@ class BorelAlgebra(_LocalAlgebraOps):
         return acc[self.enc] % self.p
 
     @cached_property
+    def _socle(self) -> tuple[np.ndarray, ...]:
+        """The top monomial, in closed form: x^e x_i = 0 for every i exactly
+        when every e_i = q_i - 1 (the unit when there are no variables)."""
+        return _read_only([np.eye(1, self.dim, self.dim - 1, dtype=np.int64)[0]])
+
+    @cached_property
     def ideal_generators(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The variables x_i, in order, with their multiplication matrices;
         computed once, read-only."""
@@ -397,7 +415,7 @@ class BorelAlgebra(_LocalAlgebraOps):
         return El(self, v)
 
     def top_monomial(self) -> El:
-        return El(self, np.eye(self.dim, dtype=np.int64)[self.dim - 1])
+        return El(self, self._socle[0])
 
     def to_json(self) -> dict:
         return {"p": self.p, "profile": list(self.profile), "vars": list(self.var_names)}
@@ -435,6 +453,30 @@ def _intertwines(X, pairs, p: int) -> bool:
     return all(np.array_equal(fp_matmul(X, Ms, p), fp_matmul(Mt, X, p)) for Ms, Mt in pairs)
 
 
+# coefficients in the left factor of one outer_products call of
+# _times_powers: the packed integers of a call then stay within a few MB,
+# and a row of a 2^16-dimensional algebra is multiplied alone
+_BATCH = 1 << 16
+
+
+def _times_powers(B, R, P, out) -> None:
+    """Fill out, (len(R) (len(P) + 1), dim), with the rows r u for r in R and
+    u in 1, P[0], P[1], ..., ordered as the pairs (r, u).  Each nonzero P[j]
+    takes one outer_products with the nonzero rows of R, _BATCH
+    coefficients of them at a time.  That column of blocks is a lopsided
+    pair of big integers, which CPython multiplies piece by piece at about
+    the cost of the separate products; one grid for all of P would be a
+    balanced product of integers half made of gaps, about 1.5 times slower
+    at dimension 729.  Rows of zeros take no product."""
+    out = out.reshape(len(R), len(P) + 1, B.dim, copy=False)  # a view: writes reach the caller
+    out[:, 0], out[:, 1:] = R, 0
+    live, step = np.flatnonzero(R.any(axis=1)), max(1, _BATCH // B.dim)
+    for j in np.flatnonzero(P.any(axis=1)):
+        for s in range(0, len(live), step):
+            r = live[s:s + step]
+            out[r, j + 1] = B.outer_products(R[r], P[j:j + 1])[:, 0]
+
+
 class AlgebraMap:
     """Linear map between local algebras as a (target.dim x source.dim)
     matrix over GF(p), with flags recording verified structure."""
@@ -461,11 +503,15 @@ class AlgebraMap:
     def from_generator_images(cls, A: BorelAlgebra, B, images) -> "AlgebraMap":
         """Extend generator images multiplicatively over the monomial basis.
 
-        Checks the defining relations (each image to the q_i-th power is 0:
-        a chain of Frobenius scatters); a violated relation raises 'not an
-        algebra map'.  The column of x^e with every e_i divisible by p is the
-        Frobenius image of the column of x^{e/p}; every other column is one
-        product with a generator image.
+        Checks the defining relations first (each image to the q_i-th power
+        is 0: a chain of Frobenius scatters); a violated relation raises 'not
+        an algebra map'.  Each image g then gets its power table g^0..g^{q-1}
+        by p-adic rounds, g^{pk+j} = Frob(g^k) g^j: a round that takes the
+        table's length L to pL scatters the rows k >= L/p of the table once
+        and multiplies them by g^1..g^{p-1} (see _times_powers).  The tables
+        are combined one variable at a time the same way, into the
+        lexicographic order of the exponents, and the columns are then
+        permuted into A's graded order.
         """
         images = [img if isinstance(img, El) else El(B, img) for img in images]
         if len(images) != A.nvars:
@@ -479,18 +525,30 @@ class AlgebraMap:
                 raise ExactKernelError(
                     "not an algebra map: generator image fails its defining relation"
                 )
-        cols = np.zeros((B.dim, A.dim), dtype=np.int64)
-        cols[:, 0] = B.one_vec()
-        for idx, e in enumerate(A.basis[1:], 1):  # graded order: e/p and e - 1_i come first
-            if all(a % p == 0 for a in e):
-                cols[:, idx] = B.frobenius(cols[:, A.index[tuple(a // p for a in e)]])
+        cols = B.one_vec()[None]  # rows: images of the monomials, lexicographic
+        for img, q in zip(images, A.profile):
+            table = np.empty((q, B.dim), dtype=np.int64)  # g^0..g^{q-1}
+            table[0], table[1] = B.one_vec(), img.vec
+            for j in range(2, p):
+                table[j] = B.mul_vec(table[j - 1], img.vec)
+            L = p
+            while L < q:  # the new exponents pk + j, k from L/p on
+                _times_powers(B, B.frobenius(table[L // p:L]), table[1:p], table[L:p * L])
+                L *= p
+            if len(cols) == 1:  # the first variable
+                cols = table
             else:
-                i = next(k for k, a in enumerate(e) if a)
-                prev = tuple(a - 1 if k == i else a for k, a in enumerate(e))
-                col = cols[:, A.index[prev]]
-                if col.any():  # else the power has reached 0 and so has this column
-                    cols[:, idx] = B.mul_vec(col, images[i].vec)
-        return cls(A, B, cols, is_algebra_map=True)
+                cols, prev = np.empty((len(cols) * q, B.dim), dtype=np.int64), cols
+                cols[:q] = table
+                _times_powers(B, prev[1:], table[1:], cols[q:])
+        strides = np.cumprod((1,) + A.profile[::-1])[-2::-1]  # lexicographic index of x^e
+        lex = (np.array(A.basis, dtype=np.int64).reshape(A.dim, -1) * strides).sum(axis=1)
+        graded = np.empty(A.dim, dtype=np.int64)  # the inverse permutation, by a scatter
+        graded[lex] = np.arange(A.dim)
+        matrix = np.empty((B.dim, A.dim), dtype=np.int64)
+        matrix.T[graded] = cols  # column j: the row of basis monomial j
+        cols = table = None  # freed before AlgebraMap reduces a copy of the matrix
+        return cls(A, B, matrix, is_algebra_map=True)
 
     def apply(self, el):
         vec = el.vec if isinstance(el, El) else np.asarray(el, dtype=np.int64)
@@ -675,6 +733,10 @@ class Subalgebra(_LocalAlgebraOps):
         prod = self.ambient.mul_vec(self.from_sub(u), self.from_sub(v))
         return self.to_sub(prod)
 
+    def outer_products(self, U, V) -> np.ndarray:
+        """Every product U[i] V[j], as an (m, n, dim) array."""
+        return self.to_sub(self.ambient.outer_products(self.from_sub(U), self.from_sub(V)))
+
     def frobenius(self, vec) -> np.ndarray:
         return self.to_sub(self.ambient.frobenius(self.from_sub(vec)))
 
@@ -692,6 +754,15 @@ class Subalgebra(_LocalAlgebraOps):
         amb[self.pivots] = np.asarray(lam, dtype=np.int64) % self.p
         B, p = self.basis_matrix, self.p
         return FpMatrix(fp_matmul(fp_matmul(B, self.ambient.pairing_matrix(amb).a, p), B.T, p), p)
+
+    @cached_property
+    def _socle(self) -> tuple[np.ndarray, ...]:
+        """The kernel of the stacked multiplication matrices of the ideal
+        generators: z m = 0 iff z g = 0 for each g."""
+        gens = self.ideal_generators
+        if not gens:
+            return (self.one_vec(),)
+        return _read_only(mat_kernel(FpMatrix(np.vstack([M for _, M in gens]), self.p)))
 
     @cached_property
     def ideal_generators(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

@@ -215,9 +215,18 @@ class FpMatrix:
         return x
 
     def inv(self) -> "FpMatrix":
+        """The inverse.  A monomial matrix, with one nonzero entry d_i =
+        M[i, s(i)] in each row and column, is D P with P a permutation and
+        inverts as P^T D^{-1}: entry (s(i), i) is 1/d_i.  Every other matrix
+        is inverted by row reduction of [M | I]."""
         if self.rows != self.cols:
             raise ExactKernelError("only square matrices are invertible")
         n = self.rows
+        rows, cols = np.nonzero(self.a)
+        if np.array_equal(rows, np.arange(n)) and self.a.any(axis=0).all():  # one per row, every column
+            out = np.zeros((n, n), dtype=np.int64)
+            out[cols, rows] = [pow(d, -1, self.p) for d in self.a[rows, cols].tolist()]
+            return FpMatrix(out, self.p)
         aug = FpMatrix(np.hstack([self.a, np.eye(n, dtype=np.int64)]), self.p)
         R, pivots = aug.rref()
         if pivots != list(range(n)):

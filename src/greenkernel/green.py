@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -110,7 +110,10 @@ def _params(p: int, n: int, trunc: int) -> HondaParams:
     return HondaParams(p, n, max(trunc, p ** n))
 
 
+@lru_cache(maxsize=None)
 def _trivial_algebra(p: int) -> BorelAlgebra:
+    """F_p as a BorelAlgebra, one shared instance per p: its cached socle,
+    ideal generators and canonical form are built once."""
     return BorelAlgebra(p, ())
 
 

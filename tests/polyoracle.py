@@ -5,8 +5,9 @@ per-coset kernels, permutation products and double cosets one product at
 a time, the nilpotency exponent and socle extensions on the whole radical
 basis rather than on ideal generators, a subalgebra's ideal generators from
 its own radical products, every pair product of a list of rows (the closure
-test Subalgebra once ran), and the element and embedding helpers only the
-tests read.
+test Subalgebra once ran), the socle as a kernel and the inverse by
+augmented row reduction (where BorelAlgebra and FpMatrix use closed forms),
+and the element and embedding helpers only the tests read.
 
 The package computes with coordinate arrays only (Kronecker-coded Borel
 vectors, the (D, D) residue array of the group law).  These slow,
@@ -399,6 +400,26 @@ def nilpotency_exponent_by_radical(A) -> int:
         if e > A.dim + 1:
             raise ExactKernelError("radical fails to be nilpotent")
     return e
+
+
+def socle_by_kernel(A) -> list[np.ndarray]:
+    """The socle as the kernel of the stacked multiplication matrices of the
+    ideal generators (z m = 0 iff z g = 0 for each g); the unit when there
+    are none."""
+    gens = A.ideal_generators
+    if not gens:
+        return [A.one_vec()]
+    return mat_kernel(FpMatrix(np.vstack([M for _, M in gens]), A.p))
+
+
+def inverse_by_rref(M: FpMatrix) -> FpMatrix:
+    """M^{-1} from the row reduction of [M | I]; raises 'matrix is singular'
+    unless the left block reduces to I."""
+    n = M.rows
+    R, pivots = FpMatrix(np.hstack([M.a, np.eye(n, dtype=np.int64)]), M.p).rref()
+    if pivots != list(range(n)):
+        raise ExactKernelError("matrix is singular")
+    return FpMatrix(R.a[:, n:], M.p)
 
 
 def _pair_products(A, rows) -> np.ndarray:

@@ -35,6 +35,7 @@ from polyoracle import (
     extension_or_error,
     from_exp_dict,
     nilpotency_exponent_by_radical,
+    socle_by_kernel,
 )
 
 
@@ -609,11 +610,23 @@ def generator_images_oracle(A, B, images) -> np.ndarray:
 
 @pytest.mark.parametrize("p,profile,target", [
     (2, (4, 2), (8, 4)), (3, (9, 3), (27,)), (2, (2, 2, 2), (4, 4)), (5, (5, 5), (25, 5)),
+    # long single-variable chains: several p-adic rounds of power tables
+    (2, (16,), (16,)), (3, (81,), (81,)), (5, (25,), (25, 5)),
+    # two variables, whose power tables are combined; no variable at all
+    (2, (8, 8), (8, 8)), (3, (), (9, 3)),
+    # a Subalgebra target: the closure of y1^2 and y1 y2 in F_2[y1, y2]/(y1^8, y2^4)
+    (2, (4, 2), ("sub", (8, 4), [(2, 0), (1, 1)])),
 ])
 def test_from_generator_images_matches_product_oracle(p, profile, target):
     A = make_algebra(p, profile)
-    B = make_algebra(p, target, tuple("y%d" % i for i in range(len(target))))
+    if target[0] == "sub":
+        B = _closure(p, target[1], target[2])
+    else:
+        B = make_algebra(p, target, tuple("y%d" % i for i in range(len(target))))
     rng = np.random.default_rng(p * 7 + len(profile))
+    # a relation x^q = 0 can fail in B exactly when a radical basis vector
+    # has a nonzero q-th power (the q-th power map is additive)
+    can_fail = any(not (El(B, e) ** q).is_zero() for q in profile for e in B.radical_span_vecs())
     checked = refused = 0
     for _ in range(40):
         # random radical elements to a random power: some satisfy the
@@ -629,7 +642,23 @@ def test_from_generator_images_matches_product_oracle(p, profile, target):
             continue
         assert np.array_equal(AlgebraMap.from_generator_images(A, B, images).matrix, want)
         checked += 1
-    assert checked and refused
+    assert checked and bool(refused) == can_fail
+
+
+@pytest.mark.parametrize("p,profile,target", [(3, (81,), (81,)), (2, (8, 8), (8, 8)),
+                                               (5, (25,), (25, 5))])
+def test_generator_images_in_one_row_batches_match(monkeypatch, p, profile, target):
+    # a big algebra multiplies its rows one outer_products call at a time;
+    # the map is the same as with every row in one call
+    import greenkernel.borel as borel_mod
+
+    A, B = make_algebra(p, profile), make_algebra(p, target)
+    rng = np.random.default_rng(p)
+    images = [rng.integers(0, p, B.dim) * (np.arange(B.dim) > 0) for _ in profile]
+    want = AlgebraMap.from_generator_images(A, B, images).matrix
+    monkeypatch.setattr(borel_mod, "_BATCH", 1)
+    assert np.array_equal(AlgebraMap.from_generator_images(A, B, images).matrix, want)
+    assert np.array_equal(want, generator_images_oracle(A, B, images))
 
 
 @pytest.mark.parametrize("p,n,top", [(2, 1, 5), (3, 1, 3), (2, 2, 2)])
@@ -661,6 +690,8 @@ def test_generator_images_match_product_oracle_on_tower(p, n, top):
 
 
 def test_socle_and_radical_are_computed_once(monkeypatch):
+    # a Subalgebra's socle is one kernel; a Borel algebra's is its top
+    # monomial in closed form, with no kernel; both are built once
     import greenkernel.borel as borel_mod
 
     calls, kernel = [], borel_mod.mat_kernel
@@ -671,15 +702,29 @@ def test_socle_and_radical_are_computed_once(monkeypatch):
 
     monkeypatch.setattr(borel_mod, "mat_kernel", counting_kernel)
     A = make_algebra(3, (9, 3))
+    first = A.socle_vecs()
+    assert first[0] is A.socle_vecs()[0]
+    assert not calls
+    assert [v.tolist() for v in first] == [v.tolist() for v in socle_by_kernel(A)]
     S = subalgebra_close(A, [A.monomial((3, 0)), A.monomial((1, 1))])
-    for alg in (A, S):
-        before = len(calls)
-        first = alg.socle_vecs()
-        assert len(calls) == before + 1
-        second = alg.socle_vecs()
-        assert len(calls) == before + 1
-        assert all(np.array_equal(u, v) for u, v in zip(first, second))
+    before = len(calls)
+    first = S.socle_vecs()
+    assert len(calls) == before + 1
+    second = S.socle_vecs()
+    assert len(calls) == before + 1
+    assert all(np.array_equal(u, v) for u, v in zip(first, second))
     assert S.radical_span_vecs()[0] is S.radical_span_vecs()[0]
+
+
+@pytest.mark.parametrize("p,profile", [
+    (2, ()), (3, ()), (5, ()), (2, (8,)), (3, (27,)), (5, (25,)),
+    (2, (4, 2, 2)), (3, (9, 3)), (5, (5, 5)),
+])
+def test_borel_socle_is_the_top_monomial_of_the_kernel_oracle(p, profile):
+    A = make_algebra(p, profile)
+    want = socle_by_kernel(A)
+    assert [v.tolist() for v in A.socle_vecs()] == [v.tolist() for v in want]
+    assert A.top_monomial().vec.tolist() == want[0].tolist()
 
 
 def test_cached_socle_and_radical_refuse_writes():

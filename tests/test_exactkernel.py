@@ -222,6 +222,48 @@ def test_fp_matmul_is_the_only_product_over_gf_p():
         ("m", "f", "@"): 2, ("m", "f", ".matmul"): 1, ("m", "f", ".tensordot"): 1}
 
 
+def _is_from_bytes(node) -> bool:
+    """Does the expression call int.from_bytes anywhere inside?"""
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == "from_bytes" and isinstance(n.func.value, ast.Name)
+               and n.func.value.id == "int" for n in ast.walk(node))
+
+
+def _big_int_products(tree: ast.AST, module: str) -> Counter:
+    """(module, enclosing def) of every big-integer Kronecker product: a *
+    with an operand that calls int.from_bytes or is a name bound to such a
+    call earlier in the same def."""
+    found = Counter()
+
+    def walk(node, scope, names):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope, names = scope + (node.name,), set()
+        if isinstance(node, ast.Assign) and _is_from_bytes(node.value):
+            names.update(n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mult):
+            operands = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.target, node.value)
+            if any(_is_from_bytes(x) or isinstance(x, ast.Name) and x.id in names for x in operands):
+                found[(module, ".".join(scope))] += 1
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope, names)
+
+    walk(tree, (), set())
+    return found
+
+
+def test_one_big_integer_product_in_outer_products():
+    # every Borel product is a slice of BorelAlgebra.outer_products, the one
+    # place that multiplies Kronecker-packed integers
+    found = Counter()
+    for path in sorted(Path(greenkernel.__file__).parent.glob("*.py")):
+        found += _big_int_products(ast.parse(path.read_text()), path.stem)
+    assert dict(found) == {("borel", "BorelAlgebra.outer_products"): 1}
+    # the scan itself sees a direct product and one through bound names
+    probe = ("def f(x, y):\n    c = int.from_bytes(x, 'little') * int.from_bytes(y, 'little')\n"
+             "    a, b = (int.from_bytes(z, 'little') for z in (x, y))\n    a *= 2\n    return a * b\n")
+    assert _big_int_products(ast.parse(probe), "m") == {("m", "f"): 3}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 2147483647, 3037000493])
 def test_reduce_mod_equals_percent_on_every_int64(p):
     # a - (a // p) p wraps near the int64 ends, and the wrap cancels

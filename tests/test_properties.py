@@ -1,7 +1,9 @@
 """Property tests: the array kernels against the test-side oracles.
 
 Borel products (mul_vec, mult_matrix, pairing_matrix, sum_of_products) are
-compared with the truncated-polynomial product of polyoracle, and FpMatrix
+compared with the truncated-polynomial product of polyoracle, outer_products
+with mul_vec at every Kronecker slot width, the closed-form inverse of a
+monomial matrix with the augmented row reduction, and FpMatrix
 row reduction with Gaussian elimination over Python ints, at small primes,
 at primes near 2^31 and at p = 3037000493, the largest prime with
 (p-1)^2 < 2^63, on small, tall and wide matrices, full-rank,
@@ -50,6 +52,7 @@ from polyoracle import (
     extend_socle_map_by_radical,
     extension_or_error,
     ideal_generators_two_pass,
+    inverse_by_rref,
     nilpotency_exponent_by_radical,
 )
 
@@ -122,6 +125,36 @@ def test_borel_products_match_polynomial_oracle(data):
     # sum_{i,j} C[i,j] e_i e_j for C = u v^T + v lam^T is u v + v lam
     C = (np.outer(u, v) % p + np.outer(v, lam) % p) % p
     assert np.array_equal(A.sum_of_products(C), (uv + vlam) % p)
+
+
+# one algebra per Kronecker slot width: 1 and 2 bytes at small primes, 4 at
+# p = 257, and 8 at p = 1627 (dim (p-1)^2 just above 2^32), near 2^31 and at
+# 3037000493, where only F_p fits the envelope
+SLOT_ALGEBRAS = [BorelAlgebra(p, profile) for p, profile in (
+    (2, (4, 2)), (3, (9, 3)), (5, (25,)), (7, (7, 7)), (257, (257,)), (1627, (1627,)),
+    (2147483647, ()), (3037000493, ()))]
+# empty, single-row and taller stacks on either side
+STACK_SHAPES = ((0, 0), (0, 2), (2, 0), (1, 1), (1, 3), (3, 1), (3, 2))
+
+
+def test_slot_algebras_cover_every_slot_width():
+    assert sorted({A._slot.itemsize for A in SLOT_ALGEBRAS}) == [1, 2, 4, 8]
+
+
+@pytest.mark.parametrize("A", SLOT_ALGEBRAS, ids=lambda A: "p%d-dim%d" % (A.p, A.dim))
+@settings(PROPS, max_examples=5)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_outer_products_equal_mul_vec_at_every_slot_width(A, seed):
+    rng = np.random.default_rng(seed)
+    for m, n in STACK_SHAPES:
+        # entries outside [0, p) too: both reduce their input
+        U, V = (rng.integers(-A.p, 2 * A.p, (k, A.dim)) for k in (m, n))
+        got = A.outer_products(U, V)
+        assert got.shape == (m, n, A.dim) and got.dtype == np.int64
+        for i, j in np.ndindex(m, n):
+            assert np.array_equal(got[i, j], A.mul_vec(U[i], V[j]))
+        # the Frobenius of a stack is that of each row
+        assert A.frobenius(U).tolist() == [A.frobenius(u).tolist() for u in U]
 
 
 # -- FpMatrix against Gaussian elimination over Python ints ---------------------
@@ -202,6 +235,40 @@ def test_fpmatrix_matches_python_elimination(data):
             want_x[c] = aug[i][-1]
         assert x.tolist() == want_x
         assert all(_mod_dot(r, want_x, p) == bi for r, bi in zip(rows, b))
+
+
+def _inverse_or_error(inverse, M: FpMatrix):
+    try:
+        return inverse(M).a.tolist()
+    except ExactKernelError as ex:
+        return str(ex)
+
+
+@MATRIX_PROPS
+@given(st.data())
+def test_monomial_inverse_equals_the_rref_inverse(data):
+    # one nonzero entry per row and column: inverted in closed form
+    p = data.draw(st.sampled_from(SMALL_PRIMES + LARGE_PRIMES))
+    n = data.draw(st.integers(1, 12))
+    perm = data.draw(st.permutations(range(n)))
+    a = np.zeros((n, n), dtype=np.int64)
+    a[np.arange(n), perm] = data.draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
+    M = FpMatrix(a, p)
+    inv = M.inv()
+    assert inv == inverse_by_rref(M)
+    # M M^{-1} = I over Python ints (at the largest primes an n x n product
+    # leaves the int64 envelope)
+    assert [[_mod_dot(r, c, p) for c in inv.a.T] for r in a] == np.eye(n, dtype=int).tolist()
+    # a zero row is singular; one more nonzero entry takes the row reduction
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    zero_row = a.copy()
+    zero_row[i] = 0
+    with pytest.raises(ExactKernelError, match="matrix is singular"):
+        FpMatrix(zero_row, p).inv()
+    extra = a.copy()
+    extra[i, j] = data.draw(st.integers(1, p - 1))
+    X = FpMatrix(extra, p)
+    assert _inverse_or_error(FpMatrix.inv, X) == _inverse_or_error(inverse_by_rref, X)
 
 
 def _rank_contains(basis, v, p: int) -> bool:
