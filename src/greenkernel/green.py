@@ -5,11 +5,11 @@ Values on abelian p-groups are tensor products of Honda tower levels
 is dual to the group multiplication, so it sends each generator to the
 formal-group sum of its component images, computed through algebra-map
 columns and mul_vec; transfers are Gysin maps for the canonical Frobenius
-forms; values on a general finite group G with abelian Sylow
-p-subgroup P are computed inside A(P) by the stable elements formula, with
-the colimit formula and the invariant-subalgebra computation as
-independent cross-checks.  The colimit side is computed only when read
-(by `green stable` and the tests), so a value never pays for it.
+forms; values on a general finite group G with abelian Sylow p-subgroup P
+are the subalgebra of A(P) fixed by N_G(P)/P, which is the stable elements
+(Swan), so the value path visits no double coset.  The colimit over the
+double cosets P\\G/P is computed only when read (by `green stable` and the
+tests), and the double-coset limit is the tests' oracle.
 Restriction depends only on the abstract hom and a transfer only on its
 map and forms, so each is built once per distinct input and shared, with
 a read-only matrix.
@@ -23,8 +23,8 @@ value A(G) is a subalgebra of A(P) and res^G_P is the inclusion.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,29 +59,38 @@ DEFAULT_SIZE_BUDGET = 256
 
 @dataclass
 class StableResult:
-    """Output of the stable-elements computation inside A(P).
+    """A(G) inside A(P), P an abelian Sylow p-subgroup of G: the subalgebra
+    fixed by N_G(P)/P, lim_basis its RREF basis in A(P)."""
 
-    cosets holds, per double coset PgP, what colim_dim reads: res_H, res_K
-    and a call that builds c_{g^{-1}}: A(Hg) -> A(Kg)."""
-
+    group: PermGroup
     sylow: AbelianPGroup
-    value_algebra: BorelAlgebra
-    lim_basis: list
+    n: int
+    budget: int
     subalgebra: Subalgebra
-    cosets: list = field(repr=False)
+
+    @property
+    def lim_basis(self) -> list:
+        return list(self.subalgebra.basis_matrix.copy())  # the caller's to change
 
     @property
     def lim_dim(self) -> int:
-        return len(self.lim_basis)
+        return self.subalgebra.dim
 
     @cached_property
     def colim_dim(self) -> int:
         """dim A(P) minus the span of the images of ind^P_H - ind^P_K c_{g^{-1}}
-        over the double cosets; the cross-check, computed on first read."""
-        A_P, p = self.value_algebra, self.value_algebra.p
+        over the double cosets PgP, H = gPg^{-1} cap P and K = P cap g^{-1}Pg;
+        the cross-check, computed on first read."""
+        G, dec_P, n, budget = self.group, self.sylow, self.n, self.budget
+        P, p, A_P = dec_P.group, dec_P.p, self.subalgebra.ambient
         images = []
-        for res_H, res_K, cginv in self.cosets:
-            images.extend((transfer(res_H) - transfer(res_K).compose(cginv())).matrix.T)
+        for g in double_cosets(G, P, P):
+            gi = perm_inv(g)
+            dec_H, dec_K = (abelian_decompose(P.intersection(G.conjugate_subgroup(P, x)), p)
+                            for x in (g, gi))
+            res_H, res_K = (restrict(_inclusion_hom(d, dec_P), p, n, budget) for d in (dec_H, dec_K))
+            cginv = restrict(_conjugation_hom(dec_K, dec_H, gi), p, n, budget)  # A(H) -> A(K)
+            images.extend((transfer(res_H) - transfer(res_K).compose(cginv)).matrix.T)
         return A_P.dim - len(row_space_basis(images, A_P.dim, p))
 
 
@@ -306,45 +315,32 @@ def _conjugation_hom(src: AbelianPGroup, tgt: AbelianPGroup, g) -> AbelianHom:
 
 def stable_elements(G: PermGroup, p: int, n: int,
                     budget: int = DEFAULT_SIZE_BUDGET) -> StableResult:
-    """A(G) inside A(P) for P a Sylow p-subgroup: the simultaneous kernel of
-    res_H - c_g res_K over double cosets P\\G/P, taken as the kernel of the
-    stacked differences.  The colimit dimension is computed when read."""
+    """A(G) inside A(P) for P an abelian Sylow p-subgroup: the invariants of
+    W = N_G(P)/P, one restriction of A(P) to itself per generator of W.
+
+    These are the stable elements: by Burnside's fusion theorem N_G(P)
+    controls G-fusion in P, so on each P cap g^{-1}Pg conjugation by g
+    agrees with conjugation by an element of N_G(P) (Swan, The p-period of a
+    finite group, 1960).  The colimit dimension is computed when read."""
     P = sylow(G, p)
     if not P.is_abelian():
         raise ScopeError("Sylow %d-subgroup is non-abelian: out of modeled scope" % p)
     dec_P = abelian_decompose(P, p)
-    A_P: BorelAlgebra = value_for_decomposition(dec_P, p, n, budget).algebra
-    diffs = []
-    cosets = []
-    for g in double_cosets(G, P, P):
+    gens, N = [], P  # N_G(P) over P, greedily: g normalizes P iff it conjugates P's basis into P
+    for g in G.elements:
         gi = perm_inv(g)
-        Hg = P.intersection(G.conjugate_subgroup(P, g))   # gPg^{-1} cap P
-        Kg = P.intersection(G.conjugate_subgroup(P, gi))  # P cap g^{-1}Pg
-        dec_H = abelian_decompose(Hg, p)
-        dec_K = abelian_decompose(Kg, p)
-        res_H = restrict(_inclusion_hom(dec_H, dec_P), p, n, budget)
-        res_K = restrict(_inclusion_hom(dec_K, dec_P), p, n, budget)
-        cg = restrict(_conjugation_hom(dec_H, dec_K, g), p, n, budget)  # A(Kg) -> A(Hg)
-        diffs.append((res_H - cg.compose(res_K)).matrix)
-        cosets.append((res_H, res_K, partial(restrict, _conjugation_hom(dec_K, dec_H, gi),
-                                             p, n, budget)))
-    lim_basis = row_space_basis(mat_kernel(FpMatrix(np.vstack(diffs), p)), A_P.dim, p)
-    # 1 = e_0 lies in an RREF span iff row 0 is e_0: only row 0 may be nonzero at index 0
-    if not (lim_basis and np.array_equal(lim_basis[0], A_P.one_vec())):
-        raise ExactKernelError("internal consistency: 1 is not stable")
-    return StableResult(
-        sylow=dec_P,
-        value_algebra=A_P,
-        lim_basis=lim_basis,
-        subalgebra=Subalgebra(A_P, lim_basis),  # the constructor checks closure
-        cosets=cosets,
-    )
+        if g not in N and all(perm_mul(perm_mul(gi, b), g) in P for b in dec_P.basis):
+            gens.append(g)
+            N = PermGroup(G.degree, list(dec_P.basis) + gens)
+    actions = [restrict(_conjugation_hom(dec_P, dec_P, g), p, n, budget) for g in gens]
+    sub = invariants(value_for_decomposition(dec_P, p, n, budget), actions)
+    return StableResult(group=G, sylow=dec_P, n=n, budget=budget, subalgebra=sub)
 
 
 def invariants(P_value: GreenValue, actions) -> Subalgebra:
-    """Common fixed subalgebra of a family of algebra automorphisms of A(P),
-    the kernel of the stacked sigma - 1; the independent cross-check for
-    stable elements over a normal Sylow."""
+    """Common fixed subalgebra of a family of algebra automorphisms of A(P):
+    the kernel of the stacked sigma - 1.  With generators of N_G(P)/P acting
+    by conjugation, this is A(G) (see stable_elements)."""
     A = P_value.algebra
     eye = np.eye(A.dim, dtype=np.int64)
     diffs = [eye[:0]]  # with no actions, everything is fixed
@@ -354,7 +350,11 @@ def invariants(P_value: GreenValue, actions) -> Subalgebra:
         if not sigma.is_algebra_map or not sigma.is_injective():
             raise ExactKernelError("actions must be algebra automorphisms")
         diffs.append(sigma.matrix - eye)
-    return Subalgebra(A, mat_kernel(FpMatrix(np.vstack(diffs) % A.p, A.p)))
+    fixed = row_space_basis(mat_kernel(FpMatrix(np.vstack(diffs), A.p)), A.dim, A.p)
+    # 1 = e_0 lies in an RREF span iff row 0 is e_0: only row 0 may be nonzero at index 0
+    if not (fixed and np.array_equal(fixed[0], A.one_vec())):
+        raise ExactKernelError("internal consistency: 1 is not stable")
+    return Subalgebra(A, fixed)  # the constructor checks closure
 
 
 _general_cache: dict = {}
@@ -402,7 +402,7 @@ def _value_general(G: PermGroup, p: int, n: int, budget: int) -> tuple:
     return GreenValue(
         kind="general", p=p, n=n, algebra=sub, form=form, ind_one=ind_one,
         group=G, sylow_decomp=st.sylow, stable=st,
-    ), st.value_algebra.dim
+    ), sub.ambient.dim
 
 
 # ---------------------------------------------------------------------------

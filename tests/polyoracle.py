@@ -1,13 +1,14 @@
 """Test-side polynomial oracle: truncated polynomials, the Honda logarithm
 and Fraction exponential, the formal sum by powers, restriction through
 the iterated coproduct, subspace intersection and stable elements by
-per-coset kernels, permutation products and double cosets one product at
-a time, the nilpotency exponent and socle extensions on the whole radical
-basis rather than on ideal generators, a subalgebra's ideal generators from
-its own radical products, every pair product of a list of rows (the closure
-test Subalgebra once ran), the socle as a kernel and the inverse by
-augmented row reduction (where BorelAlgebra and FpMatrix use closed forms),
-and the element and embedding helpers only the tests read.
+per-coset kernels, the rank of A(G) by counting orbits on P^n (no algebra),
+permutation products and double cosets one product at a time, the
+nilpotency exponent and socle extensions on the whole radical basis rather
+than on ideal generators, a subalgebra's ideal generators from its own
+radical products, every pair product of a list of rows (the closure test
+Subalgebra once ran), the socle as a kernel and the inverse by augmented
+row reduction (where BorelAlgebra and FpMatrix use closed forms), and the
+element and embedding helpers only the tests read.
 
 The package computes with coordinate arrays only (Kronecker-coded Borel
 vectors, the (D, D) residue array of the group law).  These slow,
@@ -357,6 +358,25 @@ def stable_basis_by_intersection(G, p: int, n: int) -> list:
         cg = green.restrict(green._conjugation_hom(dec_H, dec_K, g), p, n)
         kernels.append(mat_kernel((res_H - cg.compose(res_K)).as_fpmatrix()))
     return subspace_intersect(kernels, A_P.dim, p)
+
+
+def rank_by_orbit_count(G, p: int, n: int) -> int:
+    """dim A(G) for G with an abelian Sylow p-subgroup P, without any
+    algebra: (1/|W|) sum over w in W = N_G(P)/P of |C_P(w)|^n, the number of
+    W-orbits on P^n (Burnside's lemma).  N_G(P) and each centralizer are
+    found by conjugating every element of P.  P is abelian, so all of a
+    coset gP share C_P(g), and the sum is (1/|N_G(P)|) sum over N_G(P)."""
+    P = sylow(G, p)
+    conj = {}  # g -> [g x g^{-1} for x in P], for g in N_G(P)
+    for g in G.elements:
+        gi = perm_inv(g)
+        images = [perm_mul_by_images(perm_mul_by_images(g, x), gi) for x in P.elements]
+        if all(y in P for y in images):
+            conj[g] = images
+    total = sum(sum(x == y for x, y in zip(P.elements, images)) ** n for images in conj.values())
+    if total % len(conj):
+        raise ExactKernelError("orbit count is not an integer")
+    return total // len(conj)
 
 
 # -- permutation products and double cosets, one product at a time ------------------

@@ -96,14 +96,20 @@ def test_tower_check_output_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_green_value_a4_frontier_output_pinned(capsys):
-    # A(A4) at p = 2, n = 4: a size above the benchmark's value jobs (about
-    # 1 s); digest recorded before row reduction updated columns c onward
-    code, out, _ = run(capsys, "green", "value", "--group", "A4", "--p", "2", "--n", "4",
+@pytest.mark.parametrize("argv,digest", [
+    (["--n", "4"], "351ed40af0bcbfd8f3ee66c1297546e71e9ec79579937fcb8770ca5281ea220a"),
+    (["--n", "5", "--budget", "1024"],
+     "e078550f0bd5593c7d669a0ef693380b910dad73aab257ba55ba1e7f8186619d"),
+], ids=["n4", "n5"])
+def test_green_value_a4_frontier_output_pinned(capsys, argv, digest):
+    # A(A4) at p = 2, n = 4 and 5: sizes above the benchmark's value jobs
+    # (about 0.2 s and 3 s); the n = 4 digest was recorded before row
+    # reduction updated columns c onward, the n = 5 one while the limit was
+    # still the kernel of the differences stacked over the double cosets
+    code, out, _ = run(capsys, "green", "value", "--group", "A4", "--p", "2", *argv,
                        "--format", "json", "--no-timing")
     assert code == EXIT_OK
-    assert (hashlib.sha256(out.encode()).hexdigest()
-            == "351ed40af0bcbfd8f3ee66c1297546e71e9ec79579937fcb8770ca5281ea220a")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv,digest", [

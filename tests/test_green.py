@@ -37,7 +37,7 @@ from greenkernel.grp import (
     sylow,
     _perm_pow,
 )
-from polyoracle import restrict_by_coproduct, stable_basis_by_intersection
+from polyoracle import rank_by_orbit_count, restrict_by_coproduct, stable_basis_by_intersection
 
 
 # -- values --------------------------------------------------------------------
@@ -547,31 +547,83 @@ def test_stable_lim_equals_colim_battery():
         assert st.lim_dim == st.colim_dim, (name, p)
 
 
+# groups with an abelian Sylow at some p.  Beside the battery, W = N_G(P)/P
+# is C2 x C2 for D6 and S5 at p = 3 (one generator centralizes P), C4 for S5
+# at p = 5, and C3 and C2 for A5 at p = 2 and 5.  Both generators of W act
+# on P for S3xS3 at p = 3 (W = C2 x C2) and S6 at p = 3 (W = D8, on C3 x C3).
+STABLE_GROUPS = DEFAULT_BATTERY + ("S4", "D5", "D6", "S5", "A5", "S3xS3", "S6")
+
+
+def _group(name):
+    if name == "S6":  # not among the named groups
+        return PermGroup(6, [parse_cycles("(1 2)", 6), parse_cycles("(1 2 3 4 5 6)", 6)])
+    return named_group(name)
+
+
+def _abelian_sylow_cases(ps):
+    return [(name, p) for name in STABLE_GROUPS for p in ps
+            if sylow(_group(name), p).is_abelian()]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_stacked_kernel_matches_per_coset_intersection(p):
-    # the one kernel of the stacked differences against one kernel per
+    # the invariants of N_G(P)/P against one kernel of res_H - c_g res_K per
     # double coset, intersected pairwise: the same canonical basis
-    for name in DEFAULT_BATTERY:
+    for name, _ in _abelian_sylow_cases([p]):
         for n in (1, 2):
-            G = named_group(name)
+            G = _group(name)
             got = stable_elements(G, p, n).lim_basis
             want = stable_basis_by_intersection(G, p, n)
             assert len(got) == len(want) and all(
                 np.array_equal(a, b) for a, b in zip(got, want)), (name, p, n)
 
 
+@pytest.mark.parametrize("name,p", _abelian_sylow_cases([2, 3, 5]))
+def test_stable_rank_equals_orbit_count(name, p):
+    # dim A(G) against the number of N_G(P)-orbits on P^n, counted with no
+    # algebra, for n = 1, 2, 3 while A(P) fits the default budget
+    G = _group(name)
+    for n in (1, 2, 3):
+        if sylow(G, p).order ** n <= green.DEFAULT_SIZE_BUDGET:
+            assert stable_elements(G, p, n).lim_dim == rank_by_orbit_count(G, p, n), n
+
+
+@pytest.mark.parametrize("name,p,order_W", [
+    ("S5", 3, 4), ("D6", 3, 4), ("S5", 5, 4), ("S3xS3", 3, 4), ("S6", 3, 8)])
+def test_invariants_do_not_depend_on_the_generators_picked(name, p, order_W):
+    # the greedy generators of W against every element of N_G(P)
+    G = _group(name)
+    for n in (1, 2):
+        st = stable_elements(G, p, n)
+        dec_P, P = st.sylow, st.sylow.group
+        normalizer = [g for g in G.elements
+                      if all(perm_mul(perm_mul(perm_inv(g), x), g) in P for x in P.elements)]
+        assert len(normalizer) == order_W * P.order
+        actions = [restrict(green._conjugation_hom(dec_P, dec_P, g), p, n) for g in normalizer]
+        assert invariants(value_abelian(dec_P.exponents, p, n), actions) == st.subalgebra
+
+
 @pytest.mark.parametrize("name,p", [("S3", 3), ("A4", 2)])
 def test_value_general_computes_no_colimit(monkeypatch, name, p):
+    # the value takes no transfer, double coset or composite; colim_dim does
     monkeypatch.setattr(green, "_general_cache", {})
-    calls = []
-    real = green.transfer
-    monkeypatch.setattr(green, "transfer", lambda *a, **k: calls.append(1) or real(*a, **k))
+    calls = {"transfer": 0, "double_cosets": 0, "compose": 0}
+
+    def counted(key, real):
+        def call(*a, **k):
+            calls[key] += 1
+            return real(*a, **k)
+        return call
+
+    monkeypatch.setattr(green, "transfer", counted("transfer", green.transfer))
+    monkeypatch.setattr(green, "double_cosets", counted("double_cosets", green.double_cosets))
+    monkeypatch.setattr(AlgebraMap, "compose", counted("compose", AlgebraMap.compose))
     v = value_general(named_group(name), p, 1)
-    assert v.kind == "general" and calls == []
+    assert v.kind == "general" and not any(calls.values())
     st = v.stable
-    assert st.colim_dim == st.lim_dim == v.dim and calls
-    seen = len(calls)
-    assert st.colim_dim == st.lim_dim and len(calls) == seen  # read once, kept
+    assert st.colim_dim == st.lim_dim == v.dim and all(calls.values())
+    seen = dict(calls)
+    assert st.colim_dim == st.lim_dim and calls == seen  # read once, kept
 
 
 def test_ind_to_sylow_surjective():
