@@ -167,7 +167,58 @@ def _emit(args, payload_text: str) -> None:
             sys.stdout.write("\n")
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+class _NotPlainJson(Exception):
+    """A value _json_text leaves to json.dumps: not a str-keyed dict, a
+    list or tuple, or an exact scalar type."""
+
+
+@functools.cache
+def _scalar_encoder(newline: str):
+    """The C encoder for scalars and containers of scalars whose members
+    start on newline: json.dumps(indent=2, sort_keys=True) without the
+    brackets' own line breaks."""
+    return json.encoder.c_make_encoder(None, None, json.encoder.encode_basestring_ascii, None,
+                                       ": ", "," + newline, True, False, True)
+
+
+def _json_text(obj, newline: str) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) lays it out, its
+    members starting on newline + two spaces: a container of scalars in
+    one C-encoder call, nested containers walked here."""
+    kind = type(obj)
+    if kind in _SCALARS:
+        return "".join(_scalar_encoder(newline)(obj, 0))
+    if kind is dict:
+        if not all(type(k) is str for k in obj):
+            raise _NotPlainJson
+        brackets, members = "{}", obj.values()
+    elif kind is list or kind is tuple:
+        brackets, members = "[]", obj
+    else:
+        raise _NotPlainJson
+    if not obj:
+        return brackets
+    inner = newline + "  "
+    if all(type(v) in _SCALARS for v in members):
+        body = "".join(_scalar_encoder(inner)(obj, 0))[1:-1]
+    elif kind is dict:
+        body = ("," + inner).join(json.encoder.encode_basestring_ascii(k) + ": "
+                                  + _json_text(v, inner) for k, v in sorted(obj.items()))
+    else:
+        body = ("," + inner).join(_json_text(v, inner) for v in obj)
+    return brackets[0] + inner + body + newline + brackets[1]
+
+
 def _json_dumps(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte."""
+    if json.encoder.c_make_encoder is not None:
+        try:
+            return _json_text(obj, "\n")
+        except _NotPlainJson:
+            pass
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
@@ -430,88 +481,93 @@ def _cmd_audit_assumptions(args) -> int:
 # -- dispatch ------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
+# command -> (help, {subcommand: help}): the leaves of the argparse tree
+_COMMANDS = {
+    "fgl": ("formal group law commands", {"show": "print F(x,y) at a truncation"}),
+    "tower": ("Honda tower commands", {"show": "print one level's Hopf data",
+                                       "check": "Hopf axioms + p-divisibility checks"}),
+    "frob": ("Frobenius form commands", {"check": "pairing rank / dual basis of a form",
+                                         "gysin": "transfer adjoint to an algebra map"}),
+    "green": ("Green functor values and maps", {
+        "value": "A(G) with socle and ind_one",
+        "res": "restriction matrix A(G) -> A(H)",
+        "ind": "transfer matrix A(H) -> A(G)",
+        "stable": "stable-elements computation inside A(P)"}),
+    "audit": ("axiom audit reports", {"mackey": "MF1-MF5 / GF1-GF2 on one group",
+                                      "assumptions": "assumption/proposition battery"}),
+}
+
+
+def _add_options(sp, cmd: str, sub: str) -> None:
+    """The options of the leaf `cmd sub`."""
+    sp.add_argument("--p", type=int, required=True, help="prime")
+    sp.add_argument("--n", type=int, default=1, help="height (default 1)")
+    if cmd == "tower":
+        sp.add_argument("--r", type=int, default=1)
+        sp.add_argument("--s", type=int, default=None)
+    if cmd == "fgl":
+        sp.add_argument("--deg", type=int, default=None, help="truncation degree")
+    if cmd == "green" or (cmd, sub) == ("audit", "mackey"):
+        sp.add_argument("--group", help="named group, e.g. S3, C6, V4, A4, C2xC4")
+        sp.add_argument("--group-file", help="file with one generator per line")
+    sp.add_argument("--budget", type=int, default=None,
+                    help="size budget (default %d or GREENKERNEL_BUDGET)" % DEFAULT_SIZE_BUDGET)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+    sp.add_argument("--out", help="write output to this file")
+    sp.add_argument("--no-timing", action="store_true",
+                    help="zero the ms fields in audit reports")
+    if (cmd, sub) == ("frob", "check"):
+        sp.add_argument("--profile", required=True, help="algebra profile, e.g. 4,2")
+        sp.add_argument("--covector", default=None,
+                        help="'canonical' (default), 'aug', or an element expression")
+    elif (cmd, sub) == ("frob", "gysin"):
+        sp.add_argument("--source-profile", required=True)
+        sp.add_argument("--target-profile", required=True)
+        sp.add_argument("--images", required=True,
+                        help="comma-separated images of the source generators, e.g. 'y^2'")
+    elif cmd == "green" and sub in ("res", "ind"):
+        sp.add_argument("--subgroup",
+                        help="'sylow', '1', or ';'-separated generator cycles")
+    elif (cmd, sub) == ("audit", "assumptions"):
+        sp.add_argument("--battery", default=None,
+                        help="comma-separated group names (default %s)" % ",".join(
+                            ("C2", "C3", "C4", "V4", "C6", "S3", "A4")))
+
+
+def build_parser(leaf: tuple[str, str] | None = None) -> _Parser:
+    """The argparse tree; given leaf = (cmd, sub), only the path to that
+    leaf, whose parsers equal their namesakes in the whole tree."""
     ap = _Parser(prog="greenkernel", description=__doc__,
                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def common(sp, group=False, rs=False, deg=False):
-        sp.add_argument("--p", type=int, required=True, help="prime")
-        sp.add_argument("--n", type=int, default=1, help="height (default 1)")
-        if rs:
-            sp.add_argument("--r", type=int, default=1)
-            sp.add_argument("--s", type=int, default=None)
-        if deg:
-            sp.add_argument("--deg", type=int, default=None, help="truncation degree")
-        if group:
-            sp.add_argument("--group", help="named group, e.g. S3, C6, V4, A4, C2xC4")
-            sp.add_argument("--group-file", help="file with one generator per line")
-        sp.add_argument("--budget", type=int, default=None,
-                        help="size budget (default %d or GREENKERNEL_BUDGET)" % DEFAULT_SIZE_BUDGET)
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--out", help="write output to this file")
-        sp.add_argument("--no-timing", action="store_true",
-                        help="zero the ms fields in audit reports")
-
-    p_fgl = sub.add_parser("fgl", help="formal group law commands")
-    fgl_sub = p_fgl.add_subparsers(dest="sub", required=True)
-    sp = fgl_sub.add_parser("show", help="print F(x,y) at a truncation")
-    common(sp, deg=True)
-
-    p_tower = sub.add_parser("tower", help="Honda tower commands")
-    tower_sub = p_tower.add_subparsers(dest="sub", required=True)
-    sp = tower_sub.add_parser("show", help="print one level's Hopf data")
-    common(sp, rs=True)
-    sp = tower_sub.add_parser("check", help="Hopf axioms + p-divisibility checks")
-    common(sp, rs=True)
-
-    p_frob = sub.add_parser("frob", help="Frobenius form commands")
-    frob_sub = p_frob.add_subparsers(dest="sub", required=True)
-    sp = frob_sub.add_parser("check", help="pairing rank / dual basis of a form")
-    common(sp)
-    sp.add_argument("--profile", required=True, help="algebra profile, e.g. 4,2")
-    sp.add_argument("--covector", default=None,
-                    help="'canonical' (default), 'aug', or an element expression")
-    sp = frob_sub.add_parser("gysin", help="transfer adjoint to an algebra map")
-    common(sp)
-    sp.add_argument("--source-profile", required=True)
-    sp.add_argument("--target-profile", required=True)
-    sp.add_argument("--images", required=True,
-                    help="comma-separated images of the source generators, e.g. 'y^2'")
-
-    p_green = sub.add_parser("green", help="Green functor values and maps")
-    green_sub = p_green.add_subparsers(dest="sub", required=True)
-    for name, hlp in (("value", "A(G) with socle and ind_one"),
-                      ("res", "restriction matrix A(G) -> A(H)"),
-                      ("ind", "transfer matrix A(H) -> A(G)"),
-                      ("stable", "stable-elements computation inside A(P)")):
-        sp = green_sub.add_parser(name, help=hlp)
-        common(sp, group=True)
-        if name in ("res", "ind"):
-            sp.add_argument("--subgroup",
-                            help="'sylow', '1', or ';'-separated generator cycles")
-
-    p_audit = sub.add_parser("audit", help="axiom audit reports")
-    audit_sub = p_audit.add_subparsers(dest="sub", required=True)
-    sp = audit_sub.add_parser("mackey", help="MF1-MF5 / GF1-GF2 on one group")
-    common(sp, group=True)
-    sp = audit_sub.add_parser("assumptions", help="assumption/proposition battery")
-    common(sp, group=False)
-    sp.add_argument("--battery", default=None,
-                    help="comma-separated group names (default %s)" % ",".join(
-                        ("C2", "C3", "C4", "V4", "C6", "S3", "A4")))
+    for cmd, (cmd_help, leaves) in _COMMANDS.items():
+        if leaf is not None and cmd != leaf[0]:
+            continue
+        cmd_sub = sub.add_parser(cmd, help=cmd_help).add_subparsers(dest="sub", required=True)
+        for name, leaf_help in leaves.items():
+            if leaf is None or name == leaf[1]:
+                _add_options(cmd_sub.add_parser(name, help=leaf_help), cmd, name)
     return ap
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """The argparse tree, built on the first dispatch and reused after."""
-    return build_parser()
+def _parser(leaf: tuple[str, str] | None = None) -> _Parser:
+    """The argparse tree for leaf (None: the whole tree), built on the
+    first dispatch that needs it and reused after."""
+    return build_parser(leaf)
+
+
+def _leaf(argv) -> tuple[str, str] | None:
+    """(cmd, sub) when argv starts with a known leaf, else None."""
+    head = tuple(argv[:2])
+    if len(head) == 2 and head[0] in _COMMANDS and head[1] in _COMMANDS[head[0]][1]:
+        return head
+    return None
 
 
 def dispatch(argv) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(_leaf(argv)).parse_args(argv)
         _validate_config(args)
         if args.cmd == "fgl":
             return _cmd_fgl_show(args)

@@ -15,17 +15,22 @@ The group law is the binomial expansion sum_{a,b} e_{a+b} C(a+b, a)
 log(x)^a log(y)^b at output-graded p-adic precision: the graded log powers
 L~[a, i] = p^{(i-a)/(q-1)} [x^i] log(x)^a and M~[a, b] = C(a+b, a)
 phi_{(a+b-1)/(q-1)} are integers, and the sandwich L~^T M~ L~ is
-p^{(i+j-1)/(q-1)} F[i, j] at (i, j).  It is computed mod p^N,
-N = floor((2D-3)/(q-1)) + 2, one block per residue class mod q-1 (the
-grading); each entry is divided by its own power of p (the p-integrality
-check) and reduced once.  An Fgl keeps L~ with phi, which every series
-needs: every [m]-series, the formal inverse [-1] among them, is exp(m log x),
-one vector-matrix product with L~ under the same scaling.  Its dense (D, D)
-int64 residue array F is computed on first read, so a law read only through
-its series never runs the sandwich, and is sliced from the largest F
-computed so far for (p, n).  Nothing here computes with polynomials or
-Fractions: the logarithm, the Fraction exponential, the formal sum by
-powers and the rational group law are the tests' oracles.
+p^{(i+j-1)/(q-1)} F[i, j] at (i, j).  It is computed mod p^N, one block per
+residue class mod q-1 (the grading); each entry is divided by its own power
+of p (the p-integrality check) and reduced once.
+
+Log powers are built at the precision of their reads.  An Fgl keeps L~ with
+the exp coefficients below x^D, which every series needs: every [m]-series,
+the formal inverse [-1] among them, is exp(m log x), one vector-matrix
+product with L~ under the same scaling, at N = floor((D-2)/(q-1)) + 2.  Its
+dense (D, D) int64 residue array F is computed on first read, so a law read
+only through its series never runs the sandwich, and is sliced from the
+largest F computed so far for (p, n).  F needs exp below x^{2D-1} and
+N = floor((2D-3)/(q-1)) + 2: it slices them from the law's log powers when
+these cover it (as a law built at D' >= 2D-1 does), else builds them once
+for that read.  Nothing here computes with polynomials or Fractions: the
+logarithm, the Fraction exponential, the formal sum by powers and the
+rational group law are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -64,9 +69,10 @@ class HondaParams:
 class _LogPowers(NamedTuple):
     """Row a of L is L~(x)^a below x^D, L~[a, i] = p^{(i-a)/(q-1)} [x^i] L(x)^a,
     built from L~(x) = sum_t p^{(q^t-1)/(q-1) - t} x^{q^t}; exp[k] is
-    p^{(k-1)/(q-1)} e_k for k < 2D-1, the integer phi_{(k-1)/(q-1)} at
+    p^{(k-1)/(q-1)} e_k for k < E, the integer phi_{(k-1)/(q-1)} at
     k = 1 (mod q-1) and 0 elsewhere (exp is graded).  Both are object arrays
-    kept mod p^N, the precision of every product built from them."""
+    kept mod p^N, N = _precision(q, E), the precision of every product built
+    from them.  E = D serves the series below x^D; E = 2D-1 also serves F."""
 
     L: np.ndarray
     exp: np.ndarray
@@ -77,7 +83,8 @@ class _LogPowers(NamedTuple):
 class Fgl:
     """A formal group law below x^D: the scaled log powers it was built from
     serve the series (cached truncations share them), and F, computed on
-    first read, is its residue array."""
+    first read, is its residue array.  honda_fgl builds the log powers at
+    series precision (E = D)."""
 
     params: HondaParams
     _logs: _LogPowers = field(repr=False)
@@ -86,12 +93,18 @@ class Fgl:
     def F(self) -> np.ndarray:
         """F[i, j], the coefficient of x^i y^j mod p for i, j < D, as a
         read-only (D, D) int64 array: a slice of the largest F computed for
-        (p, n), else computed once from the log powers sliced to D."""
+        (p, n), else computed once from the log powers sliced to D.  Those
+        must reach exp below x^{2D-1}; the log powers of a law built for
+        its series at D' >= 2D-1 do, and otherwise this read builds its own
+        at F precision (the law keeps its series-precision ones)."""
         D, key = self.params.trunc, (self.p, self.params.n)
         with _fgl_lock:
             law, F = _fgl_cache.get(key, (self, None))
             if F is None or len(F) < D:
-                L, exp, N = self._logs
+                logs = self._logs
+                if len(logs.exp) < 2 * D - 1:
+                    logs = _log_powers(self.params)
+                L, exp, N = logs
                 F = _fgl_residues(self.params, _LogPowers(L[:D, :D], exp[: 2 * D - 1], N))
                 F.flags.writeable = False
                 _fgl_cache[key] = (law, F)
@@ -157,11 +170,30 @@ def _honda_phi(p: int, q: int, J: int) -> list[int]:
     return phi
 
 
-def _log_powers(params: HondaParams) -> _LogPowers:
-    """The graded log powers L~ and exp coefficients mod p^N (see
-    _LogPowers), below x^D."""
+def _precision(q: int, E: int) -> int:
+    """N, the p-adic digits that products of exp below x^E need: entry
+    k < E carries p^{(k-1)/(q-1)}, and one digit more is kept."""
+    return (E - 2) // (q - 1) + 2
+
+
+def _check_precision(logs: _LogPowers, q: int, D: int, E: int, what: str) -> None:
+    """Refuse log powers below x^D, or exp below x^E at N digits, that are
+    shorter than a read needs: a silent truncation would be a wrong answer."""
+    L, exp, N = logs
+    if len(L) < D or len(exp) < E or N < _precision(q, E):
+        raise ExactKernelError(
+            "internal consistency: log powers (D=%d, exp below x^%d, N=%d) cannot give "
+            "the %s below x^%d" % (len(L), len(exp), N, what, D))
+
+
+def _log_powers(params: HondaParams, E: int | None = None) -> _LogPowers:
+    """The graded log powers L~ below x^D and the exp coefficients below
+    x^E mod p^N (see _LogPowers).  E defaults to 2D-1, what F needs; the
+    series need E = D, which solves phi to half the degree at half the
+    p-adic digits."""
     p, q, D = params.p, params.q, params.trunc
-    N = (2 * D - 3) // (q - 1) + 2
+    E = 2 * D - 1 if E is None else E
+    N = _precision(q, E)
     mod = p ** N
     # L~(x) = sum_t p^{(q^t-1)/(q-1) - t} x^{q^t}: coefficient i of L(x)
     # scaled by p^{(i-1)/(q-1)}
@@ -173,8 +205,8 @@ def _log_powers(params: HondaParams) -> _LogPowers:
         for e, c in terms:
             L[a, e:] += L[a - 1, : D - e] * c
         L[a] %= mod
-    exp = np.zeros(2 * D - 1, dtype=object)
-    exp[1::q - 1] = [c % mod for c in _honda_phi(p, q, (2 * D - 3) // (q - 1))]
+    exp = np.zeros(E, dtype=object)
+    exp[1::q - 1] = [c % mod for c in _honda_phi(p, q, (E - 2) // (q - 1))]
     return _LogPowers(L, exp, N)
 
 
@@ -189,7 +221,9 @@ def _fgl_residues(params: HondaParams, logs: _LogPowers | None = None) -> np.nda
     power of p (p-integrality) and reduced once.
     """
     p, q, D = params.p, params.q, params.trunc
-    L, exp, N = logs if logs is not None else _log_powers(params)
+    logs = logs if logs is not None else _log_powers(params)
+    _check_precision(logs, q, D, 2 * D - 1, "FGL coefficients")
+    L, exp, N = logs
     mod, g = p ** N, q - 1
     # Pascal's rule row by row: C(a+b, a) = sum_{c <= b} C(a-1+c, a-1)
     C = np.ones((D, D), dtype=object)
@@ -237,8 +271,10 @@ def honda_fgl(params: HondaParams) -> Fgl:
 
     Requires trunc >= q so the level-1 reduction is faithful.  Laws are
     cached per (p, n) at the largest truncation built so far; smaller
-    requests share its log powers.  Only the log powers are built here:
-    F waits for its first read.
+    requests share its log powers.  Only the log powers are built here,
+    at the precision of the series (exp below x^D): F waits for its first
+    read, which finds the wider exp it needs in a law built at twice the
+    truncation or builds it.
     """
     if params.trunc < params.q:
         raise ExactKernelError("truncation %d below q = %d" % (params.trunc, params.q))
@@ -247,7 +283,7 @@ def honda_fgl(params: HondaParams) -> Fgl:
         law, F = _fgl_cache.get(key, (None, None))
         if law is not None and law.params.trunc >= params.trunc:
             return law if law.params.trunc == params.trunc else Fgl(params, law._logs)
-        out = Fgl(params, _log_powers(params))
+        out = Fgl(params, _log_powers(params, params.trunc))
         _fgl_cache[key] = (out, F)
         return out
 
@@ -267,6 +303,7 @@ def _series(fgl: Fgl, m: int, cap: int) -> np.ndarray:
     call it, not each other, so per-layer traces count each entry point on
     its own."""
     _check_cap(fgl, cap)
+    _check_precision(fgl._logs, fgl.q, cap, cap, "series coefficients")
     L, exp, N = fgl._logs
     p, mod = fgl.p, fgl.p ** N
     coef = np.array([c * pow(m, k, mod) for k, c in enumerate(exp[:cap])], dtype=object)

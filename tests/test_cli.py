@@ -87,10 +87,14 @@ def test_tower_check_h6_output_pinned(capsys):
      "1e99cdba29121be65e2f5652fef1ac908e309584530d80080dbf992e1a75666f"),
     (("--p", "2", "--n", "2", "--r", "1", "--s", "2"),
      "c4a315c853298fee8e8d343e2cc7a984b36edbe1949955d5c7728b2f14589e05"),
+    (("--p", "2", "--r", "3", "--s", "4"),
+     "7bcdb249ea0d967e3deb48ce5c44e142f7243849723dc9aa81531002ec225bf8"),
 ])
 def test_tower_check_output_pinned(capsys, argv, digest):
     # p = 3 (levels 2, 4, 5) and q = 4 (levels 1, 2, 3, 4); digests
-    # recorded while every level's law was computed in full
+    # recorded while every level's law was computed in full.  The frontier
+    # job at p = 2 (levels 3, 4 and 7, with level 8 read through its series;
+    # about 2 s) was recorded while every law solved phi at F precision
     code, out, _ = run(capsys, "tower", "check", *argv, "--format", "json", "--no-timing")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -343,14 +347,62 @@ def test_usage_error_on_missing_args(capsys):
 
 
 def test_dispatch_builds_the_parser_once(capsys, monkeypatch):
+    # one build per leaf named at the head of argv, and one whole tree for
+    # anything else (help at a command, an unknown command)
     builds = []
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    monkeypatch.setattr(cli, "build_parser", lambda *leaf: builds.append(leaf) or build_parser(*leaf))
     cli._parser.cache_clear()
     assert run(capsys, "fgl", "show", "--p", "2", "--deg", "2")[0] == EXIT_OK
     assert run(capsys, "fgl", "show", "--p", "3", "--deg", "3")[0] == EXIT_OK
     assert run(capsys, "green", "res", "--group", "C4", "--p", "2")[0] == EXIT_USAGE == 1
     assert run(capsys, "fgl", "show", "--p", "2", "--deg", "2")[0] == EXIT_OK
-    assert len(builds) == 1
+    assert run(capsys, "fgl", "nope")[0] == run(capsys, "nope")[0] == EXIT_USAGE
+    assert builds == [(("fgl", "show"),), (("green", "res"),), (None,)]
+    cli._parser.cache_clear()
+
+
+def _leaf_parsers(parser, path=()) -> dict:
+    """Every parser of the tree by its path of subcommand names."""
+    out = {path: parser}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(_leaf_parsers(sub, path + (name,)))
+    return out
+
+
+def test_leaf_parser_matches_the_whole_tree():
+    # the parser built for one leaf must read argv as the whole tree does:
+    # the same help text and the same Namespace, required options filled
+    whole = _leaf_parsers(build_parser())
+    leaves = [path for path in whole if len(path) == 2]
+    assert sorted(leaves) == sorted((c, s) for c, (_, subs) in cli._COMMANDS.items() for s in subs)
+    for leaf in leaves:
+        alone = _leaf_parsers(build_parser(leaf))
+        assert sorted(alone) == [(), leaf[:1], leaf]
+        assert alone[leaf].format_help() == whole[leaf].format_help()
+        argv = list(leaf)
+        for action in whole[leaf]._actions:
+            if action.required:
+                argv += [action.option_strings[0], "3"]
+        assert build_parser(leaf).parse_args(argv) == build_parser().parse_args(argv)
+        argv += ["--format", "json", "--no-timing", "--budget", "9"]
+        assert build_parser(leaf).parse_args(argv) == build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("tower", "check", "--p", "2", "--bogus"),
+    ("tower", "check", "--p", "x"),
+    ("tower", "check"),
+    ("fgl", "show", "--p", "2", "--format", "xml"),
+])
+def test_leaf_parser_usage_errors_match_the_whole_tree(argv):
+    messages = []
+    for parser in (build_parser(), build_parser(argv[:2])):
+        with pytest.raises(cli.UsageError) as err:
+            parser.parse_args(list(argv))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_bad_frob_gysin_images(capsys):

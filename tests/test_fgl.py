@@ -592,6 +592,82 @@ def test_sandwich_refuses_inconsistent_exp(monkeypatch):
                               fgl._fgl_residues(P))
 
 
+def _count_phi_degrees(monkeypatch) -> list:
+    """Empty the law cache and record the degree J of every phi solved."""
+    monkeypatch.setattr(fgl, "_fgl_cache", {})
+    degrees = []
+    real = fgl._honda_phi
+
+    def counted(p, q, J):
+        degrees.append(J)
+        return real(p, q, J)
+
+    monkeypatch.setattr(fgl, "_honda_phi", counted)
+    return degrees
+
+
+@pytest.mark.parametrize("p,n,D,J", [(2, 1, 64, 62), (3, 1, 81, 39), (2, 2, 64, 20)])
+def test_series_law_solves_phi_to_series_precision(p, n, D, J, monkeypatch):
+    # the series below x^D read exp below x^D: phi to degree (D-2)/(q-1),
+    # at N = J + 2, not the (2D-3)/(q-1) that F needs
+    degrees = _count_phi_degrees(monkeypatch)
+    f = honda_fgl(HondaParams(p, n, D))
+    assert degrees == [J] and f._logs.N == J + 2 and len(f._logs.exp) == D
+    for m in (-1, 2, p):
+        m_series(f, m, D)
+    assert degrees == [J]
+
+
+def test_tower_check_solves_phi_to_series_precision(monkeypatch, capsys):
+    # level 6 (D = 64) is read through its series; level 5's F (D = 32)
+    # needs exp below x^63, which the level 6 law covers, so nothing asks
+    # for the F-precision degree 125 of the top law
+    degrees = _count_phi_degrees(monkeypatch)
+    monkeypatch.setattr(hopftower, "_level_cache", {})
+    argv = ["tower", "check", "--p", "2", "--r", "3", "--s", "2", "--format", "json"]
+    assert dispatch(argv) == EXIT_OK
+    capsys.readouterr()
+    assert degrees == [62]
+
+
+@pytest.mark.parametrize("p,n,D", [(2, 1, 64), (3, 1, 81), (2, 2, 64)])
+def test_F_read_at_the_top_of_a_series_law(p, n, D, monkeypatch):
+    # a law built for its series reads F at its own truncation by building
+    # log powers at F precision once; the law keeps its own
+    degrees = _count_phi_degrees(monkeypatch)
+    f = honda_fgl(HondaParams(p, n, D))
+    logs = f._logs
+    assert sha(f.F) == GOLDEN_F[(p, n, D)]
+    assert np.array_equal(f.F, _fgl_residues(HondaParams(p, n, D)))
+    q = p ** n
+    assert degrees[:2] == [(D - 2) // (q - 1), (2 * D - 3) // (q - 1)]
+    assert f._logs is logs and fgl._fgl_cache[p, n][0] is f
+
+
+def test_short_log_powers_are_refused():
+    # exp below x^E at N digits serves reads below x^E only; a planted
+    # _LogPowers that falls short in exp or in N must raise, not answer
+    # (unchecked, N - 3 digits give an F with two wrong entries here)
+    P = HondaParams(2, 1, 16)
+    L, exp, N = fgl._log_powers(P)
+    assert (len(exp), N) == (31, 31)
+    for bad in (fgl._LogPowers(L, exp[:30], N), fgl._LogPowers(L, exp, N - 1),
+                fgl._LogPowers(L, exp, N - 3), fgl._LogPowers(L[:15, :15], exp, N)):
+        with pytest.raises(ExactKernelError, match="cannot give the FGL coefficients"):
+            _fgl_residues(P, bad)
+    L, exp, N = fgl._log_powers(P, 16)
+    assert (len(exp), N) == (16, 16)
+    assert np.array_equal(m_series(Fgl(P, fgl._LogPowers(L, exp, N)), 3, 16),
+                          m_series(honda_fgl(P), 3, 16))
+    for bad in (fgl._LogPowers(L, exp[:15], N), fgl._LogPowers(L, exp, N - 1)):
+        f = Fgl(P, bad)
+        with pytest.raises(ExactKernelError, match="cannot give the series coefficients"):
+            m_series(f, 3, 16)
+        with pytest.raises(ExactKernelError, match="cannot give the series coefficients"):
+            formal_inverse(f, 16)
+        assert np.array_equal(m_series(f, 3, 15), m_series(honda_fgl(P), 3, 15))
+
+
 @pytest.mark.parametrize("p,n,K", [(2, 1, 60), (3, 1, 60), (2, 2, 60), (5, 1, 40), (3, 2, 60)])
 def test_exp_coeffs_contract(p, n, K):
     # the oracle's Fraction exp over the integer phi: e_1 = 1, p-power denominators bounded by the

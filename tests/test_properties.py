@@ -19,10 +19,12 @@ the closure proof equal those of every radical pair product.  Subalgebra
 accepts exactly the spans that contain 1 and hold the products of all their
 rows.
 Gysin adjointness and restrict functoriality are checked on homomorphisms
-between small abelian p-groups.  Every run draws the same examples and
+between small abelian p-groups.  The CLI's JSON writer is compared byte for
+byte with json.dumps on nested dicts and lists of scalars.  Every run draws the same examples and
 writes nothing into the working tree.
 """
 
+import json
 import tempfile
 from math import gcd
 from pathlib import Path
@@ -34,6 +36,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from greenkernel.borel import AlgebraMap, BorelAlgebra, Subalgebra, subalgebra_close
+from greenkernel.cli import _json_dumps
 from greenkernel.exactkernel import (
     ExactKernelError,
     FpMatrix,
@@ -552,3 +555,20 @@ def test_restrict_is_contravariantly_functorial(data):
     lhs = restrict(beta.compose(alpha), p, 1)
     rhs = restrict(alpha, p, 1).compose(restrict(beta, p, 1))
     assert np.array_equal(lhs.matrix, rhs.matrix)
+
+
+JSON_SCALARS = (st.text() | st.integers() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+                | st.booleans() | st.none())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(PROPS, max_examples=300)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    # strings draw non-ASCII and control characters, floats draw NaN, the
+    # infinities and -0.0, and lists and dicts come empty as well as nested
+    assert _json_dumps(value) == json.dumps(value, indent=2, sort_keys=True)
