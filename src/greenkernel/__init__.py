@@ -15,7 +15,6 @@ from .exactkernel import (  # noqa: F401
     ExactKernelError,
     FpMatrix,
     ScopeError,
-    mat_kernel,
 )
 from .fgl import Fgl, HondaParams, honda_fgl, m_series  # noqa: F401
 from .borel import (  # noqa: F401

@@ -421,7 +421,7 @@ def audit_assumptions(battery=None, p: int = 2, n: int = 1,
                 return FAIL, None, "ind(1) = %r not a unit" % ind1
             comp = fx.ind(G, P).compose(fx.res(G, P))
             mult = fx.value(G).algebra.mult_matrix(ind1.vec)
-            ok = np.array_equal(comp.matrix, mult.a)
+            ok = np.array_equal(comp.matrix, mult)
             return _bool_row(ok, "ind res != mult by ind(1)")
         _timed(report, "res-p'-split", "Lemma res-p'", inst, resp)
 

@@ -45,7 +45,6 @@ from .exactkernel import (
     _check_prime,
     _is_p_power,
     fp_matmul,
-    mat_kernel,
     reduce_mod,
     row_space_basis,
 )
@@ -365,19 +364,19 @@ class BorelAlgebra(_LocalAlgebraOps):
         out[..., dst] = vec[..., src] % self.p
         return out
 
-    def mult_matrix(self, vec) -> FpMatrix:
+    def mult_matrix(self, vec) -> np.ndarray:
         """Matrix of left multiplication by vec: entry (k, j) is the
         coefficient of vec at code enc[k] - enc[j], read modulo _ncodes (numpy
         wraps negative indices).  When e_j does not divide e_k the difference
         has a negative digit d; the lowest one reads as 2q-1+d >= q, so the
         position is padding and holds 0."""
         U = self._scatter(vec)
-        return FpMatrix(U[self.enc[:, None] - self.enc[None, :]], self.p)
+        return U[self.enc[:, None] - self.enc[None, :]]
 
-    def pairing_matrix(self, lam) -> FpMatrix:
+    def pairing_matrix(self, lam) -> np.ndarray:
         """G[i, j] = lam(e_i e_j): lam read at the code sum enc[i] + enc[j]."""
         L = self._scatter(lam)
-        return FpMatrix(L[self.enc[:, None] + self.enc[None, :]], self.p)
+        return L[self.enc[:, None] + self.enc[None, :]]
 
     def sum_of_products(self, C) -> np.ndarray:
         """sum_{i, j} C[i, j] e_i e_j, the adjoint of pairing_matrix's gather:
@@ -398,7 +397,7 @@ class BorelAlgebra(_LocalAlgebraOps):
         """The variables x_i, in order, with their multiplication matrices;
         computed once, read-only."""
         gens = (self.gen(i).vec for i in range(self.nvars))
-        return _read_only_pairs((g, self.mult_matrix(g).a) for g in gens)
+        return _read_only_pairs((g, self.mult_matrix(g)) for g in gens)
 
     # -- convenience ---------------------------------------------------------
 
@@ -589,11 +588,8 @@ class AlgebraMap:
             and bool(np.array_equal(self.matrix, other.matrix))
         )
 
-    def as_fpmatrix(self) -> FpMatrix:
-        return FpMatrix(self.matrix, self.target.p)
-
     def rank(self) -> int:
-        return self.as_fpmatrix().rank()
+        return FpMatrix(self.matrix, self.target.p).rank()
 
     def is_injective(self) -> bool:
         return self.rank() == self.source.dim
@@ -617,7 +613,7 @@ class AlgebraMap:
         if not self.check_unital():
             return False
         gens = self.source.ideal_generators
-        return _intertwines(X, ((M, T.mult_matrix(fp_matmul(X, g, T.p)).a) for g, M in gens), T.p)
+        return _intertwines(X, ((M, T.mult_matrix(fp_matmul(X, g, T.p))) for g, M in gens), T.p)
 
     def check_module_map(self, f: "AlgebraMap") -> bool:
         """Is self: B -> A an A-module map along the algebra map f: A -> B,
@@ -635,9 +631,9 @@ class AlgebraMap:
         if not f.is_algebra_map:
             raise ExactKernelError("module structure map must be an algebra map")
         X, F, p = self.matrix, f.matrix, A.p
-        if not np.array_equal(fp_matmul(X, B.mult_matrix(F[:, 0]).a, p), X):  # f(1): column 0
+        if not np.array_equal(fp_matmul(X, B.mult_matrix(F[:, 0]), p), X):  # f(1): column 0
             return False
-        return _intertwines(X, ((B.mult_matrix(fp_matmul(F, g, p)).a, M)
+        return _intertwines(X, ((B.mult_matrix(fp_matmul(F, g, p)), M)
                                 for g, M in A.ideal_generators), p)
 
     def __repr__(self):
@@ -689,13 +685,13 @@ class Subalgebra(_LocalAlgebraOps):
         span, lead = np.zeros((0, k), dtype=np.int64), set()  # D in RREF, its pivots
         while len(lead) < k - 1:
             i = next(j for j in range(1, k) if j not in lead)
-            prods = fp_matmul(B, ambient.mult_matrix(rows[i]).a.T, self.p)  # rows b_j b_i
+            prods = fp_matmul(B, ambient.mult_matrix(rows[i]).T, self.p)  # rows b_j b_i
             if not self._spans(prods):
                 raise ExactKernelError("subspace is not closed under multiplication")
             coords = prods[:, self.pivots]  # row 0 is e_i itself, the rest b_i m
             self._gen_matrices[i] = coords.T
             R, piv = FpMatrix(np.vstack([span, coords]), self.p).rref()
-            span, lead = R.a[:len(piv)], set(piv)
+            span, lead = R[:len(piv)], set(piv)
 
     def _spans(self, V) -> bool:
         """Do the rows of V, reduced mod p, lie in the span?  Only non-pivot columns can differ."""
@@ -740,20 +736,20 @@ class Subalgebra(_LocalAlgebraOps):
     def frobenius(self, vec) -> np.ndarray:
         return self.to_sub(self.ambient.frobenius(self.from_sub(vec)))
 
-    def mult_matrix(self, vec) -> FpMatrix:
+    def mult_matrix(self, vec) -> np.ndarray:
         """Left multiplication in subalgebra coordinates: the pivot rows of
         the ambient matrix applied to the basis (closure was verified on
         construction)."""
-        M = self.ambient.mult_matrix(self.from_sub(vec)).a[self.pivots]
-        return FpMatrix(fp_matmul(M, self.basis_matrix.T, self.p), self.p)
+        M = self.ambient.mult_matrix(self.from_sub(vec))[self.pivots]
+        return fp_matmul(M, self.basis_matrix.T, self.p)
 
-    def pairing_matrix(self, lam) -> FpMatrix:
+    def pairing_matrix(self, lam) -> np.ndarray:
         """G[i, j] = lam(b_i b_j) = B . G_ambient(lam') . B^T, where lam' is
         lam placed at the pivots, so lam'(v) = lam(to_sub(v)) on the span."""
         amb = np.zeros(self.ambient.dim, dtype=np.int64)
         amb[self.pivots] = np.asarray(lam, dtype=np.int64) % self.p
         B, p = self.basis_matrix, self.p
-        return FpMatrix(fp_matmul(fp_matmul(B, self.ambient.pairing_matrix(amb).a, p), B.T, p), p)
+        return fp_matmul(fp_matmul(B, self.ambient.pairing_matrix(amb), p), B.T, p)
 
     @cached_property
     def _socle(self) -> tuple[np.ndarray, ...]:
@@ -762,7 +758,7 @@ class Subalgebra(_LocalAlgebraOps):
         gens = self.ideal_generators
         if not gens:
             return (self.one_vec(),)
-        return _read_only(mat_kernel(FpMatrix(np.vstack([M for _, M in gens]), self.p)))
+        return _read_only(FpMatrix(np.vstack([M for _, M in gens]), self.p).kernel())
 
     @cached_property
     def ideal_generators(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -792,7 +788,7 @@ def subalgebra_close(A, vectors) -> Subalgebra:
     for every given v, so C holds every monomial in them and is the algebra
     they generate.  Subalgebra proves it closed on its own generators."""
     vecs = [v.vec if isinstance(v, El) else np.asarray(v, dtype=np.int64) for v in vectors]
-    mats = [A.mult_matrix(v).a.T for v in vecs]
+    mats = [A.mult_matrix(v).T for v in vecs]
     span = fresh = row_space_basis(vecs + [A.one_vec()], A.dim, A.p)
     while mats:
         fresh = row_space_basis(np.vstack([fp_matmul(np.array(fresh), M, A.p) for M in mats]),

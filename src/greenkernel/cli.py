@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .exactkernel import BudgetError, ExactKernelError, ScopeError, _is_prime
+from .exactkernel import BudgetError, ExactKernelError, FpMatrix, ScopeError, _is_prime
 from .borel import AlgebraMap, BorelAlgebra, El, Subalgebra, format_terms
 from .fgl import HondaParams, honda_fgl
 from .frobform import FrobeniusForm, canonical_form, gysin, is_frobenius_form
@@ -76,6 +76,10 @@ def _validate_config(args) -> None:
     n = getattr(args, "n", 1)
     if n < 1:
         raise UsageError("--n must be >= 1")
+    for opt, least in (("r", 1), ("s", 1), ("deg", 2)):
+        value = getattr(args, opt, None)
+        if value is not None and value < least:
+            raise UsageError("--%s must be >= %d" % (opt, least))
     if _budget(args) < p ** n:
         raise UsageError("budget %d is below the base dimension p^n = %d"
                          % (_budget(args), p ** n))
@@ -234,7 +238,7 @@ def _element_json(A, el: El) -> dict:
 
 def _cmd_fgl_show(args) -> int:
     p, n = args.p, args.n
-    deg = args.deg or max(p ** n, 4)
+    deg = max(p ** n, 4) if args.deg is None else args.deg
     F = honda_fgl(HondaParams(p, n, deg)).F
     terms = {(int(i), int(j)): int(F[i, j]) for i, j in zip(*np.nonzero(F))}
     if args.format == "json":
@@ -278,8 +282,8 @@ def _cmd_tower_show(args) -> int:
 def _cmd_tower_check(args) -> int:
     params = HondaParams(args.p, args.n, max(args.p ** args.n, 4))
     budget = _budget(args)
-    s = args.s or 1
-    if args.r >= 1 and params.q ** (args.r + s) <= budget:
+    s = 1 if args.s is None else args.s
+    if params.q ** (args.r + s) <= budget:
         # pdiv_check reads level r+s+1; built first, its law serves every
         # smaller level as a slice instead of a cold build per level.  The F
         # of level r+s, the largest F read, is computed first for the same
@@ -332,7 +336,7 @@ def _profile_algebra(args, profile_text: str, var: str = "x") -> BorelAlgebra:
 def _form_payload(A, form: FrobeniusForm) -> dict:
     return {
         "form": [int(c) for c in form.vec],
-        "pairing_rank": form.pairing.rank(),
+        "pairing_rank": A.dim,  # a Frobenius form's pairing is invertible
         "dual_basis": [[int(c) for c in v.vec] for v in form.dual_basis()],
     }
 
@@ -355,7 +359,7 @@ def _cmd_frob_check(args) -> int:
             "algebra": A.to_json(),
             "is_frobenius": ok,
             "form": [int(c) for c in vec],
-            "pairing_rank": pairing.rank(),
+            "pairing_rank": FpMatrix(pairing, A.p).rank(),
         }
         if ok:
             payload["dual_basis"] = [[int(c) for c in v.vec] for v in dual]

@@ -3,10 +3,12 @@ the package's error types, and the primality and int64-envelope checks.
 
 Conventions used throughout the package:
 
-* vectors over GF(p) are 1-d numpy int64 arrays with entries in [0, p);
+* vectors and matrices over GF(p) are 1-d and 2-d numpy int64 arrays with
+  entries in [0, p), wherever they cross a function boundary;
 * :func:`fp_matmul` is the one product of such arrays: it refuses an inner
   dimension k with k (p-1)^2 >= 2^63 and reduces the product mod p;
-* matrices are wrapped in :class:`FpMatrix`, whose row reduction is
+* :class:`FpMatrix` wraps an array only to row-reduce it: rref, rank,
+  kernel, solve and inv, all returning arrays.  Its row reduction is
   deterministic (leftmost pivot column, smallest row index), so kernel and
   subspace bases are reproducible.
 """
@@ -88,10 +90,11 @@ def fp_matmul(a: np.ndarray, b: np.ndarray, p: int):
 
 
 class FpMatrix:
-    """Dense matrix over GF(p) with deterministic row reduction.
+    """A matrix over GF(p), wrapped only to row-reduce it.
 
-    Products are fp_matmul's; row reduction needs (p-1)^2 < 2^63 and raises
-    ScopeError outside that envelope instead of wrapping."""
+    Row reduction is deterministic (leftmost pivot column, smallest row
+    index), needs (p-1)^2 < 2^63 and raises ScopeError outside that envelope
+    instead of wrapping.  Everything it returns is a plain int64 array."""
 
     __slots__ = ("a", "p")
 
@@ -102,65 +105,11 @@ class FpMatrix:
             raise ExactKernelError("matrix entries must be 2-dimensional")
         self.p = p
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, p: int) -> "FpMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), p)
-
-    @classmethod
-    def identity(cls, n: int, p: int) -> "FpMatrix":
-        return cls(np.eye(n, dtype=np.int64), p)
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    def _like(self, other) -> "FpMatrix":
-        if not isinstance(other, FpMatrix) or other.p != self.p:
-            raise ExactKernelError("matrix operands must share the modulus")
-        return other
-
-    def __add__(self, other):
-        o = self._like(other)
-        return FpMatrix(self.a + o.a, self.p)
-
-    def __sub__(self, other):
-        o = self._like(other)
-        return FpMatrix(self.a - o.a, self.p)
-
-    def __neg__(self):
-        return FpMatrix(-self.a, self.p)
-
-    def __matmul__(self, other):
-        if isinstance(other, FpMatrix):
-            return FpMatrix(fp_matmul(self.a, other.a, self.p), self.p)
-        return fp_matmul(self.a, np.asarray(other, dtype=np.int64), self.p)
-
-    def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix(self.a * (c % self.p), self.p)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FpMatrix)
-            and self.p == other.p
-            and self.a.shape == other.a.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
-
-    def is_zero(self) -> bool:
-        return not self.a.any()
-
-    def copy(self) -> "FpMatrix":
-        return FpMatrix(self.a.copy(), self.p)
-
-    def rref(self):
+    def rref(self) -> tuple[np.ndarray, list[int]]:
         """Reduced row echelon form.
 
         Pivots walk columns left to right, choosing the smallest row index
-        with a nonzero entry; returns (matrix, pivot column list).  Each
+        with a nonzero entry; returns (array, pivot column list).  Each
         pivot is one update of columns c onward (the pivot row is 0 left of c).
         """
         p = self.p
@@ -188,58 +137,54 @@ class FpMatrix:
                 m[r, c:] = row
             pivots.append(c)
             r += 1
-        return FpMatrix(m, p), pivots
+        return m, pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel(self) -> list[np.ndarray]:
-        """Right nullspace basis: per free column f, 1 at f and -R[i, f] at pivot c_i."""
+        """Right nullspace basis, empty for an injective map: per free column
+        f, 1 at f and -R[i, f] at pivot c_i."""
         R, pivots = self.rref()
-        free = np.delete(np.arange(self.cols), pivots)
-        K = np.zeros((len(free), self.cols), dtype=np.int64)
+        cols = self.a.shape[1]
+        free = np.delete(np.arange(cols), pivots)
+        K = np.zeros((len(free), cols), dtype=np.int64)
         K[np.arange(len(free)), free] = 1
-        K[:, pivots] = -R.a[:len(pivots), free].T % self.p
+        K[:, pivots] = -R[:len(pivots), free].T % self.p
         return list(K)
 
     def solve(self, b) -> np.ndarray | None:
         """One solution of Ax = b, or None if inconsistent (deterministic:
         free variables are set to 0)."""
         b = np.asarray(b, dtype=np.int64) % self.p
-        aug = FpMatrix(np.hstack([self.a, b.reshape(-1, 1)]), self.p)
-        R, pivots = aug.rref()
-        if self.cols in pivots:
+        R, pivots = FpMatrix(np.hstack([self.a, b.reshape(-1, 1)]), self.p).rref()
+        cols = self.a.shape[1]
+        if cols in pivots:
             return None
-        x = np.zeros(self.cols, dtype=np.int64)
-        x[pivots] = R.a[:len(pivots), -1]
+        x = np.zeros(cols, dtype=np.int64)
+        x[pivots] = R[:len(pivots), -1]
         return x
 
-    def inv(self) -> "FpMatrix":
+    def inv(self) -> np.ndarray:
         """The inverse.  A monomial matrix, with one nonzero entry d_i =
         M[i, s(i)] in each row and column, is D P with P a permutation and
         inverts as P^T D^{-1}: entry (s(i), i) is 1/d_i.  Every other matrix
         is inverted by row reduction of [M | I]."""
-        if self.rows != self.cols:
+        n = len(self.a)
+        if self.a.shape != (n, n):
             raise ExactKernelError("only square matrices are invertible")
-        n = self.rows
         rows, cols = np.nonzero(self.a)
         if np.array_equal(rows, np.arange(n)) and self.a.any(axis=0).all():  # one per row, every column
             out = np.zeros((n, n), dtype=np.int64)
             out[cols, rows] = [pow(d, -1, self.p) for d in self.a[rows, cols].tolist()]
-            return FpMatrix(out, self.p)
-        aug = FpMatrix(np.hstack([self.a, np.eye(n, dtype=np.int64)]), self.p)
-        R, pivots = aug.rref()
+            return out
+        R, pivots = FpMatrix(np.hstack([self.a, np.eye(n, dtype=np.int64)]), self.p).rref()
         if pivots != list(range(n)):
             raise ExactKernelError("matrix is singular")
-        return FpMatrix(R.a[:, n:], self.p)
+        return R[:, n:].copy()
 
     def __repr__(self):
         return "FpMatrix(p=%d,\n%s)" % (self.p, self.a)
-
-
-def mat_kernel(M: FpMatrix) -> list[np.ndarray]:
-    """Basis of {v : Mv = 0}; empty list for an injective map."""
-    return M.kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +201,7 @@ def row_space_basis(vectors: Iterable, d: int, p: int) -> list[np.ndarray]:
     if not vecs:
         return []
     R, pivots = FpMatrix(np.array(vecs), p).rref()
-    return [R.a[i].copy() for i in range(len(pivots))]
+    return [R[i].copy() for i in range(len(pivots))]
 
 
 def subspace_contains(basis: Sequence, v, p: int) -> bool:
@@ -267,9 +212,9 @@ def subspace_contains(basis: Sequence, v, p: int) -> bool:
     if not len(basis):
         return not v.any()
     R, pivots = FpMatrix(np.array(list(basis)), p).rref()
-    if v.shape != (R.cols,):
-        raise ExactKernelError("vector of shape %r in ambient dimension %d" % (v.shape, R.cols))
-    terms = v[pivots, None] * R.a[:len(pivots)] % p
+    if v.shape != R.shape[1:]:
+        raise ExactKernelError("vector of shape %r in ambient dimension %d" % (v.shape, R.shape[1]))
+    terms = v[pivots, None] * R[:len(pivots)] % p
     return not ((v - terms.sum(axis=0)) % p).any()
 
 

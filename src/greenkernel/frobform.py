@@ -18,7 +18,7 @@ from .borel import AlgebraMap, El
 
 class FrobeniusForm:
     """A validated Frobenius form: covector with invertible pairing.  Its
-    arrays (vec, pairing.a, dual) are read-only, so a form can be shared."""
+    arrays (vec, pairing, dual) are read-only, so a form can be shared."""
 
     __slots__ = ("algebra", "vec", "pairing", "dual")
 
@@ -27,14 +27,12 @@ class FrobeniusForm:
         self.vec = np.asarray(covector, dtype=np.int64) % algebra.p
         if self.vec.shape != (algebra.dim,):
             raise ExactKernelError("covector has wrong length")
-        G = algebra.pairing_matrix(self.vec)
+        self.pairing = algebra.pairing_matrix(self.vec)
         try:
-            Ginv = G.inv()
+            self.dual = FpMatrix(self.pairing, algebra.p).inv()  # column j is the dual basis vector v_j
         except ExactKernelError:
             raise ExactKernelError("covector is not a Frobenius form (degenerate pairing)")
-        self.pairing = G
-        self.dual = Ginv.a  # column j is the dual basis vector v_j
-        for a in (self.vec, G.a, self.dual):
+        for a in (self.vec, self.pairing, self.dual):
             a.flags.writeable = False
 
     def value(self, el) -> int:
@@ -48,7 +46,7 @@ class FrobeniusForm:
         """<u|v> = lam(uv)."""
         uv = u.vec if isinstance(u, El) else np.asarray(u, dtype=np.int64)
         vv = v.vec if isinstance(v, El) else np.asarray(v, dtype=np.int64)
-        return int(fp_matmul(fp_matmul(uv, self.pairing.a, self.algebra.p), vv, self.algebra.p))
+        return int(fp_matmul(fp_matmul(uv, self.pairing, self.algebra.p), vv, self.algebra.p))
 
     def dual_basis(self) -> list[El]:
         return [El(self.algebra, self.dual[:, j]) for j in range(self.algebra.dim)]
@@ -95,7 +93,7 @@ def is_frobenius_form(A, covector):
     criterion is cross-checked against nonvanishing on the socle."""
     lam = np.asarray(covector, dtype=np.int64) % A.p
     G = A.pairing_matrix(lam)
-    ok = G.rank() == A.dim
+    ok = FpMatrix(G, A.p).rank() == A.dim
     soc = A.socle_vecs()
     if len(soc) == 1:
         on_socle = bool(fp_matmul(lam, soc[0], A.p))
@@ -123,17 +121,15 @@ def modify_form(A, form: FrobeniusForm, basis_els, targets) -> FrobeniusForm:
         raise ExactKernelError("need a full basis and one target per basis vector")
     if ts[0] == 0:
         raise ExactKernelError("t_0 must be nonzero (it is the value on the socle)")
-    U = FpMatrix(np.array([u.vec for u in us]), A.p)
-    if U.rank() != dim:
+    U = np.array([u.vec for u in us])
+    if FpMatrix(U, A.p).rank() != dim:
         raise ExactKernelError("the u_i are not a basis")
     if not subspace_contains(A.socle_vecs(), us[0].vec, A.p):
         raise ExactKernelError("u_0 must span the socle")
     # dual basis of (u_i) w.r.t. the pairing: columns of (U G)^{-1}
-    UG = FpMatrix(fp_matmul(U.a, form.pairing.a, A.p), A.p)
-    V = UG.inv().a
+    V = FpMatrix(fp_matmul(U, form.pairing, A.p), A.p).inv()
     w = fp_matmul(V, np.array(ts, dtype=np.int64), A.p)
-    Mw = A.mult_matrix(w)
-    lam2 = fp_matmul(Mw.a.T, form.vec, A.p)
+    lam2 = fp_matmul(A.mult_matrix(w).T, form.vec, A.p)
     out = FrobeniusForm(A, lam2)
     for u, t in zip(us, ts):
         if out.value(u) != t:
@@ -148,14 +144,14 @@ def form_unit(A, lam: FrobeniusForm, theta) -> El:
     if not ok:
         raise ExactKernelError("theta is not a Frobenius form")
     # theta(e_i) = lam(e_i w) = (G w)_i  with w = u^{-1}
-    w = lam.pairing.solve(tvec)
+    w = FpMatrix(lam.pairing, A.p).solve(tvec)
     if w is None:
         raise ExactKernelError("internal consistency: pairing solve failed")
     winv = El(A, w)
     if not winv.is_unit():
         raise ExactKernelError("internal consistency: solved element is not a unit")
     # theta(e_i) = lam(e_i w) for every i, through multiplication by w
-    if not np.array_equal(fp_matmul(A.mult_matrix(w).a.T, lam.vec, A.p), tvec):
+    if not np.array_equal(fp_matmul(A.mult_matrix(w).T, lam.vec, A.p), tvec):
         raise ExactKernelError("internal consistency: form_unit identity fails")
     return winv.inv()
 
@@ -178,7 +174,7 @@ def gysin(f: AlgebraMap, lam_A: FrobeniusForm, lam_B: FrobeniusForm) -> AlgebraM
     """
     A, B = f.source, f.target
     check_gysin_input(f, lam_A, lam_B)
-    mat = fp_matmul(fp_matmul(lam_A.dual, f.matrix.T, A.p), lam_B.pairing.a, A.p)
+    mat = fp_matmul(fp_matmul(lam_A.dual, f.matrix.T, A.p), lam_B.pairing, A.p)
     alpha = AlgebraMap(B, A, mat, module_over=f)
     if not alpha.check_module_map(f):
         raise ExactKernelError("internal consistency: gysin map is not a module map")
@@ -215,14 +211,13 @@ def extend_socle_map(f: AlgebraMap, socle_image: El, socle_gen_B: El | None = No
     blocks = []
     rhs = []
     for g, Mg_A in A.ideal_generators:
-        Mg_B = B.mult_matrix(fp_matmul(f.matrix, g, p)).a
+        Mg_B = B.mult_matrix(fp_matmul(f.matrix, g, p))
         # X * M_B - M_A * X = 0 on vec(X) (row-major)
         blocks.append((np.kron(IA, Mg_B.T) - np.kron(Mg_A, IB)) % p)
         rhs.extend([0] * (dA * dB))
     blocks.append(np.kron(IA, z.reshape(1, -1)) % p)
     rhs.extend(int(v) for v in img)
-    system = FpMatrix(np.vstack(blocks), p)
-    sol = system.solve(np.array(rhs, dtype=np.int64))
+    sol = FpMatrix(np.vstack(blocks), p).solve(np.array(rhs, dtype=np.int64))
     if sol is None:
         raise ExactKernelError(
             "internal consistency: no module extension exists (contradicts self-injectivity)"
@@ -241,6 +236,6 @@ def check_reciprocity(f: AlgebraMap, alpha: AlgebraMap, lam_A: FrobeniusForm) ->
     As matrices over the basis pairs (a, b): f^T . G_B = G_A . alpha, with
     G_B the pairing matrix of lam_A o alpha and G_A that of lam_A."""
     B, p = f.target, f.source.p
-    G_B = B.pairing_matrix(fp_matmul(alpha.matrix.T, lam_A.vec, p)).a
+    G_B = B.pairing_matrix(fp_matmul(alpha.matrix.T, lam_A.vec, p))
     return bool(np.array_equal(fp_matmul(f.matrix.T, G_B, p),
-                               fp_matmul(lam_A.pairing.a, alpha.matrix, p)))
+                               fp_matmul(lam_A.pairing, alpha.matrix, p)))

@@ -34,7 +34,6 @@ from .exactkernel import (
     FpMatrix,
     ScopeError,
     fp_matmul,
-    mat_kernel,
     row_space_basis,
     subspace_contains,
 )
@@ -350,7 +349,7 @@ def invariants(P_value: GreenValue, actions) -> Subalgebra:
         if not sigma.is_algebra_map or not sigma.is_injective():
             raise ExactKernelError("actions must be algebra automorphisms")
         diffs.append(sigma.matrix - eye)
-    fixed = row_space_basis(mat_kernel(FpMatrix(np.vstack(diffs), A.p)), A.dim, A.p)
+    fixed = row_space_basis(FpMatrix(np.vstack(diffs), A.p).kernel(), A.dim, A.p)
     # 1 = e_0 lies in an RREF span iff row 0 is e_0: only row 0 may be nonzero at index 0
     if not (fixed and np.array_equal(fixed[0], A.one_vec())):
         raise ExactKernelError("internal consistency: 1 is not stable")
@@ -457,14 +456,14 @@ def inflation_inverse(G: PermGroup, H: PermGroup, beta: dict, p: int, n: int,
     v_G = value_general(G, p, n, budget)
     v_H = value_general(H, p, n, budget)
     bstar = induced_map(G, H, beta, v_G, v_H, p, n, budget)
-    M = bstar.as_fpmatrix()
-    if M.rows != M.cols or M.rank() != M.rows:
+    try:
+        inv = FpMatrix(bstar.matrix, p).inv()
+    except ExactKernelError:
         raise ExactKernelError(
             "internal consistency: the induced map of a p'-kernel epimorphism "
             "must be a linear isomorphism"
         )
-    inv = M.inv()
-    blower = AlgebraMap(v_G.algebra, v_H.algebra, inv.a, is_algebra_map=True)
+    blower = AlgebraMap(v_G.algebra, v_H.algebra, inv, is_algebra_map=True)
     return bstar, blower
 
 

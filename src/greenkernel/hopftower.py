@@ -28,7 +28,6 @@ from .exactkernel import (
     ExactKernelError,
     FpMatrix,
     fp_matmul,
-    mat_kernel,
     row_space_basis,
     subspace_eq,
 )
@@ -131,11 +130,11 @@ def integrals(H: HopfStructure) -> list[El]:
     A = H.algebra
     rows = []
     for i, e in enumerate(np.eye(A.dim, dtype=np.int64)):
-        M = A.mult_matrix(e).a.copy()
+        M = A.mult_matrix(e)
         if i == 0:  # aug(e_0) = 1
             M = (M - np.eye(A.dim, dtype=np.int64)) % A.p
         rows.append(M)
-    kern = mat_kernel(FpMatrix(np.vstack(rows), A.p))
+    kern = FpMatrix(np.vstack(rows), A.p).kernel()
     soc = A.socle_vecs()
     if not subspace_eq(kern, soc, A.dim, A.p):
         raise ExactKernelError("internal consistency: integrals differ from the socle")
@@ -225,6 +224,17 @@ def is_hopf_map(f: AlgebraMap, src: HopfStructure, tgt: HopfStructure) -> bool:
     return True
 
 
+def _down(src: HondaLevel, tgt: HondaLevel) -> AlgebraMap:
+    """The tower surjection H_src -> H_tgt, x -> x."""
+    return AlgebraMap.from_generator_images(src.algebra, tgt.algebra, [tgt.x()])
+
+
+def _up(src: HondaLevel, tgt: HondaLevel, t: int) -> AlgebraMap:
+    """The tower injection H_src -> H_tgt, x -> x^{q^t}."""
+    return AlgebraMap.from_generator_images(src.algebra, tgt.algebra,
+                                            [tgt.x() ** (tgt.params.q ** t)])
+
+
 @dataclass
 class TowerMaps:
     surj: AlgebraMap  # H_{r+s} -> H_r,  x -> x
@@ -243,10 +253,7 @@ def tower_maps(params: HondaParams, r: int, s: int, budget: int = DEFAULT_BUDGET
     big = honda_level(params, r + s, budget)
     low = honda_level(params, r, budget)
     mid = honda_level(params, s, budget)
-    surj = AlgebraMap.from_generator_images(big.algebra, low.algebra, [low.x()])
-    inj = AlgebraMap.from_generator_images(
-        mid.algebra, big.algebra, [big.x() ** (params.q ** r)]
-    )
+    surj, inj = _down(big, low), _up(mid, big, r)
     return TowerMaps(
         surj=surj,
         inj=inj,
@@ -314,12 +321,12 @@ def pdiv_check(params: HondaParams, r: int, s: int, budget: int = DEFAULT_BUDGET
     big = honda_level(params, r + s, budget)
     low = honda_level(params, r, budget)
     mid = honda_level(params, s, budget)
-    maps = tower_maps(params, r, s, budget)
+    surj, inj = _down(big, low), _up(mid, big, r)  # tower_maps' maps, without its diagnostics
 
     # (i) kernel of surj = ideal([p^r](x_{r+s}))
     g = m_series(big.fgl, p ** r, Q)
-    ideal_basis = row_space_basis(big.algebra.mult_matrix(g).a.T, big.dim, p)
-    kernel_basis = mat_kernel(maps.surj.as_fpmatrix())
+    ideal_basis = row_space_basis(big.algebra.mult_matrix(g).T, big.dim, p)
+    kernel_basis = FpMatrix(surj.matrix, p).kernel()
     kernel_ok = subspace_eq(ideal_basis, kernel_basis, big.dim, p)
 
     # (ii) [p^r](x_r) = 0 in H_r
@@ -328,25 +335,18 @@ def pdiv_check(params: HondaParams, r: int, s: int, budget: int = DEFAULT_BUDGET
     # (iii) compatibility squares, algebra side (levels r+s+1 appear)
     bigger = honda_level(params, r + s + 1, max(budget, q ** (r + s + 1)))
     next_mid = honda_level(params, s + 1, budget)
-
-    def down(src: HondaLevel, tgt: HondaLevel) -> AlgebraMap:
-        return AlgebraMap.from_generator_images(src.algebra, tgt.algebra, [tgt.x()])
-
-    def up(src: HondaLevel, tgt: HondaLevel, t: int) -> AlgebraMap:
-        return AlgebraMap.from_generator_images(src.algebra, tgt.algebra, [tgt.x() ** (q ** t)])
-
-    trunc = down(bigger, big)
-    sq1a = down(bigger, low) == maps.surj.compose(trunc)
+    trunc = _down(bigger, big)
+    sq1a = _down(bigger, low) == surj.compose(trunc)
     # H_{s+1} -> H_{r+s}: restrict then include vs include then restrict
-    lhs = maps.inj.compose(down(next_mid, mid))
-    rhs = trunc.compose(up(next_mid, bigger, r))
+    lhs = inj.compose(_down(next_mid, mid))
+    rhs = trunc.compose(_up(next_mid, bigger, r))
     sq1b = lhs == rhs
     # multiplication by p^{r+1} commutes with truncation H_{r+s+1} -> H_{r+s}
     mlhs = trunc.compose(multiplication_map(bigger, p ** (r + 1)))
     mrhs = multiplication_map(big, p ** (r + 1)).compose(trunc)
     sq2a = mlhs == mrhs
     # multiplication by p^r on H_{r+s} factors as inj o surj through H_s
-    factor = maps.inj.compose(down(big, mid))
+    factor = inj.compose(_down(big, mid))
     sq2b = factor == multiplication_map(big, p ** r)
 
     return PdivReport(

@@ -7,8 +7,9 @@ nilpotency exponent and socle extensions on the whole radical basis rather
 than on ideal generators, a subalgebra's ideal generators from its own
 radical products, every pair product of a list of rows (the closure test
 Subalgebra once ran), the socle as a kernel and the inverse by augmented
-row reduction (where BorelAlgebra and FpMatrix use closed forms), and the
-element and embedding helpers only the tests read.
+row reduction (where BorelAlgebra and FpMatrix use closed forms), the
+element and embedding helpers only the tests read, and the check that an
+array is a GF(p) array.
 
 The package computes with coordinate arrays only (Kronecker-coded Borel
 vectors, the (D, D) residue array of the group law).  These slow,
@@ -26,7 +27,6 @@ from greenkernel.borel import AlgebraMap, El, format_terms
 from greenkernel.exactkernel import (
     ExactKernelError,
     FpMatrix,
-    mat_kernel,
     row_space_basis,
     subspace_contains,
 )
@@ -337,7 +337,7 @@ def subspace_intersect(bases, d: int, p: int) -> list[np.ndarray]:
             return []
         U = np.array(cur).T
         W = np.array(nxt).T
-        combos = mat_kernel(FpMatrix(np.hstack([U, (-W) % p]), p))
+        combos = FpMatrix(np.hstack([U, (-W) % p]), p).kernel()
         cur = row_space_basis([(U @ kv[: len(cur)]) % p for kv in combos], d, p)
     return cur
 
@@ -356,7 +356,7 @@ def stable_basis_by_intersection(G, p: int, n: int) -> list:
         res_H = green.restrict(green._inclusion_hom(dec_H, dec_P), p, n)
         res_K = green.restrict(green._inclusion_hom(dec_K, dec_P), p, n)
         cg = green.restrict(green._conjugation_hom(dec_H, dec_K, g), p, n)
-        kernels.append(mat_kernel((res_H - cg.compose(res_K)).as_fpmatrix()))
+        kernels.append(FpMatrix((res_H - cg.compose(res_K)).matrix, p).kernel())
     return subspace_intersect(kernels, A_P.dim, p)
 
 
@@ -412,7 +412,7 @@ def nilpotency_exponent_by_radical(A) -> int:
     """Least e with m^e = 0, each power spanned by the products of a basis
     of the one before with every vector of the RREF radical basis."""
     rad = A.radical_span_vecs()
-    mats = [A.mult_matrix(r).a for r in rad]
+    mats = [A.mult_matrix(r) for r in rad]
     span, e = rad, 1
     while span:
         span = row_space_basis(np.vstack([np.array(span) @ M.T for M in mats]), A.dim, A.p)
@@ -429,24 +429,24 @@ def socle_by_kernel(A) -> list[np.ndarray]:
     gens = A.ideal_generators
     if not gens:
         return [A.one_vec()]
-    return mat_kernel(FpMatrix(np.vstack([M for _, M in gens]), A.p))
+    return FpMatrix(np.vstack([M for _, M in gens]), A.p).kernel()
 
 
-def inverse_by_rref(M: FpMatrix) -> FpMatrix:
+def inverse_by_rref(M: FpMatrix) -> np.ndarray:
     """M^{-1} from the row reduction of [M | I]; raises 'matrix is singular'
     unless the left block reduces to I."""
-    n = M.rows
+    n = len(M.a)
     R, pivots = FpMatrix(np.hstack([M.a, np.eye(n, dtype=np.int64)]), M.p).rref()
     if pivots != list(range(n)):
         raise ExactKernelError("matrix is singular")
-    return FpMatrix(R.a[:, n:], M.p)
+    return R[:, n:]
 
 
 def _pair_products(A, rows) -> np.ndarray:
     """The products rows[i] rows[j], i <= j, in A, one per output row; a
     (0, A.dim) stack when there are no rows."""
     R = np.asarray(rows, dtype=np.int64).reshape(-1, A.dim)
-    out = [(R[i:] @ A.mult_matrix(r).a.T) % A.p for i, r in enumerate(R)]
+    out = [(R[i:] @ A.mult_matrix(r).T) % A.p for i, r in enumerate(R)]
     return np.vstack(out) if out else np.zeros((0, A.dim), dtype=np.int64)
 
 
@@ -459,9 +459,9 @@ def ideal_generators_two_pass(S) -> list[tuple[np.ndarray, np.ndarray]]:
     one = S.to_sub(S.ambient.one_vec())
     rad = row_space_basis([(e - S.ambient.aug_vec(S.from_sub(e)) * one) % p
                            for e in np.eye(d, dtype=np.int64)], d, p)
-    square = row_space_basis([v for r in rad for v in np.array(rad) @ S.mult_matrix(r).a.T], d, p)
+    square = row_space_basis([v for r in rad for v in np.array(rad) @ S.mult_matrix(r).T], d, p)
     taken = {int(np.flatnonzero(r)[0]) for r in square}
-    return [(r, S.mult_matrix(r).a) for r in rad if int(np.flatnonzero(r)[0]) not in taken]
+    return [(r, S.mult_matrix(r)) for r in rad if int(np.flatnonzero(r)[0]) not in taken]
 
 
 def extend_socle_map_by_radical(f: AlgebraMap, socle_image, socle_gen_B=None) -> AlgebraMap:
@@ -479,8 +479,8 @@ def extend_socle_map_by_radical(f: AlgebraMap, socle_image, socle_gen_B=None) ->
     IA, IB = np.eye(dA, dtype=np.int64), np.eye(dB, dtype=np.int64)
     blocks = []
     for g in A.radical_span_vecs():
-        Mg_A = A.mult_matrix(g).a
-        Mg_B = B.mult_matrix((f.matrix @ g) % p).a
+        Mg_A = A.mult_matrix(g)
+        Mg_B = B.mult_matrix((f.matrix @ g) % p)
         blocks.append((np.kron(IA, Mg_B.T) - np.kron(Mg_A, IB)) % p)
     blocks.append(np.kron(IA, z.reshape(1, -1)) % p)
     rhs = np.zeros(sum(len(b) for b in blocks), dtype=np.int64)
@@ -531,3 +531,10 @@ def emb_right(T) -> AlgebraMap:
     M = np.zeros((T.algebra.dim, T.right.dim), dtype=np.int64)
     M[T.pair_index[0, :], np.arange(T.right.dim)] = 1
     return AlgebraMap(T.right, T.algebra, M, is_algebra_map=True)
+
+
+def is_fp_array(X, p: int) -> bool:
+    """Is X what the package passes for a GF(p) vector or matrix: a numpy
+    int64 array with every entry in [0, p)?"""
+    return (isinstance(X, np.ndarray) and X.dtype == np.int64
+            and bool(((X >= 0) & (X < p)).all()))

@@ -14,7 +14,6 @@ import pytest
 
 from greenkernel.borel import AlgebraMap, make_algebra
 from greenkernel.cli import EXIT_OK, dispatch
-from greenkernel.exactkernel import FpMatrix, mat_kernel
 from greenkernel.fgl import HondaParams, honda_fgl, m_series
 from greenkernel.frobform import (
     canonical_form,

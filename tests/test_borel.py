@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from greenkernel.exactkernel import ExactKernelError, ScopeError, row_space_basis
+from greenkernel.exactkernel import ExactKernelError, FpMatrix, ScopeError, row_space_basis
 from greenkernel.borel import (
     AlgebraMap,
     BorelAlgebra,
@@ -34,6 +34,7 @@ from polyoracle import (
     extend_socle_map_by_radical,
     extension_or_error,
     from_exp_dict,
+    is_fp_array,
     nilpotency_exponent_by_radical,
     socle_by_kernel,
 )
@@ -281,7 +282,7 @@ def test_subalgebra_mult_matrix_matches_products():
     for _ in range(5):
         v = np.array([rng.randrange(2) for _ in range(S.dim)], dtype=np.int64)
         cols = np.array([S.mul_vec(v, e) for e in eye]).T
-        assert np.array_equal(S.mult_matrix(v).a, cols)
+        assert np.array_equal(S.mult_matrix(v), cols)
 
 
 def test_subalgebra_rejects_non_closed():
@@ -338,7 +339,7 @@ def test_subalgebra_builds_one_ambient_matrix_per_generator(monkeypatch, build):
     gens = S.ideal_generators
     assert len(seen) == len(gens) < S.dim - 1
     assert [v.tolist() for v in seen] == [S.from_sub(g).tolist() for g, _ in gens]
-    assert all(np.array_equal(M, S.mult_matrix(g).a) for g, M in gens)
+    assert all(np.array_equal(M, S.mult_matrix(g)) for g, M in gens)
     assert len(seen) == 2 * len(gens)  # the check above built its own, once each
 
 
@@ -415,7 +416,7 @@ KERNEL_CASES = {
 def test_product_kernel_matches_oracles(case):
     """mul_vec against TruncPoly; mult_matrix column by column and
     pairing_matrix pair by pair against mul_vec (every index up to dim 64,
-    a random sample with both ends above)."""
+    a random sample with both ends above); both are int64 arrays in [0, p)."""
     A = KERNEL_CASES[case]()
     rng = np.random.default_rng(1)
     eye = np.eye(A.dim, dtype=np.int64)
@@ -424,10 +425,12 @@ def test_product_kernel_matches_oracles(case):
     for _ in range(2):
         u, v, lam = (rng.integers(0, A.p, A.dim) for _ in range(3))
         assert np.array_equal(A.mul_vec(u, v), _truncpoly_product(A, u, v))
-        M = A.mult_matrix(u).a
+        M = A.mult_matrix(u)
+        assert is_fp_array(M, A.p) and M.shape == (A.dim, A.dim)
         for j in idx:
             assert np.array_equal(M[:, j], A.mul_vec(u, eye[j]))
-        G = A.pairing_matrix(lam).a
+        G = A.pairing_matrix(lam)
+        assert is_fp_array(G, A.p) and G.shape == (A.dim, A.dim)
         for i in idx:
             for j in idx:
                 assert G[i, j] == int(lam @ A.mul_vec(eye[i], eye[j])) % A.p
@@ -456,7 +459,7 @@ def test_int64_envelope_enforced():
     p = 3037000493  # the largest prime with (p-1)^2 < 2^63
     A = BorelAlgebra(p, ())
     assert A.mul_vec([p - 1], [p - 1]).tolist() == [1]
-    assert A.mult_matrix([p - 1]).a.tolist() == [[p - 1]]
+    assert A.mult_matrix([p - 1]).tolist() == [[p - 1]]
 
 
 def test_element_json_round_trip():
@@ -692,15 +695,13 @@ def test_generator_images_match_product_oracle_on_tower(p, n, top):
 def test_socle_and_radical_are_computed_once(monkeypatch):
     # a Subalgebra's socle is one kernel; a Borel algebra's is its top
     # monomial in closed form, with no kernel; both are built once
-    import greenkernel.borel as borel_mod
-
-    calls, kernel = [], borel_mod.mat_kernel
+    calls, kernel = [], FpMatrix.kernel
 
     def counting_kernel(M):
         calls.append(M.a.shape)
         return kernel(M)
 
-    monkeypatch.setattr(borel_mod, "mat_kernel", counting_kernel)
+    monkeypatch.setattr(FpMatrix, "kernel", counting_kernel)
     A = make_algebra(3, (9, 3))
     first = A.socle_vecs()
     assert first[0] is A.socle_vecs()[0]

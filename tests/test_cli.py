@@ -446,6 +446,32 @@ def test_non_prime_p_usage_text(capsys, p):
     assert err == "usage error: --p must be prime (got %s)\n" % p
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("tower", "check", "--r", "0"), "--r must be >= 1"),
+    (("tower", "check", "--r", "-2"), "--r must be >= 1"),
+    (("tower", "show", "--r", "0"), "--r must be >= 1"),
+    (("tower", "check", "--s", "0"), "--s must be >= 1"),
+    (("tower", "check", "--r", "2", "--s", "-1"), "--s must be >= 1"),
+    (("fgl", "show", "--deg", "0"), "--deg must be >= 2"),
+    (("fgl", "show", "--deg", "1"), "--deg must be >= 2"),
+    (("fgl", "show", "--deg", "-4"), "--deg must be >= 2"),
+])
+def test_levels_and_degrees_below_their_least_are_usage_errors(capsys, argv, message):
+    # 0 once ran as the default (s = 1, deg = 4) with exit 0, and r < 1 or
+    # deg = 1 exited 2 from deep inside the engine
+    code, out, err = run(capsys, *argv[:2], "--p", "2", *argv[2:], "--format", "json")
+    assert (code, out, err) == (EXIT_USAGE, "", "usage error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (("tower", "check", "--s", "1"), "s", 1),
+    (("fgl", "show", "--deg", "2"), "deg", 2),
+])
+def test_least_level_and_degree_are_kept(capsys, argv, key, value):
+    code, out, _ = run(capsys, *argv[:2], "--p", "2", *argv[2:], "--format", "json")
+    assert code == EXIT_OK and json.loads(out)[key] == value
+
+
 def test_frob_check_explicit_covector(capsys):
     # the functional "coefficient of x + coefficient of 1" on F_2[x]/(x^2)
     code, out, _ = run(capsys, "frob", "check", "--p", "2", "--profile", "2",

@@ -9,7 +9,7 @@ import pytest
 
 from greenkernel import green, hopftower
 from greenkernel.audit import DEFAULT_BATTERY
-from greenkernel.exactkernel import BudgetError, ExactKernelError, ScopeError
+from greenkernel.exactkernel import BudgetError, ExactKernelError, FpMatrix, ScopeError
 from greenkernel.borel import AlgebraMap, El, Subalgebra
 from greenkernel.fgl import HondaParams, honda_fgl, m_series
 from greenkernel.green import (
@@ -455,8 +455,7 @@ def test_stable_elements_s3():
     gen_img = El(A, neg)
     from greenkernel.borel import AlgebraMap
     sigma = AlgebraMap.from_generator_images(A, A, [gen_img])
-    from greenkernel.exactkernel import FpMatrix, mat_kernel
-    fixed = mat_kernel(FpMatrix((sigma.matrix - np.eye(3, dtype=np.int64)) % 3, 3))
+    fixed = FpMatrix((sigma.matrix - np.eye(3, dtype=np.int64)) % 3, 3).kernel()
     assert len(fixed) == st.lim_dim
     sub = st.subalgebra
     assert len(sub.socle_vecs()) == 1
@@ -470,8 +469,7 @@ def test_stable_elements_a4():
     rho = parse_cycles("(1 2 3)", 4)
     c = hom_between(dV, dV, [perm_mul(perm_mul(perm_inv(rho), b), rho) for b in dV.basis])
     sigma = restrict(c, 2, 1)
-    from greenkernel.exactkernel import FpMatrix, mat_kernel
-    fixed = mat_kernel(FpMatrix((sigma.matrix - np.eye(4, dtype=np.int64)) % 2, 2))
+    fixed = FpMatrix((sigma.matrix - np.eye(4, dtype=np.int64)) % 2, 2).kernel()
     assert len(fixed) == st.lim_dim
 
 
@@ -479,8 +477,8 @@ def test_stable_elements_a4():
 def test_stable_elements_refuses_a_limit_without_one(monkeypatch, kept):
     # a limit that has lost 1 (here: spanned by chosen radical monomials,
     # or empty) is an internal fault, reported before any Subalgebra
-    monkeypatch.setattr(green, "mat_kernel",
-                        lambda M: [np.eye(M.cols, dtype=np.int64)[i] for i in kept])
+    monkeypatch.setattr(FpMatrix, "kernel",
+                        lambda M: [np.eye(M.a.shape[1], dtype=np.int64)[i] for i in kept])
     with pytest.raises(ExactKernelError, match="internal consistency: 1 is not stable"):
         stable_elements(named_group("S3"), 3, 2)
 
@@ -645,7 +643,7 @@ def test_res_p_prime_index_split():
         assert ind1.is_unit()
         comp = fx.ind(G, P).compose(fx.res(G, P))
         mult = fx.value(G).algebra.mult_matrix(ind1.vec)
-        assert np.array_equal(comp.matrix, mult.a)
+        assert np.array_equal(comp.matrix, mult)
 
 
 def test_ind_p_index_lands_in_radical():

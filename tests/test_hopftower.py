@@ -1,12 +1,14 @@
 """Hopf structure, the Honda tower, p-divisibility diagnostics, integrals."""
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from greenkernel import hopftower
-from greenkernel.exactkernel import BudgetError, ExactKernelError
+from greenkernel.cli import EXIT_OK, dispatch
+from greenkernel.exactkernel import BudgetError, ExactKernelError, FpMatrix
 from greenkernel.borel import AlgebraMap, make_algebra
 from greenkernel.fgl import HondaParams
 from greenkernel.frobform import canonical_form, is_frobenius_form
@@ -191,6 +193,44 @@ def test_pdiv_check_deeper_levels():
     assert rep.all_pass
     rep = pdiv_check(params(2, 1), 1, 2)
     assert rep.all_pass
+
+
+def _count_checks(monkeypatch) -> Counter:
+    """Calls of is_hopf_map, FpMatrix.rank and HopfStructure.__init__ from
+    now on, with every level built cold."""
+    monkeypatch.setattr(hopftower, "_level_cache", {})
+    calls = Counter()
+    for owner, name in ((hopftower, "is_hopf_map"), (FpMatrix, "rank"), (HopfStructure, "__init__")):
+        def counting(*args, _real=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_pdiv_check_builds_no_hopf_data(monkeypatch):
+    # its two tower maps come without tower_maps' Hopf-map and rank checks
+    calls = _count_checks(monkeypatch)
+    assert pdiv_check(params(2, 1), 1, 2).all_pass
+    assert calls == {}
+
+
+def test_tower_check_runs_each_map_check_once(monkeypatch, capsys):
+    # is_hopf_map and the rank of each tower map run in tower_maps only;
+    # Hopf data is built once for each of the levels r, s and r+s
+    calls = _count_checks(monkeypatch)
+    argv = ["tower", "check", "--p", "2", "--r", "1", "--s", "2", "--format", "json"]
+    assert dispatch(argv) == EXIT_OK
+    capsys.readouterr()
+    assert calls == {"is_hopf_map": 2, "rank": 2, "__init__": 3}
+
+
+def test_audit_assumptions_builds_no_hopf_data(monkeypatch, capsys):
+    # the pdiv-tower row reads the tower through algebra maps only
+    calls = _count_checks(monkeypatch)
+    assert dispatch(["audit", "assumptions", "--p", "2", "--n", "1", "--no-timing"]) == EXIT_OK
+    capsys.readouterr()
+    assert calls["__init__"] == calls["is_hopf_map"] == 0
 
 
 def test_budget_errors():
