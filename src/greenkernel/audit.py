@@ -141,14 +141,17 @@ def frobenius_axiom(res: AlgebraMap, ind: AlgebraMap):
 
     The identity is bilinear and res is an algebra map, so y = 1 and the
     radical generators of A(H) decide it (``check_module_map``).  The loop
-    over basis pairs runs only on a fail, to find the first witness."""
+    over basis pairs runs only on a fail, to find the first witness; a fail
+    that no pair witnesses is a contradiction between the two checks."""
     if ind.check_module_map(res):
         return EXACT, None, None
     for x in res.target.basis_elements():
         for y in res.source.basis_elements():
             if ind.apply(x * res.apply(y)) != ind.apply(x) * y:
                 return FAIL, None, "x=%r y=%r" % (x, y)
-    return EXACT, None, None
+    raise ExactKernelError(
+        "internal consistency: module-map check fails but no basis pair does"
+    )
 
 
 def _mackey_sum(terms) -> AlgebraMap:

@@ -480,9 +480,9 @@ class AlgebraMap:
     """Linear map between local algebras as a (target.dim x source.dim)
     matrix over GF(p), with flags recording verified structure."""
 
-    __slots__ = ("source", "target", "matrix", "is_algebra_map", "module_over")
+    __slots__ = ("source", "target", "matrix", "is_algebra_map")
 
-    def __init__(self, source, target, matrix, is_algebra_map=False, module_over=None):
+    def __init__(self, source, target, matrix, is_algebra_map=False):
         self.source = source
         self.target = target
         m = np.asarray(matrix, dtype=np.int64) % target.p
@@ -490,9 +490,6 @@ class AlgebraMap:
             raise ExactKernelError("matrix shape %r does not match map" % (m.shape,))
         self.matrix = m
         self.is_algebra_map = is_algebra_map
-        # when set, this is the algebra map f: target -> source making self
-        # a module map over the target: self(f(a) * b) = a * self(b)
-        self.module_over = module_over
 
     @classmethod
     def identity(cls, A) -> "AlgebraMap":

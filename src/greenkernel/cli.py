@@ -359,7 +359,8 @@ def _cmd_frob_check(args) -> int:
             "algebra": A.to_json(),
             "is_frobenius": ok,
             "form": [int(c) for c in vec],
-            "pairing_rank": FpMatrix(pairing, A.p).rank(),
+            # a Frobenius form's pairing is invertible; only a degenerate one is ranked
+            "pairing_rank": A.dim if ok else FpMatrix(pairing, A.p).rank(),
         }
         if ok:
             payload["dual_basis"] = [[int(c) for c in v.vec] for v in dual]

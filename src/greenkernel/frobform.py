@@ -89,21 +89,22 @@ def canonical_form(A) -> FrobeniusForm:
 
 
 def is_frobenius_form(A, covector):
-    """(ok, pairing, dual_basis_or_None); when dim soc = 1 the invertibility
-    criterion is cross-checked against nonvanishing on the socle."""
+    """(ok, pairing, dual_basis_or_None), decided by building the form (its
+    one inverse); when dim soc = 1 the invertibility criterion is
+    cross-checked against nonvanishing on the socle."""
     lam = np.asarray(covector, dtype=np.int64) % A.p
-    G = A.pairing_matrix(lam)
-    ok = FpMatrix(G, A.p).rank() == A.dim
+    try:
+        form = FrobeniusForm(A, lam)
+    except ExactKernelError:  # degenerate; a malformed covector makes pairing_matrix raise below
+        form = None
+    ok = form is not None
+    G = form.pairing if ok else A.pairing_matrix(lam)
     soc = A.socle_vecs()
-    if len(soc) == 1:
-        on_socle = bool(fp_matmul(lam, soc[0], A.p))
-        if on_socle != ok:
-            raise ExactKernelError(
-                "internal consistency: socle criterion disagrees with pairing rank"
-            )
-    if not ok:
-        return False, G, None
-    return True, G, FrobeniusForm(A, lam).dual_basis()
+    if len(soc) == 1 and bool(fp_matmul(lam, soc[0], A.p)) != ok:
+        raise ExactKernelError(
+            "internal consistency: socle criterion disagrees with pairing rank"
+        )
+    return ok, G, form.dual_basis() if ok else None
 
 
 def modify_form(A, form: FrobeniusForm, basis_els, targets) -> FrobeniusForm:
@@ -121,13 +122,15 @@ def modify_form(A, form: FrobeniusForm, basis_els, targets) -> FrobeniusForm:
         raise ExactKernelError("need a full basis and one target per basis vector")
     if ts[0] == 0:
         raise ExactKernelError("t_0 must be nonzero (it is the value on the socle)")
+    # dual basis of (u_i) w.r.t. the pairing: columns of (U G)^{-1}, which
+    # exists exactly when the u_i are a basis (G is invertible)
     U = np.array([u.vec for u in us])
-    if FpMatrix(U, A.p).rank() != dim:
+    try:
+        V = FpMatrix(fp_matmul(U, form.pairing, A.p), A.p).inv()
+    except ExactKernelError:
         raise ExactKernelError("the u_i are not a basis")
     if not subspace_contains(A.socle_vecs(), us[0].vec, A.p):
         raise ExactKernelError("u_0 must span the socle")
-    # dual basis of (u_i) w.r.t. the pairing: columns of (U G)^{-1}
-    V = FpMatrix(fp_matmul(U, form.pairing, A.p), A.p).inv()
     w = fp_matmul(V, np.array(ts, dtype=np.int64), A.p)
     lam2 = fp_matmul(A.mult_matrix(w).T, form.vec, A.p)
     out = FrobeniusForm(A, lam2)
@@ -143,10 +146,8 @@ def form_unit(A, lam: FrobeniusForm, theta) -> El:
     ok, _, _ = is_frobenius_form(A, tvec)
     if not ok:
         raise ExactKernelError("theta is not a Frobenius form")
-    # theta(e_i) = lam(e_i w) = (G w)_i  with w = u^{-1}
-    w = FpMatrix(lam.pairing, A.p).solve(tvec)
-    if w is None:
-        raise ExactKernelError("internal consistency: pairing solve failed")
+    # theta(e_i) = lam(e_i w) = (G w)_i with w = u^{-1}, so w = G^{-1} theta
+    w = fp_matmul(lam.dual, tvec, A.p)
     winv = El(A, w)
     if not winv.is_unit():
         raise ExactKernelError("internal consistency: solved element is not a unit")
@@ -175,7 +176,7 @@ def gysin(f: AlgebraMap, lam_A: FrobeniusForm, lam_B: FrobeniusForm) -> AlgebraM
     A, B = f.source, f.target
     check_gysin_input(f, lam_A, lam_B)
     mat = fp_matmul(fp_matmul(lam_A.dual, f.matrix.T, A.p), lam_B.pairing, A.p)
-    alpha = AlgebraMap(B, A, mat, module_over=f)
+    alpha = AlgebraMap(B, A, mat)
     if not alpha.check_module_map(f):
         raise ExactKernelError("internal consistency: gysin map is not a module map")
     zB = socle_generator(B)
@@ -223,7 +224,7 @@ def extend_socle_map(f: AlgebraMap, socle_image: El, socle_gen_B: El | None = No
             "internal consistency: no module extension exists (contradicts self-injectivity)"
         )
     X = sol.reshape(dA, dB)
-    out = AlgebraMap(B, A, X, module_over=f)
+    out = AlgebraMap(B, A, X)
     if not out.check_module_map(f):
         raise ExactKernelError("internal consistency: solved extension is not a module map")
     return out

@@ -528,12 +528,13 @@ class SubgroupGreenFunctor:
         return value_general(H, self.p, self.n, self.budget)
 
     def res(self, H: PermGroup, K: PermGroup) -> AlgebraMap:
-        """res^H_K: A(H) -> A(K) for K <= H."""
-        if not K.is_subgroup_of(H):
-            raise ExactKernelError("res needs K <= H")
+        """res^H_K: A(H) -> A(K) for K <= H (checked on a miss: a key enters
+        the cache only after passing)."""
         ck = (H._eset, K._eset)
         if ck in self._res_cache:
             return self._res_cache[ck]
+        if not K.is_subgroup_of(H):
+            raise ExactKernelError("res needs K <= H")
         vH, vK = self.value(H), self.value(K)
         if vK.kind == "trivial":
             out = augmentation_map(vH.algebra)
@@ -557,11 +558,11 @@ class SubgroupGreenFunctor:
     def conj(self, g, H: PermGroup) -> AlgebraMap:
         """c_g: A(H) -> A(gHg^{-1})."""
         g = tuple(g)
-        if g not in self.G:
-            raise ExactKernelError("conjugating element must lie in G")
         ck = (g, H._eset)
         if ck in self._conj_cache:
             return self._conj_cache[ck]
+        if g not in self.G:
+            raise ExactKernelError("conjugating element must lie in G")
         H2 = self.G.conjugate_subgroup(H, g)
         vH, vH2 = self.value(H), self.value(H2)
         if vH.kind == "trivial":

@@ -207,11 +207,13 @@ class PermGroup:
         return out
 
     def intersection(self, H: "PermGroup") -> "PermGroup":
-        """The common elements, which already form a group (no closure)."""
+        """The common elements, which already form a group (no closure), and
+        are its generators too (sorted once, by _set_elements)."""
         if H.degree != self.degree:
             raise ExactKernelError("intersection needs one degree")
-        common = self._eset & H._eset
-        return PermGroup._from_elements(self.degree, sorted(common), common)
+        out = PermGroup._from_elements(self.degree, (), self._eset & H._eset)
+        out.generators = tuple(out.elements)
+        return out
 
 
 def group_from_generators(degree: int, perms, budget: int = DEFAULT_GROUP_BUDGET) -> PermGroup:

@@ -18,7 +18,7 @@ for it.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -283,27 +283,10 @@ class PdivReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(
-            (
-                self.kernel_is_mult_ideal,
-                self.p_r_kills_level_r,
-                self.square_surjections_compose,
-                self.square_inj_quotient_commutes,
-                self.square_mult_commutes_with_truncation,
-                self.square_mult_factors_through_tower,
-            )
-        )
+        return all(astuple(self))
 
     def as_dict(self) -> dict:
-        return {
-            "kernel_is_mult_ideal": self.kernel_is_mult_ideal,
-            "p_r_kills_level_r": self.p_r_kills_level_r,
-            "square_surjections_compose": self.square_surjections_compose,
-            "square_inj_quotient_commutes": self.square_inj_quotient_commutes,
-            "square_mult_commutes_with_truncation": self.square_mult_commutes_with_truncation,
-            "square_mult_factors_through_tower": self.square_mult_factors_through_tower,
-            "all_pass": self.all_pass,
-        }
+        return {**asdict(self), "all_pass": self.all_pass}
 
 
 def pdiv_check(params: HondaParams, r: int, s: int, budget: int = DEFAULT_BUDGET) -> PdivReport:

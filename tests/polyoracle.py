@@ -8,8 +8,8 @@ than on ideal generators, a subalgebra's ideal generators from its own
 radical products, every pair product of a list of rows (the closure test
 Subalgebra once ran), the socle as a kernel and the inverse by augmented
 row reduction (where BorelAlgebra and FpMatrix use closed forms), the
-element and embedding helpers only the tests read, and the check that an
-array is a GF(p) array.
+element and embedding helpers only the tests read, the check that an
+array is a GF(p) array, and a counter of row reductions.
 
 The package computes with coordinate arrays only (Kronecker-coded Borel
 vectors, the (D, D) residue array of the group law).  These slow,
@@ -18,6 +18,7 @@ independent paths are what the tests compare it against.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -490,7 +491,7 @@ def extend_socle_map_by_radical(f: AlgebraMap, socle_image, socle_gen_B=None) ->
         raise ExactKernelError(
             "internal consistency: no module extension exists (contradicts self-injectivity)"
         )
-    return AlgebraMap(B, A, sol.reshape(dA, dB), module_over=f)
+    return AlgebraMap(B, A, sol.reshape(dA, dB))
 
 
 def extension_or_error(extend, f: AlgebraMap, socle_image):
@@ -538,3 +539,21 @@ def is_fp_array(X, p: int) -> bool:
     int64 array with every entry in [0, p)?"""
     return (isinstance(X, np.ndarray) and X.dtype == np.int64
             and bool(((X >= 0) & (X < p)).all()))
+
+
+@contextmanager
+def rref_counter():
+    """Count the row reductions inside the block: yields the list of the
+    shapes FpMatrix.rref reduces, in call order, and restores it on exit."""
+    shapes = []
+    rref = FpMatrix.rref
+
+    def counting(self):
+        shapes.append(self.a.shape)
+        return rref(self)
+
+    FpMatrix.rref = counting
+    try:
+        yield shapes
+    finally:
+        FpMatrix.rref = rref

@@ -220,3 +220,20 @@ def test_frobenius_axiom_matches_exhaustive(group, p, n):
         assert frobenius_axiom(res, bad) == want
         failed += want[0] == FAIL
     assert failed > 0
+
+
+def test_frobenius_axiom_contradiction_is_a_fail_row(monkeypatch):
+    # a module-map check that refuses a correct pair, while no basis pair
+    # fails, is a contradiction between the two checks: each GF2 row must
+    # fail with it, not pass.  The first audit fills the transfer cache, so
+    # the second builds no Gysin map (whose own check would refuse first).
+    C4 = named_group("C4")
+    gf2 = [r for r in audit_mackey(C4, 2, 1).checks if r.name == "GF2-frobenius-axiom"]
+    assert gf2 and all(r.status == EXACT for r in gf2)
+    monkeypatch.setattr(AlgebraMap, "check_module_map", lambda self, f: False)
+    gf2 = [r for r in audit_mackey(C4, 2, 1).checks if r.name == "GF2-frobenius-axiom"]
+    assert gf2 and all(r.status == FAIL and r.witness.startswith("internal consistency")
+                       for r in gf2)
+    res = AlgebraMap.identity(make_algebra(2, (2,)))
+    with pytest.raises(ExactKernelError, match="no basis pair"):
+        frobenius_axiom(res, res)

@@ -17,6 +17,7 @@ from greenkernel.cli import (
     build_parser,
     dispatch,
 )
+from polyoracle import rref_counter
 
 
 def run(capsys, *argv):
@@ -328,6 +329,42 @@ def test_frob_check(capsys):
                        "--covector", "aug", "--format", "json")
     data = json.loads(out)
     assert data["is_frobenius"] is False
+
+
+# SHA-256 of `frob check` output on F_3[x1, x2]/(x1^9, x2^3), recorded before
+# pairing_rank was read off the form's inverse; the text and JSON must stay
+# byte-identical.  The covectors: the canonical form, the augmentation, an
+# explicit Frobenius one and an explicit degenerate one (the ranked case).
+FROB_CHECK_DIGESTS = {
+    ("canonical", "text"): "ecb580fbd6e0afc64fcd28311fde64461050092f7a63141d277f68f53fa15d5d",
+    ("canonical", "json"): "0baf4b624ee9f9eaff9c33b3662cd6447f1846d83eb85362f2a6700ef7b3eff7",
+    ("aug", "text"): "1628b9dd34965170c593551e007fb875dd9020496e4820c77a5d3518faa44c05",
+    ("aug", "json"): "d6a2cdb1b21cfa227c08ad3cd208b84b3bad54d0b8b825f9f2eb64b6d6f546fd",
+    ("x1^8*x2^2+x1", "text"): "add00a811063554eb23056955fe5644f9ab0eadebd76dfd75c624f7b40182300",
+    ("x1^8*x2^2+x1", "json"): "76b9a4c91c70ce5675432b5e31a763a28dd944502bb5367f0f73cfdd7ac7e259",
+    ("x1^7*x2^2+x1", "text"): "dc614103364ee287943452deb6c4384b91f5a7808225f11b0dc485a5345f4086",
+    ("x1^7*x2^2+x1", "json"): "99511d57640cd133eda9f3b552c0a9792b23e95e367512616c38dd847ec38c9f",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FROB_CHECK_DIGESTS))
+def test_frob_check_output_is_byte_identical(capsys, key):
+    covector, fmt = key
+    code, out, _ = run(capsys, "frob", "check", "--p", "3", "--profile", "9,3",
+                       "--covector", covector, "--format", fmt, "--no-timing")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == FROB_CHECK_DIGESTS[key]
+
+
+@pytest.mark.parametrize("covector,want", [
+    ("x1^8*x2^2+x1", [(27, 54)]),  # one inverse decides and gives the dual basis
+    ("aug", [(27, 54), (27, 27)]),  # the failed inverse, then the rank it reports
+])
+def test_frob_check_row_reductions(capsys, covector, want):
+    with rref_counter() as shapes:
+        code, _, _ = run(capsys, "frob", "check", "--p", "3", "--profile", "9,3",
+                         "--covector", covector, "--format", "json")
+    assert code == EXIT_OK and shapes == want
 
 
 def test_frob_gysin(capsys):

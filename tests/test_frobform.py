@@ -19,6 +19,7 @@ from greenkernel.frobform import (
     modify_form,
     socle_generator,
 )
+from polyoracle import rref_counter
 
 
 def test_canonical_form_examples():
@@ -124,6 +125,40 @@ def test_modify_form_requires_socle_first():
     modify_form(A, lam, basis, [1, 0, 0, 0])
     with pytest.raises(ExactKernelError, match="socle"):
         modify_form(A, lam, A.basis_elements(), [1, 0, 0, 0])  # u_0 = 1 not in socle
+
+
+def test_modify_form_refuses_a_dependent_basis_before_the_socle():
+    A = make_algebra(2, (4,))
+    lam = canonical_form(A)
+    x = A.gen()
+    with pytest.raises(ExactKernelError, match="the u_i are not a basis"):
+        modify_form(A, lam, [x ** 3, x, x, A.one()], [1, 0, 0, 0])
+    # u_0 = 1 is not in the socle either, but the basis is refused first
+    with pytest.raises(ExactKernelError, match="the u_i are not a basis"):
+        modify_form(A, lam, [A.one(), x, x, x ** 3], [1, 0, 0, 0])
+
+
+def test_one_row_reduction_per_pairing():
+    # the p = 3, profile (9, 3) algebra: a form's pairing is inverted once
+    # (27 x 54, [G | I]) and read from then on; U is not ranked before U G
+    # is inverted, and form_unit reads the inverse lam already holds
+    A = make_algebra(3, (9, 3))
+    lam = canonical_form(A)
+    z = socle_generator(A)
+    theta = lam.vec.copy()
+    theta[1] = 1
+    with rref_counter() as shapes:
+        ok, _, dual = is_frobenius_form(A, theta)
+    assert ok and len(dual) == 27 and shapes == [(27, 54)]
+    with rref_counter() as shapes:
+        u = form_unit(A, lam, theta)
+    assert shapes == [(27, 54)]
+    assert all(FrobeniusForm(A, theta).value(b) == lam.value(b * u.inv())
+               for b in A.basis_elements())
+    others = [b for b in A.basis_elements() if not np.array_equal(b.vec, z.vec)]
+    with rref_counter() as shapes:
+        modify_form(A, lam, [z] + others, [1] + [i % 3 for i in range(26)])
+    assert (27, 27) not in shapes
 
 
 def test_form_unit_identity_and_scalar():

@@ -664,6 +664,27 @@ def test_ind_p_index_lands_in_radical():
         assert ind.apply(z).aug() == 0
 
 
+def test_functor_checks_its_arguments_on_every_miss():
+    # res and conj check K <= H and g in G only on a miss: a key enters the
+    # cache after passing, so a hit is the same map and a refusal repeats
+    S3 = named_group("S3")
+    fx = SubgroupGreenFunctor(S3, 3, 1)
+    P = sylow(S3, 3)
+    g = S3.elements[1]
+    assert fx.res(S3, P) is fx.res(S3, P)
+    assert fx.conj(g, P) is fx.conj(list(g), P)
+    for _ in range(2):
+        with pytest.raises(ExactKernelError, match="res needs K <= H"):
+            fx.res(P, S3)
+        with pytest.raises(ExactKernelError, match="res needs K <= H"):
+            fx.ind(P, S3)
+        with pytest.raises(ExactKernelError, match="must lie in G"):
+            fx.conj((0, 1, 2, 3), P)
+    assert (P._eset, S3._eset) not in fx._res_cache
+    assert (P._eset, S3._eset) not in fx._ind_cache
+    assert ((0, 1, 2, 3), P._eset) not in fx._conj_cache
+
+
 def test_automorphisms_fix_socle():
     # every unit u gives an automorphism of C_{p^r} fixing the socle exactly
     for (p, r) in [(3, 1), (2, 2), (3, 2), (2, 3)]:
