@@ -24,7 +24,7 @@ import numpy as np
 from .exactkernel import BudgetError, ExactKernelError, FpMatrix, ScopeError, _is_prime
 from .borel import AlgebraMap, BorelAlgebra, El, Subalgebra, format_terms
 from .fgl import HondaParams, honda_fgl
-from .frobform import FrobeniusForm, canonical_form, gysin, is_frobenius_form
+from .frobform import canonical_form, gysin, is_frobenius_form
 from .green import (
     DEFAULT_SIZE_BUDGET,
     SubgroupGreenFunctor,
@@ -333,37 +333,24 @@ def _profile_algebra(args, profile_text: str, var: str = "x") -> BorelAlgebra:
     return BorelAlgebra(args.p, profile, names)
 
 
-def _form_payload(A, form: FrobeniusForm) -> dict:
-    return {
-        "form": [int(c) for c in form.vec],
-        "pairing_rank": A.dim,  # a Frobenius form's pairing is invertible
-        "dual_basis": [[int(c) for c in v.vec] for v in form.dual_basis()],
-    }
-
-
 def _cmd_frob_check(args) -> int:
     A = _profile_algebra(args, args.profile)
     if args.covector == "canonical" or args.covector is None:
-        form = canonical_form(A)
-        payload = {"algebra": A.to_json(), "is_frobenius": True}
-        payload.update(_form_payload(A, form))
+        vec = canonical_form(A).vec
+    elif args.covector == "aug":
+        vec = A.one_vec()
     else:
-        if args.covector == "aug":
-            vec = np.zeros(A.dim, dtype=np.int64)
-            vec[0] = 1
-        else:
-            el = _parse_element(A, args.covector)
-            vec = el.vec
-        ok, pairing, dual = is_frobenius_form(A, vec)
-        payload = {
-            "algebra": A.to_json(),
-            "is_frobenius": ok,
-            "form": [int(c) for c in vec],
-            # a Frobenius form's pairing is invertible; only a degenerate one is ranked
-            "pairing_rank": A.dim if ok else FpMatrix(pairing, A.p).rank(),
-        }
-        if ok:
-            payload["dual_basis"] = [[int(c) for c in v.vec] for v in dual]
+        vec = _parse_element(A, args.covector).vec
+    ok, pairing, dual = is_frobenius_form(A, vec)
+    payload = {
+        "algebra": A.to_json(),
+        "is_frobenius": ok,
+        "form": [int(c) for c in vec],
+        # a Frobenius form's pairing is invertible; only a degenerate one is ranked
+        "pairing_rank": A.dim if ok else FpMatrix(pairing, A.p).rank(),
+    }
+    if ok:
+        payload["dual_basis"] = [[int(c) for c in v.vec] for v in dual]
     _emit(args, _json_dumps(payload) if args.format == "json" else
           "\n".join("%s: %s" % kv for kv in sorted(payload.items())))
     return EXIT_OK
@@ -375,7 +362,8 @@ def _cmd_frob_gysin(args) -> int:
     images = [_parse_element(B, t) for t in args.images.split(",")] if args.images else []
     try:
         f = AlgebraMap.from_generator_images(A, B, images)
-        alpha = gysin(f, canonical_form(A), canonical_form(B))
+        form = canonical_form(A)
+        alpha = gysin(f, form, canonical_form(B))
     except ExactKernelError as ex:
         raise UsageError(str(ex))
     payload = {
@@ -383,8 +371,10 @@ def _cmd_frob_gysin(args) -> int:
         "target": B.to_json(),
         "map_matrix": f.matrix.tolist(),
         "gysin_matrix": alpha.matrix.tolist(),
+        "form": [int(c) for c in form.vec],
+        "pairing_rank": A.dim,  # a Frobenius form's pairing is invertible
+        "dual_basis": [[int(c) for c in v.vec] for v in form.dual_basis()],
     }
-    payload.update(_form_payload(A, canonical_form(A)))
     _emit(args, _json_dumps(payload) if args.format == "json" else
           "gysin matrix (target -> source basis):\n%s" % alpha.matrix)
     return EXIT_OK

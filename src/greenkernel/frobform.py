@@ -141,11 +141,17 @@ def modify_form(A, form: FrobeniusForm, basis_els, targets) -> FrobeniusForm:
 
 
 def form_unit(A, lam: FrobeniusForm, theta) -> El:
-    """The unique unit u with theta(a) = lam(a u^{-1}) for all a."""
-    tvec = theta.vec if isinstance(theta, FrobeniusForm) else np.asarray(theta, dtype=np.int64) % A.p
-    ok, _, _ = is_frobenius_form(A, tvec)
-    if not ok:
-        raise ExactKernelError("theta is not a Frobenius form")
+    """The unique unit u with theta(a) = lam(a u^{-1}) for all a.  A
+    FrobeniusForm theta is already decided (it must live on A); a raw
+    covector is decided here by is_frobenius_form."""
+    if isinstance(theta, FrobeniusForm):
+        if theta.algebra != A:
+            raise ExactKernelError("theta is a form on another algebra")
+        tvec = theta.vec
+    else:
+        tvec = np.asarray(theta, dtype=np.int64) % A.p
+        if not is_frobenius_form(A, tvec)[0]:
+            raise ExactKernelError("theta is not a Frobenius form")
     # theta(e_i) = lam(e_i w) = (G w)_i with w = u^{-1}, so w = G^{-1} theta
     w = fp_matmul(lam.dual, tvec, A.p)
     winv = El(A, w)

@@ -4,8 +4,10 @@ Values on abelian p-groups are tensor products of Honda tower levels
 (Kuenneth); restriction along an arbitrary homomorphism of abelian p-groups
 is dual to the group multiplication, so it sends each generator to the
 formal-group sum of its component images, computed through algebra-map
-columns and mul_vec; transfers are Gysin maps for the canonical Frobenius
-forms; values on a general finite group G with abelian Sylow p-subgroup P
+columns and mul_vec; transfers are Gysin maps for the values' Frobenius
+forms, which value_form alone decides (today the canonical form of the
+algebra), and a value's form and ind^G_1(1) are derived when read;
+values on a general finite group G with abelian Sylow p-subgroup P
 are the subalgebra of A(P) fixed by N_G(P)/P, which is the stable elements
 (Swan), so the value path visits no double coset.  The colimit over the
 double cosets P\\G/P is computed only when read (by `green stable` and the
@@ -95,14 +97,14 @@ class StableResult:
 
 @dataclass
 class GreenValue:
-    """A(G) together with its canonical Frobenius form and ind^G_1(1)."""
+    """A(G).  Its Frobenius form and ind^G_1(1) are not fields: they are
+    derived from the algebra when read, the form by value_form and ind_one
+    from the form, so a value holds only what is read."""
 
     kind: str  # "abelian" | "general" | "trivial"
     p: int
     n: int
     algebra: object  # BorelAlgebra | Subalgebra
-    form: FrobeniusForm
-    ind_one: El
     abelian_type: tuple | None = None
     group: PermGroup | None = None
     sylow_decomp: AbelianPGroup | None = None
@@ -112,6 +114,28 @@ class GreenValue:
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @property
+    def form(self) -> FrobeniusForm:
+        return value_form(self)
+
+    @cached_property
+    def ind_one(self) -> El:
+        """ind^G_1(1), the transfer of 1 along the augmentation: the z with
+        form(z a) = aug(a) for every a, i.e. the dual-basis vector of 1.
+        Checked on first read to be a nonzero socle element (Assumption (B)),
+        which is what gysin's module-map and socle checks come to here."""
+        z = El(self.algebra, self.form.dual[:, 0])
+        if z.is_zero() or not subspace_contains(self.algebra.socle_vecs(), z.vec, self.p):
+            raise ExactKernelError("internal consistency: ind_one misses the socle")
+        return z
+
+
+def value_form(v: GreenValue) -> FrobeniusForm:
+    """The Frobenius form of the value v, the one place it is decided: the
+    canonical form of v's algebra, kept on the algebra, so it is built once
+    and survives dataclasses.replace."""
+    return canonical_form(v.algebra)
 
 
 def _params(p: int, n: int, trunc: int) -> HondaParams:
@@ -144,7 +168,7 @@ _value_lock = threading.Lock()
 
 def value_abelian(exponents, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGET) -> GreenValue:
     """A(G) for the abelian p-group of type (r_1 >= ... >= r_k): the tensor
-    of the tower levels H_{r_i}, its canonical form, and ind^G_1(1)."""
+    of the tower levels H_{r_i}."""
     exponents = tuple(int(r) for r in exponents)
     if any(r < 1 for r in exponents):
         raise ExactKernelError("abelian type entries must be >= 1")
@@ -161,25 +185,7 @@ def value_abelian(exponents, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGET) 
         profile = tuple(q ** r for r in exponents)
         names = ("x",) if len(profile) == 1 else tuple("x%d" % (i + 1) for i in range(len(profile)))
         A = BorelAlgebra(p, profile, names)
-        form = canonical_form(A)
-        if exponents:
-            ind_one = gysin(augmentation_map(A), form, canonical_form(_trivial_algebra(p))).apply(
-                _trivial_algebra(p).one()
-            )
-        else:
-            ind_one = A.one()
-        if ind_one.is_zero() or not subspace_contains(A.socle_vecs(), ind_one.vec, p):
-            raise ExactKernelError("internal consistency: ind_one misses the socle")
-        out = GreenValue(
-            kind="abelian",
-            p=p,
-            n=n,
-            algebra=A,
-            form=form,
-            ind_one=ind_one,
-            abelian_type=exponents,
-            levels=levels,
-        )
+        out = GreenValue(kind="abelian", p=p, n=n, algebra=A, abelian_type=exponents, levels=levels)
         _value_cache[(exponents, p, n)] = out
         return out
 
@@ -278,7 +284,8 @@ _transfer_lock = threading.Lock()
 def transfer(f: AlgebraMap, form_source: FrobeniusForm | None = None,
              form_target: FrobeniusForm | None = None) -> AlgebraMap:
     """The Gysin transfer along the (restriction) algebra map f: A -> B,
-    i.e. the module map B -> A adjoint for the canonical forms.
+    i.e. the module map B -> A adjoint for the given forms (by default
+    the canonical forms of the endpoints).
 
     Built once per (A, B, matrix of f, both form covectors) and shared, with
     a read-only matrix.  What gysin refuses is refused before the lookup,
@@ -363,7 +370,7 @@ _general_lock = threading.Lock()  # its own: value_general calls value_abelian
 def value_general(G: PermGroup, p: int, n: int,
                   budget: int = DEFAULT_SIZE_BUDGET) -> GreenValue:
     """A(G) for any modeled finite group: F_p when p does not divide |G|,
-    else the stable subalgebra of A(P) with its own canonical form.
+    else the stable subalgebra of A(P).
 
     Memoized per (degree, element set, p, n); a hit re-checks the budget
     against the dimension of A(P), as a cold call would."""
@@ -382,25 +389,14 @@ def _value_general(G: PermGroup, p: int, n: int, budget: int) -> tuple:
     """A(G) computed cold, with the dimension its budget must cover (0 for
     the trivial value, which needs none)."""
     if G.order % p != 0:
-        F = _trivial_algebra(p)
-        form = canonical_form(F)
-        return GreenValue(
-            kind="trivial", p=p, n=n, algebra=F, form=form, ind_one=F.one(), group=G,
-        ), 0
+        return GreenValue(kind="trivial", p=p, n=n, algebra=_trivial_algebra(p), group=G), 0
     if G.order == sylow(G, p).order and G.is_abelian():
         v = value_for_decomposition(abelian_decompose(G, p), p, n, budget)
         return v, v.dim
     st = stable_elements(G, p, n, budget)
     sub = st.subalgebra
-    form = canonical_form(sub)
-    ind_one = gysin(
-        augmentation_map(sub), form, canonical_form(_trivial_algebra(p))
-    ).apply(_trivial_algebra(p).one())
-    if ind_one.is_zero():
-        raise ExactKernelError("internal consistency: ind_one vanished")
     return GreenValue(
-        kind="general", p=p, n=n, algebra=sub, form=form, ind_one=ind_one,
-        group=G, sylow_decomp=st.sylow, stable=st,
+        kind="general", p=p, n=n, algebra=sub, group=G, sylow_decomp=st.sylow, stable=st,
     ), sub.ambient.dim
 
 
@@ -512,7 +508,7 @@ class SubgroupGreenFunctor:
     Values are cached per subgroup; res/ind/c_g between subgroups are built
     by transporting through chosen Sylow subgroups (the inner twist used to
     align Sylows acts trivially on stable elements, so the choice drops
-    out).  ind is always the Gysin transfer for the canonical forms.
+    out).  ind is always the Gysin transfer for the values' forms.
     """
 
     def __init__(self, G: PermGroup, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGET):

@@ -9,7 +9,8 @@ radical products, every pair product of a list of rows (the closure test
 Subalgebra once ran), the socle as a kernel and the inverse by augmented
 row reduction (where BorelAlgebra and FpMatrix use closed forms), the
 element and embedding helpers only the tests read, the check that an
-array is a GF(p) array, and a counter of row reductions.
+array is a GF(p) array, a counter of row reductions, and ind^G_1(1) as the
+Gysin transfer of 1 along the augmentation (the route values once took).
 
 The package computes with coordinate arrays only (Kronecker-coded Borel
 vectors, the (D, D) residue array of the group law).  These slow,
@@ -32,7 +33,7 @@ from greenkernel.exactkernel import (
     subspace_contains,
 )
 from greenkernel.fgl import Fgl, HondaParams, _check_cap, _honda_phi, m_series
-from greenkernel.frobform import socle_generator
+from greenkernel.frobform import canonical_form, gysin, socle_generator
 from greenkernel.green import value_abelian
 from greenkernel.grp import abelian_decompose, double_cosets, perm_inv, sylow
 
@@ -557,3 +558,10 @@ def rref_counter():
         yield shapes
     finally:
         FpMatrix.rref = rref
+
+
+def ind_one_by_gysin(v) -> El:
+    """ind^G_1(1) of the value v as gysin(aug, v.form, canonical form of
+    F_p) applied to 1, with gysin's module-map and socle checks."""
+    F = green._trivial_algebra(v.p)
+    return gysin(green.augmentation_map(v.algebra), v.form, canonical_form(F)).apply(F.one())

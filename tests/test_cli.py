@@ -359,6 +359,7 @@ def test_frob_check_output_is_byte_identical(capsys, key):
 @pytest.mark.parametrize("covector,want", [
     ("x1^8*x2^2+x1", [(27, 54)]),  # one inverse decides and gives the dual basis
     ("aug", [(27, 54), (27, 27)]),  # the failed inverse, then the rank it reports
+    ("canonical", []),  # the reversal-permutation pairing inverts with no row reduction
 ])
 def test_frob_check_row_reductions(capsys, covector, want):
     with rref_counter() as shapes:

@@ -223,6 +223,41 @@ def test_fp_matmul_is_the_only_product_over_gf_p():
         ("m", "f", "@"): 2, ("m", "f", ".matmul"): 1, ("m", "f", ".tensordot"): 1}
 
 
+def test_only_value_form_decides_a_form():
+    # in green.py, gysin is reached only inside transfer, and canonical_form
+    # only inside value_form and transfer's defaults, so the choice of a
+    # value's form is one function
+    path = Path(greenkernel.__file__).parent / "green.py"
+    names = {"gysin", "canonical_form"}
+    assert _name_uses(ast.parse(path.read_text()), names) == {
+        ("transfer", "gysin"): 1,
+        ("transfer", "canonical_form"): 2,
+        ("value_form", "canonical_form"): 1,
+    }
+    # the scan itself sees a call, a bare reference and an attribute
+    probe = "def f(x):\n    g = gysin\n    return canonical_form(x), frobform.gysin\n"
+    assert _name_uses(ast.parse(probe), names) == {("f", "gysin"): 2, ("f", "canonical_form"): 1}
+
+
+def _name_uses(tree: ast.AST, names: set) -> Counter:
+    """(enclosing def, name) of every read of one of the names, as a bare
+    name or an attribute; imports are not reads."""
+    found = Counter()
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        used = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+        if used in names:
+            found[(".".join(scope), used)] += 1
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(tree, ())
+    return found
+
+
 def _is_from_bytes(node) -> bool:
     """Does the expression call int.from_bytes anywhere inside?"""
     return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)

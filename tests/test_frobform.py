@@ -161,6 +161,24 @@ def test_one_row_reduction_per_pairing():
     assert (27, 27) not in shapes
 
 
+def test_form_unit_takes_a_form_as_decided():
+    # a FrobeniusForm theta on A is not decided again: no row reduction;
+    # a form on another algebra is refused, a raw covector is still decided
+    A = make_algebra(3, (9, 3))
+    lam = canonical_form(A)
+    theta = lam.vec.copy()
+    theta[1] = 1
+    form = FrobeniusForm(A, theta)
+    with rref_counter() as shapes:
+        u = form_unit(A, lam, form)
+    assert shapes == []
+    assert u == form_unit(A, lam, theta)
+    with pytest.raises(ExactKernelError, match="another algebra"):
+        form_unit(A, lam, canonical_form(make_algebra(3, (27,))))
+    with pytest.raises(ExactKernelError, match="not a Frobenius form"):
+        form_unit(A, lam, np.eye(1, A.dim, dtype=np.int64)[0])  # aug
+
+
 def test_form_unit_identity_and_scalar():
     A = make_algebra(3, (3,))
     lam = canonical_form(A)

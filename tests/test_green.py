@@ -1,8 +1,11 @@
 """Green functor engine: values, restriction, transfers, stable elements."""
 
+import dataclasses
 import itertools
 import sys
 import threading
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from greenkernel.audit import DEFAULT_BATTERY
 from greenkernel.exactkernel import BudgetError, ExactKernelError, FpMatrix, ScopeError
 from greenkernel.borel import AlgebraMap, El, Subalgebra
 from greenkernel.fgl import HondaParams, honda_fgl, m_series
+from greenkernel.frobform import FrobeniusForm
 from greenkernel.green import (
     SubgroupGreenFunctor,
     augmentation_map,
@@ -23,6 +27,7 @@ from greenkernel.green import (
     stable_elements,
     transfer,
     value_abelian,
+    value_for_decomposition,
     value_general,
 )
 from greenkernel.grp import (
@@ -37,7 +42,12 @@ from greenkernel.grp import (
     sylow,
     _perm_pow,
 )
-from polyoracle import rank_by_orbit_count, restrict_by_coproduct, stable_basis_by_intersection
+from polyoracle import (
+    ind_one_by_gysin,
+    rank_by_orbit_count,
+    restrict_by_coproduct,
+    stable_basis_by_intersection,
+)
 
 
 # -- values --------------------------------------------------------------------
@@ -51,6 +61,69 @@ def test_value_abelian_examples():
     assert v2.dim == 4
     v0 = value_abelian((), 3, 1)
     assert v0.dim == 1 and v0.ind_one == v0.algebra.one()
+
+
+ORACLE_TYPES = [(), (1,), (2,), (1, 1), (2, 1), (1, 1, 1)]
+ORACLE_GENERAL = [("S3", 3), ("S3", 2), ("A4", 2), ("A4", 3), ("S4", 3), ("D6", 3), ("D6", 2)]
+ORACLE_TRIVIAL = [("S3", 5), ("C3", 2), ("A4", 5)]
+
+
+def _oracle_values():
+    for (p, n) in [(2, 1), (3, 1), (2, 2), (5, 1)]:
+        for t in ORACLE_TYPES:
+            if (p ** n) ** sum(t) <= 256:
+                yield value_abelian(t, p, n)
+    for (name, p) in ORACLE_GENERAL + ORACLE_TRIVIAL:
+        for n in (1, 2):
+            G = named_group(name)
+            v = value_general(G, p, n)
+            yield v
+            if v.kind == "general":
+                yield value_for_decomposition(v.sylow_decomp, p, n)  # A(P), a replaced instance
+
+
+def test_ind_one_is_the_gysin_transfer_of_one():
+    # the dual-basis vector of 1 equals the old route, gysin along the
+    # augmentation, on every kind: abelian (type () included), trivial, general
+    kinds = Counter()
+    for v in _oracle_values():
+        assert v.ind_one == ind_one_by_gysin(v), (v.kind, v.abelian_type, v.group, v.p, v.n)
+        assert np.array_equal(v.ind_one.vec, v.form.dual[:, 0])
+        kinds[v.kind] += 1
+    assert set(kinds) == {"abelian", "trivial", "general"}
+
+
+@pytest.mark.parametrize("dual0", ["one", "zero"])
+def test_ind_one_read_refuses_a_form_off_the_socle(monkeypatch, dual0):
+    # a planted value_form whose dual column 0 is 1 (not in the socle) or 0
+    v = dataclasses.replace(value_abelian((1,), 3, 1))  # a fresh instance: ind_one not yet read
+    dual = np.eye(v.dim, dtype=np.int64) if dual0 == "one" else np.zeros((v.dim, v.dim), np.int64)
+    monkeypatch.setattr(green, "value_form", lambda _: SimpleNamespace(dual=dual))
+    with pytest.raises(ExactKernelError, match="ind_one misses the socle"):
+        v.ind_one
+
+
+def test_value_holds_only_what_is_read(monkeypatch):
+    # A(G) for A4 at p=2 builds no form; reading ind_one builds one, on A(G),
+    # and none on the ambient A(P) (cold values, so no form is cached)
+    monkeypatch.setattr(green, "_general_cache", {})
+    monkeypatch.setattr(green, "_value_cache", {})
+    built = []
+    real = FrobeniusForm.__init__
+
+    def counted(self, algebra, covector):
+        built.append(algebra)
+        real(self, algebra, covector)
+
+    monkeypatch.setattr(FrobeniusForm, "__init__", counted)
+    v = value_general(named_group("A4"), 2, 1)
+    assert v.kind == "general" and built == []
+    assert not v.ind_one.is_zero()
+    assert len(built) == 1 and built[0] is v.algebra
+    v.ind_one, v.form
+    assert len(built) == 1  # read once, kept on the algebra
+    dec = v.sylow_decomp
+    assert value_for_decomposition(dec, 2, 1).form is value_abelian(dec.exponents, 2, 1).form
 
 
 def test_value_abelian_kuenneth_dims():
