@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .exactkernel import BudgetError, ExactKernelError, FpMatrix, ScopeError, _is_prime
+from .exactkernel import BudgetError, ExactKernelError, ScopeError, _is_prime
 from .borel import AlgebraMap, BorelAlgebra, El, Subalgebra, format_terms
 from .fgl import HondaParams, honda_fgl
 from .frobform import canonical_form, gysin, is_frobenius_form
@@ -206,7 +206,7 @@ def _json_text(obj, newline: str) -> str:
     if not obj:
         return brackets
     inner = newline + "  "
-    if all(type(v) in _SCALARS for v in members):
+    if set(map(type, members)) <= _SCALARS:
         body = "".join(_scalar_encoder(inner)(obj, 0))[1:-1]
     elif kind is dict:
         body = ("," + inner).join(json.encoder.encode_basestring_ascii(k) + ": "
@@ -336,21 +336,21 @@ def _profile_algebra(args, profile_text: str, var: str = "x") -> BorelAlgebra:
 def _cmd_frob_check(args) -> int:
     A = _profile_algebra(args, args.profile)
     if args.covector == "canonical" or args.covector is None:
-        vec = canonical_form(A).vec
+        covector = canonical_form(A)  # decided once, and checked as it is
+        vec = covector.vec
     elif args.covector == "aug":
-        vec = A.one_vec()
+        covector = vec = A.one_vec()
     else:
-        vec = _parse_element(A, args.covector).vec
-    ok, pairing, dual = is_frobenius_form(A, vec)
+        covector = vec = _parse_element(A, args.covector).vec
+    form, _, rank = is_frobenius_form(A, covector)
     payload = {
         "algebra": A.to_json(),
-        "is_frobenius": ok,
+        "is_frobenius": form is not None,
         "form": [int(c) for c in vec],
-        # a Frobenius form's pairing is invertible; only a degenerate one is ranked
-        "pairing_rank": A.dim if ok else FpMatrix(pairing, A.p).rank(),
+        "pairing_rank": rank,
     }
-    if ok:
-        payload["dual_basis"] = [[int(c) for c in v.vec] for v in dual]
+    if form is not None:
+        payload["dual_basis"] = [[int(c) for c in v.vec] for v in form.dual_basis()]
     _emit(args, _json_dumps(payload) if args.format == "json" else
           "\n".join("%s: %s" % kv for kv in sorted(payload.items())))
     return EXIT_OK

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: dense GF(p) linear algebra and subspaces,
-the package's error types, and the primality and int64-envelope checks.
+the package's error types, the primality and int64-envelope checks, and
+the one memo behind every cache shared across calls.
 
 Conventions used throughout the package:
 
@@ -10,11 +11,13 @@ Conventions used throughout the package:
 * :class:`FpMatrix` wraps an array only to row-reduce it: rref, rank,
   kernel, solve and inv, all returning arrays.  Its row reduction is
   deterministic (leftmost pivot column, smallest row index), so kernel and
-  subspace bases are reproducible.
+  subspace bases are reproducible;
+* :func:`memo` is the one cache shared across calls, behind one lock.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Sequence
@@ -38,11 +41,37 @@ class ScopeError(ExactKernelError):
     """The request falls outside the modeled scope (e.g. non-abelian Sylow)."""
 
 
+class SingularError(ExactKernelError):
+    """A square matrix found singular by its failed inverse, with its rank
+    read from that row reduction."""
+
+    def __init__(self, message: str, matrix: np.ndarray, rank: int):
+        super().__init__(message)
+        self.matrix, self.rank = matrix, rank
+
+
 @lru_cache(maxsize=256)
 def _is_prime(p: int) -> bool:
     """Trial division; memoized, since every matrix and algebra checks its
     modulus and a large prime costs milliseconds."""
     return p >= 2 and not any(p % d == 0 for d in range(2, isqrt(p) + 1))
+
+
+_memo_lock = threading.RLock()
+
+
+def memo(cache: dict, key, build, *args):
+    """cache[key], stored as build(*args) on a miss.  A hit is one dict read
+    with no lock; a miss takes the package's one reentrant lock and reads
+    again before it builds, so each value is built once under threads and a
+    build may read other memos.  build never returns None (a miss)."""
+    out = cache.get(key)
+    if out is None:
+        with _memo_lock:
+            out = cache.get(key)
+            if out is None:
+                out = cache[key] = build(*args)
+    return out
 
 
 def _is_p_power(n: int, p: int) -> bool:
@@ -169,7 +198,8 @@ class FpMatrix:
         """The inverse.  A monomial matrix, with one nonzero entry d_i =
         M[i, s(i)] in each row and column, is D P with P a permutation and
         inverts as P^T D^{-1}: entry (s(i), i) is 1/d_i.  Every other matrix
-        is inverted by row reduction of [M | I]."""
+        is inverted by row reduction of [M | I]; a singular one raises
+        SingularError with its rank, the pivots left of column n."""
         n = len(self.a)
         if self.a.shape != (n, n):
             raise ExactKernelError("only square matrices are invertible")
@@ -180,7 +210,7 @@ class FpMatrix:
             return out
         R, pivots = FpMatrix(np.hstack([self.a, np.eye(n, dtype=np.int64)]), self.p).rref()
         if pivots != list(range(n)):
-            raise ExactKernelError("matrix is singular")
+            raise SingularError("matrix is singular", self.a, sum(c < n for c in pivots))
         return R[:, n:].copy()
 
     def __repr__(self):

@@ -35,14 +35,13 @@ rational group law are the tests' oracles.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .exactkernel import ExactKernelError, _check_prime
+from .exactkernel import ExactKernelError, _check_prime, _memo_lock
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ class Fgl:
         its series at D' >= 2D-1 do, and otherwise this read builds its own
         at F precision (the law keeps its series-precision ones)."""
         D, key = self.params.trunc, (self.p, self.params.n)
-        with _fgl_lock:
+        with _memo_lock:
             law, F = _fgl_cache.get(key, (self, None))
             if F is None or len(F) < D:
                 logs = self._logs
@@ -199,12 +198,14 @@ def _log_powers(params: HondaParams, E: int | None = None) -> _LogPowers:
     # scaled by p^{(i-1)/(q-1)}
     terms = [(q ** t, p ** ((q ** t - 1) // (q - 1) - t))
              for t in range(D.bit_length()) if q ** t < D]
+    # row a is zero left of column a and outside the class a mod (q-1), and
+    # every e = q^t is 1 mod (q-1): only that class of each row is updated
     L = np.zeros((D, D), dtype=object)
     L[0, 0] = 1
     for a in range(1, D):
         for e, c in terms:
-            L[a, e:] += L[a - 1, : D - e] * c
-        L[a] %= mod
+            L[a, a - 1 + e::q - 1] += L[a - 1, a - 1:D - e:q - 1] * c
+        L[a, a::q - 1] %= mod
     exp = np.zeros(E, dtype=object)
     exp[1::q - 1] = [c % mod for c in _honda_phi(p, q, (E - 2) // (q - 1))]
     return _LogPowers(L, exp, N)
@@ -261,9 +262,9 @@ def _divide_reduce(scaled: np.ndarray, v: np.ndarray, p: int, what: str) -> np.n
     return ((scaled // scale) % p).astype(np.int64)
 
 
-# per (p, n): the largest law built so far and the largest F computed so far
+# per (p, n): the largest law built so far and the largest F computed so far,
+# kept under exactkernel's memo lock (an entry is replaced, not only added)
 _fgl_cache: dict[tuple[int, int], tuple[Fgl, np.ndarray | None]] = {}
-_fgl_lock = threading.Lock()  # not reentrant: code holding it must not read Fgl.F
 
 
 def honda_fgl(params: HondaParams) -> Fgl:
@@ -279,7 +280,7 @@ def honda_fgl(params: HondaParams) -> Fgl:
     if params.trunc < params.q:
         raise ExactKernelError("truncation %d below q = %d" % (params.trunc, params.q))
     key = (params.p, params.n)
-    with _fgl_lock:
+    with _memo_lock:
         law, F = _fgl_cache.get(key, (None, None))
         if law is not None and law.params.trunc >= params.trunc:
             return law if law.params.trunc == params.trunc else Fgl(params, law._logs)

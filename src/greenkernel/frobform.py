@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exactkernel import ExactKernelError, FpMatrix, fp_matmul, subspace_contains
+from .exactkernel import ExactKernelError, FpMatrix, SingularError, fp_matmul, memo, subspace_contains
 from .borel import AlgebraMap, El
 
 
 class FrobeniusForm:
     """A validated Frobenius form: covector with invertible pairing.  Its
-    arrays (vec, pairing, dual) are read-only, so a form can be shared."""
+    arrays (vec, pairing, dual) are read-only, so a form can be shared.  A
+    degenerate covector raises SingularError with its pairing and rank."""
 
     __slots__ = ("algebra", "vec", "pairing", "dual")
 
@@ -30,8 +31,9 @@ class FrobeniusForm:
         self.pairing = algebra.pairing_matrix(self.vec)
         try:
             self.dual = FpMatrix(self.pairing, algebra.p).inv()  # column j is the dual basis vector v_j
-        except ExactKernelError:
-            raise ExactKernelError("covector is not a Frobenius form (degenerate pairing)")
+        except SingularError as ex:
+            raise SingularError("covector is not a Frobenius form (degenerate pairing)",
+                                self.pairing, ex.rank) from None
         for a in (self.vec, self.pairing, self.dual):
             a.flags.writeable = False
 
@@ -77,34 +79,43 @@ def socle_generator(A) -> El:
 def canonical_form(A) -> FrobeniusForm:
     """The coefficient-of-socle-generator functional (dual of the top
     monomial on a Borel algebra).  Built once per algebra instance and kept
-    on it, so every transfer reuses one pairing and dual basis."""
-    form = getattr(A, "_canonical_form", None)
-    if form is None:
-        z = socle_generator(A)
-        pivot = int(np.nonzero(z.vec)[0][0])
-        lam = np.zeros(A.dim, dtype=np.int64)
-        lam[pivot] = pow(int(z.vec[pivot]), -1, A.p)
-        form = A._canonical_form = FrobeniusForm(A, lam)
-    return form
+    in its __dict__, so every transfer reuses one pairing and dual basis
+    and the form lives and dies with its algebra."""
+    return memo(A.__dict__, "_canonical_form", _canonical_form, A)
 
 
-def is_frobenius_form(A, covector):
-    """(ok, pairing, dual_basis_or_None), decided by building the form (its
-    one inverse); when dim soc = 1 the invertibility criterion is
-    cross-checked against nonvanishing on the socle."""
-    lam = np.asarray(covector, dtype=np.int64) % A.p
-    try:
-        form = FrobeniusForm(A, lam)
-    except ExactKernelError:  # degenerate; a malformed covector makes pairing_matrix raise below
-        form = None
-    ok = form is not None
-    G = form.pairing if ok else A.pairing_matrix(lam)
+def _canonical_form(A) -> FrobeniusForm:
+    z = socle_generator(A)
+    pivot = int(np.nonzero(z.vec)[0][0])
+    lam = np.zeros(A.dim, dtype=np.int64)
+    lam[pivot] = pow(int(z.vec[pivot]), -1, A.p)
+    return FrobeniusForm(A, lam)
+
+
+def is_frobenius_form(A, covector) -> tuple[FrobeniusForm | None, np.ndarray, int]:
+    """(form, pairing, rank) of a covector on A: its FrobeniusForm, or None
+    with the degenerate pairing and the rank its one failed inverse read.
+    An already-decided FrobeniusForm on A is taken as it is.  When
+    dim soc = 1 the invertibility criterion is cross-checked against
+    nonvanishing on the socle."""
+    if isinstance(covector, FrobeniusForm):
+        if covector.algebra != A:
+            raise ExactKernelError("the covector is a form on another algebra")
+        form = covector
+    else:
+        try:
+            form = FrobeniusForm(A, covector)
+        except SingularError as ex:
+            form, G, rank = None, ex.matrix, ex.rank
+    if form is not None:
+        G, rank = form.pairing, A.dim
     soc = A.socle_vecs()
-    if len(soc) == 1 and bool(fp_matmul(lam, soc[0], A.p)) != ok:
+    # row 0 of the pairing is the covector itself, as e_0 = 1
+    if len(soc) == 1 and bool(fp_matmul(G[0], soc[0], A.p)) != (form is not None):
         raise ExactKernelError(
             "internal consistency: socle criterion disagrees with pairing rank"
         )
-    return ok, G, form.dual_basis() if ok else None
+    return form, G, rank
 
 
 def modify_form(A, form: FrobeniusForm, basis_els, targets) -> FrobeniusForm:
@@ -144,14 +155,10 @@ def form_unit(A, lam: FrobeniusForm, theta) -> El:
     """The unique unit u with theta(a) = lam(a u^{-1}) for all a.  A
     FrobeniusForm theta is already decided (it must live on A); a raw
     covector is decided here by is_frobenius_form."""
-    if isinstance(theta, FrobeniusForm):
-        if theta.algebra != A:
-            raise ExactKernelError("theta is a form on another algebra")
-        tvec = theta.vec
-    else:
-        tvec = np.asarray(theta, dtype=np.int64) % A.p
-        if not is_frobenius_form(A, tvec)[0]:
-            raise ExactKernelError("theta is not a Frobenius form")
+    form = is_frobenius_form(A, theta)[0]
+    if form is None:
+        raise ExactKernelError("theta is not a Frobenius form")
+    tvec = form.vec
     # theta(e_i) = lam(e_i w) = (G w)_i with w = u^{-1}, so w = G^{-1} theta
     w = fp_matmul(lam.dual, tvec, A.p)
     winv = El(A, w)
@@ -177,7 +184,7 @@ def gysin(f: AlgebraMap, lam_A: FrobeniusForm, lam_B: FrobeniusForm) -> AlgebraM
     f: A -> B, characterized by <alpha(b)|a>_A = <b|f(a)>_B.
 
     Verified on return: alpha is an A-module map along f and carries soc B
-    onto soc A.
+    onto soc A.  Its matrix is read-only, so the map can be shared.
     """
     A, B = f.source, f.target
     check_gysin_input(f, lam_A, lam_B)
@@ -189,6 +196,7 @@ def gysin(f: AlgebraMap, lam_A: FrobeniusForm, lam_B: FrobeniusForm) -> AlgebraM
     zA_img = alpha.apply(zB)
     if zA_img.is_zero() or not subspace_contains(A.socle_vecs(), zA_img.vec, A.p):
         raise ExactKernelError("internal consistency: gysin map misses the socle")
+    alpha.matrix.flags.writeable = False
     return alpha
 
 

@@ -14,7 +14,7 @@ double cosets P\\G/P is computed only when read (by `green stable` and the
 tests), and the double-coset limit is the tests' oracle.
 Restriction depends only on the abstract hom and a transfer only on its
 map and forms, so each is built once per distinct input and shared, with
-a read-only matrix.
+a read-only matrix; every cache here is read through exactkernel.memo.
 
 Orientation conventions: a group homomorphism alpha: G -> H induces
 restrict(alpha): A(H) -> A(G); conjugation c_g: A(H) -> A(gHg^{-1}) is
@@ -24,9 +24,8 @@ value A(G) is a subalgebra of A(P) and res^G_P is the inclusion.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .exactkernel import (
     FpMatrix,
     ScopeError,
     fp_matmul,
+    memo,
     row_space_basis,
     subspace_contains,
 )
@@ -138,11 +138,7 @@ def value_form(v: GreenValue) -> FrobeniusForm:
     return canonical_form(v.algebra)
 
 
-def _params(p: int, n: int, trunc: int) -> HondaParams:
-    return HondaParams(p, n, max(trunc, p ** n))
-
-
-@lru_cache(maxsize=None)
+@cache
 def _trivial_algebra(p: int) -> BorelAlgebra:
     """F_p as a BorelAlgebra, one shared instance per p: its cached socle,
     ideal generators and canonical form are built once."""
@@ -163,7 +159,6 @@ def unit_map(A) -> AlgebraMap:
 
 
 _value_cache: dict = {}
-_value_lock = threading.Lock()
 
 
 def value_abelian(exponents, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGET) -> GreenValue:
@@ -176,18 +171,16 @@ def value_abelian(exponents, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGET) 
     dim = q ** sum(exponents)
     if dim > budget:
         raise BudgetError("value dimension %d exceeds budget %d" % (dim, budget), required=dim)
-    with _value_lock:
-        cached = _value_cache.get((exponents, p, n))
-        if cached is not None:
-            return cached
-        levels = tuple(honda_level(_params(p, n, q ** r), r, budget=max(budget, q ** r))
-                       for r in exponents)
-        profile = tuple(q ** r for r in exponents)
-        names = ("x",) if len(profile) == 1 else tuple("x%d" % (i + 1) for i in range(len(profile)))
-        A = BorelAlgebra(p, profile, names)
-        out = GreenValue(kind="abelian", p=p, n=n, algebra=A, abelian_type=exponents, levels=levels)
-        _value_cache[(exponents, p, n)] = out
-        return out
+    return memo(_value_cache, (exponents, p, n), _value_abelian, exponents, p, n)
+
+
+def _value_abelian(exponents: tuple, p: int, n: int) -> GreenValue:
+    q = p ** n
+    levels = tuple(honda_level(HondaParams(p, n, q ** r), r, budget=q ** r) for r in exponents)
+    profile = tuple(q ** r for r in exponents)
+    names = ("x",) if len(profile) == 1 else tuple("x%d" % (i + 1) for i in range(len(profile)))
+    A = BorelAlgebra(p, profile, names)
+    return GreenValue(kind="abelian", p=p, n=n, algebra=A, abelian_type=exponents, levels=levels)
 
 
 def value_for_decomposition(dec: AbelianPGroup, p: int, n: int,
@@ -235,7 +228,6 @@ def _formal_add(A: BorelAlgebra, level: HondaLevel, a, b) -> np.ndarray:
 
 
 _restrict_cache: dict = {}
-_restrict_lock = threading.Lock()
 
 
 def restrict(alpha: AbelianHom, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGET) -> AlgebraMap:
@@ -255,11 +247,7 @@ def restrict(alpha: AbelianHom, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGE
     v_tgt = value_abelian(alpha.target.exponents, p, n, budget)
     matrix = tuple(tuple(int(m) for m in row) for row in alpha.matrix)
     key = (v_src.abelian_type, v_tgt.abelian_type, matrix, p, n)
-    with _restrict_lock:
-        out = _restrict_cache.get(key)
-        if out is None:
-            out = _restrict_cache[key] = _restrict(matrix, v_src, v_tgt)
-    return out
+    return memo(_restrict_cache, key, _restrict, matrix, v_src, v_tgt)
 
 
 def _restrict(matrix, v_src: GreenValue, v_tgt: GreenValue) -> AlgebraMap:
@@ -278,7 +266,6 @@ def _restrict(matrix, v_src: GreenValue, v_tgt: GreenValue) -> AlgebraMap:
 
 
 _transfer_cache: dict = {}
-_transfer_lock = threading.Lock()
 
 
 def transfer(f: AlgebraMap, form_source: FrobeniusForm | None = None,
@@ -294,13 +281,7 @@ def transfer(f: AlgebraMap, form_source: FrobeniusForm | None = None,
     lam_B = form_target or canonical_form(f.target)
     check_gysin_input(f, lam_A, lam_B)
     key = (f.source, f.target, f.matrix.tobytes(), lam_A.vec.tobytes(), lam_B.vec.tobytes())
-    with _transfer_lock:
-        out = _transfer_cache.get(key)
-        if out is None:
-            out = gysin(f, lam_A, lam_B)
-            out.matrix.flags.writeable = False
-            _transfer_cache[key] = out
-    return out
+    return memo(_transfer_cache, key, gysin, f, lam_A, lam_B)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +345,6 @@ def invariants(P_value: GreenValue, actions) -> Subalgebra:
 
 
 _general_cache: dict = {}
-_general_lock = threading.Lock()  # its own: value_general calls value_abelian
 
 
 def value_general(G: PermGroup, p: int, n: int,
@@ -374,12 +354,7 @@ def value_general(G: PermGroup, p: int, n: int,
 
     Memoized per (degree, element set, p, n); a hit re-checks the budget
     against the dimension of A(P), as a cold call would."""
-    key = (G.degree, G._eset, p, n)
-    with _general_lock:
-        hit = _general_cache.get(key)
-        if hit is None:
-            hit = _general_cache[key] = _value_general(G, p, n, budget)
-    v, need = hit
+    v, need = memo(_general_cache, (G.degree, G._eset, p, n), _value_general, G, p, n, budget)
     if need > budget:
         raise BudgetError("value dimension %d exceeds budget %d" % (need, budget), required=need)
     return v
@@ -526,53 +501,43 @@ class SubgroupGreenFunctor:
     def res(self, H: PermGroup, K: PermGroup) -> AlgebraMap:
         """res^H_K: A(H) -> A(K) for K <= H (checked on a miss: a key enters
         the cache only after passing)."""
-        ck = (H._eset, K._eset)
-        if ck in self._res_cache:
-            return self._res_cache[ck]
+        return memo(self._res_cache, (H._eset, K._eset), self._res, H, K)
+
+    def _res(self, H: PermGroup, K: PermGroup) -> AlgebraMap:
         if not K.is_subgroup_of(H):
             raise ExactKernelError("res needs K <= H")
         vH, vK = self.value(H), self.value(K)
         if vK.kind == "trivial":
-            out = augmentation_map(vH.algebra)
-        else:
-            decK = vK.sylow_decomp
-            out = _transport(H, decK.basis, decK, vH.sylow_decomp, vH, vK,
-                             self.p, self.n, self.budget)
-        self._res_cache[ck] = out
-        return out
+            return augmentation_map(vH.algebra)
+        decK = vK.sylow_decomp
+        return _transport(H, decK.basis, decK, vH.sylow_decomp, vH, vK,
+                          self.p, self.n, self.budget)
 
     def ind(self, H: PermGroup, K: PermGroup) -> AlgebraMap:
         """ind^H_K: A(K) -> A(H), the Gysin transfer of res^H_K."""
-        ck = (H._eset, K._eset)
-        if ck in self._ind_cache:
-            return self._ind_cache[ck]
-        vH, vK = self.value(H), self.value(K)
-        out = transfer(self.res(H, K), vH.form, vK.form)
-        self._ind_cache[ck] = out
-        return out
+        return memo(self._ind_cache, (H._eset, K._eset), self._ind, H, K)
+
+    def _ind(self, H: PermGroup, K: PermGroup) -> AlgebraMap:
+        return transfer(self.res(H, K), self.value(H).form, self.value(K).form)
 
     def conj(self, g, H: PermGroup) -> AlgebraMap:
         """c_g: A(H) -> A(gHg^{-1})."""
         g = tuple(g)
-        ck = (g, H._eset)
-        if ck in self._conj_cache:
-            return self._conj_cache[ck]
+        return memo(self._conj_cache, (g, H._eset), self._conj, g, H)
+
+    def _conj(self, g: tuple, H: PermGroup) -> AlgebraMap:
         if g not in self.G:
             raise ExactKernelError("conjugating element must lie in G")
         H2 = self.G.conjugate_subgroup(H, g)
         vH, vH2 = self.value(H), self.value(H2)
         if vH.kind == "trivial":
-            out = AlgebraMap.identity(vH.algebra)
-            self._conj_cache[ck] = out
-            return out
+            return AlgebraMap.identity(vH.algebra)
         decH2 = vH2.sylow_decomp
         gi = perm_inv(g)
         # hom P_{H2} -> H, x -> g^{-1} x g, then twisted into P_H
         images = [perm_mul(perm_mul(gi, b), g) for b in decH2.basis]
-        out = _transport(H, images, decH2, vH.sylow_decomp, vH, vH2,
-                         self.p, self.n, self.budget)
-        self._conj_cache[ck] = out
-        return out
+        return _transport(H, images, decH2, vH.sylow_decomp, vH, vH2,
+                          self.p, self.n, self.budget)
 
 
 def _restrict_to_stable(full: AlgebraMap, v_src: GreenValue, v_tgt: GreenValue) -> AlgebraMap:

@@ -15,9 +15,10 @@ with ``#`` comments; the degree is inferred.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
-from .exactkernel import BudgetError, ExactKernelError, _is_p_power
+from .exactkernel import BudgetError, ExactKernelError, _is_p_power, memo
 
 DEFAULT_GROUP_BUDGET = 1000
 
@@ -142,7 +143,7 @@ class PermGroup:
         self._eset = eset
         self.elements = sorted(eset)
         self.order = len(self.elements)
-        self._conjugates: dict = {}
+        self._conjugate_cache: dict = {}
 
     # -- basic structure -----------------------------------------------------
 
@@ -195,16 +196,15 @@ class PermGroup:
         g = tuple(g)
         if H.degree != self.degree or len(g) != self.degree:
             raise ExactKernelError("conjugation needs one degree")
-        key = (H.generators, g)
-        out = self._conjugates.get(key)
-        if out is None:
-            gi = perm_inv(g)
-            eset = frozenset(perm_mul(perm_mul(g, h), gi) for h in H._eset)
-            if not eset <= self._eset:
-                raise ExactKernelError("generators do not lie in the group")
-            gens = [perm_mul(perm_mul(g, h), gi) for h in H.generators]
-            out = self._conjugates[key] = PermGroup._from_elements(self.degree, gens, eset)
-        return out
+        return memo(self._conjugate_cache, (H.generators, g), self._conjugate, H, g)
+
+    def _conjugate(self, H: "PermGroup", g: Perm) -> "PermGroup":
+        gi = perm_inv(g)
+        eset = frozenset(perm_mul(perm_mul(g, h), gi) for h in H._eset)
+        if not eset <= self._eset:
+            raise ExactKernelError("generators do not lie in the group")
+        gens = [perm_mul(perm_mul(g, h), gi) for h in H.generators]
+        return PermGroup._from_elements(self.degree, gens, eset)
 
     def intersection(self, H: "PermGroup") -> "PermGroup":
         """The common elements, which already form a group (no closure), and
@@ -408,7 +408,7 @@ class AbelianPGroup:
         return len(self.basis)
 
     def dlog(self, g: Perm) -> tuple:
-        return self._dlog_table()[tuple(g)]
+        return self._dlog_table[tuple(g)]
 
     def element(self, exps) -> Perm:
         out = self.group.identity()
@@ -426,15 +426,12 @@ class AbelianPGroup:
                     yield (a,) + rest
         return list(rec(0))
 
+    @cached_property
     def _dlog_table(self) -> dict:
-        if not hasattr(self, "_dlog_cache"):
-            table = {}
-            for exps in self.all_exponents():
-                table[self.element(exps)] = exps
-            if len(table) != self.group.order:
-                raise ExactKernelError("internal consistency: cyclic basis is not a basis")
-            object.__setattr__(self, "_dlog_cache", table)
-        return self._dlog_cache
+        table = {self.element(exps): exps for exps in self.all_exponents()}
+        if len(table) != self.group.order:
+            raise ExactKernelError("internal consistency: cyclic basis is not a basis")
+        return table
 
 
 def _perm_pow(g: Perm, k: int) -> Perm:
@@ -477,7 +474,7 @@ def abelian_decompose(A: PermGroup, p: int | None = None) -> AbelianPGroup:
             r += 1
         exps.append(r)
     out = AbelianPGroup(A, p, tuple(basis), tuple(exps))
-    out._dlog_table()  # force the bijection check
+    out._dlog_table  # force the bijection check
     return out
 
 

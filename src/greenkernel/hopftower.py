@@ -17,7 +17,6 @@ for it.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import asdict, astuple, dataclass
 from functools import cached_property
 
@@ -28,6 +27,7 @@ from .exactkernel import (
     ExactKernelError,
     FpMatrix,
     fp_matmul,
+    memo,
     row_space_basis,
     subspace_eq,
 )
@@ -178,7 +178,6 @@ class HondaLevel:
 
 
 _level_cache: dict[tuple[int, int, int], HondaLevel] = {}
-_level_lock = threading.Lock()
 
 
 def honda_level(params: HondaParams, r: int, budget: int = DEFAULT_BUDGET) -> HondaLevel:
@@ -189,19 +188,16 @@ def honda_level(params: HondaParams, r: int, budget: int = DEFAULT_BUDGET) -> Ho
     """
     if r < 1:
         raise ExactKernelError("tower level must be >= 1")
-    p, n, q = params.p, params.n, params.q
-    Q = q ** r
+    Q = params.q ** r
     if Q > budget:
         raise BudgetError("level dimension %d exceeds budget %d" % (Q, budget), required=Q)
-    key = (p, n, r)
-    with _level_lock:
-        hit = _level_cache.get(key)
-        if hit is not None:
-            return hit
-        fgl = honda_fgl(HondaParams(p, n, Q))
-        level = HondaLevel(params, r, fgl, BorelAlgebra(p, (Q,), ("x",)))
-        _level_cache[key] = level
-        return level
+    return memo(_level_cache, (params.p, params.n, r), _honda_level, params, r)
+
+
+def _honda_level(params: HondaParams, r: int) -> HondaLevel:
+    Q = params.q ** r
+    return HondaLevel(params, r, honda_fgl(HondaParams(params.p, params.n, Q)),
+                      BorelAlgebra(params.p, (Q,), ("x",)))
 
 
 def is_hopf_map(f: AlgebraMap, src: HopfStructure, tgt: HopfStructure) -> bool:

@@ -18,6 +18,7 @@ from greenkernel.exactkernel import (
     ScopeError,
     _is_p_power,
     fp_matmul,
+    memo,
     reduce_mod,
     row_space_basis,
     subspace_contains,
@@ -221,6 +222,63 @@ def test_fp_matmul_is_the_only_product_over_gf_p():
     probe = "def f(a, b):\n    a @= b\n    return np.matmul(a, b) @ np.tensordot(a, b)\n"
     assert _products(ast.parse(probe), "m") == {
         ("m", "f", "@"): 2, ("m", "f", ".matmul"): 1, ("m", "f", ".tensordot"): 1}
+
+
+def _cache_reads(tree: ast.AST) -> tuple[Counter, set]:
+    """(reads of a `_*_cache` name or attribute, by whether each is the first
+    argument of a memo call; the modules imported from threading)."""
+    reads, imports = Counter(), set()
+    memo_firsts = {id(node.args[0]) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "memo" and node.args}
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else "")
+        if (name.startswith("_") and name.endswith("_cache")
+                and isinstance(node.ctx, ast.Load)):
+            reads[id(node) in memo_firsts] += 1
+        if isinstance(node, ast.Import):
+            imports |= {a.name for a in node.names if a.name.split(".")[0] == "threading"}
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "threading":
+            imports.add(node.module)
+    return reads, imports
+
+
+def test_memo_is_the_only_shared_cache():
+    # one lock: threading is imported only by exactkernel, for memo's RLock;
+    # every `_*_cache` dict outside fgl (whose entries are replaced under
+    # that lock) is read only as the first argument of memo
+    lockers, reads = [], Counter()
+    for path in sorted(Path(greenkernel.__file__).parent.glob("*.py")):
+        found, imports = _cache_reads(ast.parse(path.read_text()))
+        lockers += [path.stem] * bool(imports)
+        if path.stem != "fgl":
+            reads += found
+    assert lockers == ["exactkernel"]
+    assert reads[False] == 0 and reads[True] == 9  # 5 module dicts, 4 per-object ones
+    # the scan itself sees a read outside memo and both spellings of the import
+    probe = ("import threading\nfrom threading import Lock\n"
+             "def f(self):\n    _a_cache.get(1)\n    return memo(self._b_cache, 1, g)\n")
+    assert _cache_reads(ast.parse(probe)) == (Counter({False: 1, True: 1}), {"threading"})
+
+
+def test_memo_builds_once_and_nests():
+    # a miss builds and stores, a hit returns the stored value without a
+    # build, and a build may read another memo under the same lock
+    outer, inner, builds = {}, {}, []
+
+    def build_inner(x):
+        builds.append(("inner", x))
+        return x + 1
+
+    def build_outer(x):
+        builds.append(("outer", x))
+        return memo(inner, x, build_inner, x) * 10
+
+    assert memo(outer, 1, build_outer, 1) == 20
+    assert memo(outer, 1, build_outer, 1) == 20 and memo(inner, 1, build_inner, 1) == 2
+    assert builds == [("outer", 1), ("inner", 1)]
+    assert outer == {1: 20} and inner == {1: 2}
 
 
 def test_only_value_form_decides_a_form():

@@ -644,6 +644,29 @@ def test_F_read_at_the_top_of_a_series_law(p, n, D, monkeypatch):
     assert f._logs is logs and fgl._fgl_cache[p, n][0] is f
 
 
+def _log_powers_by_full_rows(params: HondaParams, N: int) -> np.ndarray:
+    """L~ mod p^N, updating every column of each row: the oracle of the
+    strided update, which touches only the class a mod (q-1) of row a."""
+    p, q, D = params.p, params.q, params.trunc
+    terms = [(q ** t, p ** ((q ** t - 1) // (q - 1) - t))
+             for t in range(D.bit_length()) if q ** t < D]
+    L = np.zeros((D, D), dtype=object)
+    L[0, 0] = 1
+    for a in range(1, D):
+        for e, c in terms:
+            L[a, e:] += L[a - 1, : D - e] * c
+        L[a] %= p ** N
+    return L
+
+
+@pytest.mark.parametrize("p,n,D", [(2, 1, 64), (3, 1, 81), (2, 2, 64)])
+def test_strided_log_powers_equal_full_rows(p, n, D):
+    params = HondaParams(p, n, D)
+    for E in (D, None):  # series precision, and F precision
+        L, _, N = fgl._log_powers(params, E)
+        assert np.array_equal(L, _log_powers_by_full_rows(params, N)), E
+
+
 def test_short_log_powers_are_refused():
     # exp below x^E at N digits serves reads below x^E only; a planted
     # _LogPowers that falls short in exp or in N must raise, not answer

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from greenkernel.exactkernel import ExactKernelError
+from greenkernel.exactkernel import ExactKernelError, FpMatrix
 from greenkernel.borel import AlgebraMap, El, algebra_map, make_algebra, subalgebra_close
 from greenkernel.frobform import (
     FrobeniusForm,
@@ -48,11 +48,29 @@ def test_canonical_form_requires_gorenstein():
 def test_augmentation_not_frobenius_above_dim_one():
     A = make_algebra(3, (3,))
     aug = np.array([1, 0, 0])
-    ok, pairing, dual = is_frobenius_form(A, aug)
-    assert not ok and dual is None
+    form, pairing, rank = is_frobenius_form(A, aug)
+    assert form is None and rank == 1  # <x^i | x^j> = aug(x^{i+j}) is 1 only at i = j = 0
     E = make_algebra(3, ())
-    ok1, _, dual1 = is_frobenius_form(E, np.array([2]))
-    assert ok1 and len(dual1) == 1
+    form1, _, rank1 = is_frobenius_form(E, np.array([2]))
+    assert form1 is not None and len(form1.dual_basis()) == rank1 == 1
+
+
+def test_is_frobenius_form_takes_a_form_as_decided():
+    # a FrobeniusForm on A is checked as it is (no second form, no row
+    # reduction) and one on another algebra is refused; a degenerate
+    # covector's pairing and rank come from its one failed inverse
+    A = make_algebra(3, (9, 3))
+    lam = canonical_form(A)
+    with rref_counter() as shapes:
+        form, G, rank = is_frobenius_form(A, lam)
+    assert form is lam and G is lam.pairing and rank == 27 and shapes == []
+    with pytest.raises(ExactKernelError, match="another algebra"):
+        is_frobenius_form(make_algebra(3, (27,)), lam)
+    aug = A.one_vec()
+    with rref_counter() as shapes:
+        form, G, rank = is_frobenius_form(A, aug)
+    assert form is None and shapes == [(27, 54)]
+    assert np.array_equal(G, A.pairing_matrix(aug)) and rank == FpMatrix(G, 3).rank() == 1
 
 
 def test_coefficient_of_top_is_frobenius_antidiagonal():
@@ -60,15 +78,15 @@ def test_coefficient_of_top_is_frobenius_antidiagonal():
     A = make_algebra(p, (p,))
     lam = np.zeros(p, dtype=np.int64)
     lam[p - 1] = 1
-    ok, pairing, dual = is_frobenius_form(A, lam)
-    assert ok
+    form, pairing, _ = is_frobenius_form(A, lam)
+    assert form is not None
     # pairing <x^i | x^j> = [i + j == p - 1]
     want = np.zeros((p, p), dtype=np.int64)
     for i in range(p):
         want[i, p - 1 - i] = 1
     assert np.array_equal(pairing, want)
     # dual basis pairs monomials with complementary monomials
-    for j, v in enumerate(dual):
+    for j, v in enumerate(form.dual_basis()):
         e = np.zeros(p, dtype=np.int64)
         e[j] = 1
         assert FrobeniusForm(A, lam).pair(El(A, e), v) == 1
@@ -148,8 +166,8 @@ def test_one_row_reduction_per_pairing():
     theta = lam.vec.copy()
     theta[1] = 1
     with rref_counter() as shapes:
-        ok, _, dual = is_frobenius_form(A, theta)
-    assert ok and len(dual) == 27 and shapes == [(27, 54)]
+        form, _, rank = is_frobenius_form(A, theta)
+    assert form is not None and rank == 27 and shapes == [(27, 54)]
     with rref_counter() as shapes:
         u = form_unit(A, lam, theta)
     assert shapes == [(27, 54)]

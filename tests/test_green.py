@@ -737,6 +737,54 @@ def test_ind_p_index_lands_in_radical():
         assert ind.apply(z).aug() == 0
 
 
+def _in_four_threads(fn) -> list:
+    """fn() in four threads released together by a barrier (more threads
+    than cores), switching as often as the interpreter allows."""
+    results = []
+    barrier = threading.Barrier(4)
+
+    def run():
+        barrier.wait()
+        results.append(fn())
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4
+    return results
+
+
+def test_functor_maps_build_once_across_threads(monkeypatch):
+    # res, ind and conj of a functor and conjugate_subgroup of a group go
+    # through the one memo: four threads that miss together share one build
+    builds = Counter()
+    for cls, name in ((SubgroupGreenFunctor, "_res"), (SubgroupGreenFunctor, "_ind"),
+                      (SubgroupGreenFunctor, "_conj"), (PermGroup, "_conjugate")):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name,
+                            lambda *a, real=real, name=name: builds.update([name]) or real(*a))
+    A4 = PermGroup(4, named_group("A4").generators)  # a new instance: no conjugates kept yet
+    fx = SubgroupGreenFunctor(A4, 2, 1)
+    P = sylow(A4, 2)
+    H = A4.subgroup([P.generators[0]])  # a C2 that a 3-cycle moves
+    g = next(x for x in A4.elements if x not in P)
+    calls = {"_conjugate": lambda: A4.conjugate_subgroup(H, g), "_res": lambda: fx.res(A4, H),
+             "_ind": lambda: fx.ind(A4, H), "_conj": lambda: fx.conj(g, H)}
+    for name, call in calls.items():
+        results = _in_four_threads(call)
+        assert all(r is results[0] for r in results), name
+    assert A4.conjugate_subgroup(H, g) != H
+    assert builds == {name: 1 for name in calls}
+
+
 def test_functor_checks_its_arguments_on_every_miss():
     # res and conj check K <= H and g in G only on a miss: a key enters the
     # cache after passing, so a hit is the same map and a refusal repeats

@@ -26,7 +26,7 @@ writes nothing into the working tree.
 
 import json
 import tempfile
-from math import gcd
+from math import factorial, gcd
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +46,8 @@ from greenkernel.exactkernel import (
     subspace_contains,
 )
 from greenkernel.frobform import FrobeniusForm, canonical_form, extend_socle_map, gysin
-from greenkernel.green import restrict
-from greenkernel.grp import abelian_decompose, hom_between, named_group
+from greenkernel.green import restrict, stable_elements
+from greenkernel.grp import PermGroup, abelian_decompose, hom_between, named_group, sylow
 from polyoracle import (
     TruncPoly,
     _pair_products,
@@ -57,6 +57,8 @@ from polyoracle import (
     inverse_by_rref,
     is_fp_array,
     nilpotency_exponent_by_radical,
+    rank_by_orbit_count,
+    stable_basis_by_intersection,
 )
 
 # with no example database, hypothesis's pytest plugin still caches the
@@ -552,6 +554,37 @@ def test_restrict_is_contravariantly_functorial(data):
     lhs = restrict(beta.compose(alpha), p, 1)
     rhs = restrict(alpha, p, 1).compose(restrict(beta, p, 1))
     assert np.array_equal(lhs.matrix, rhs.matrix)
+
+
+# -- stable elements on random permutation groups ------------------------------
+
+
+@st.composite
+def perm_groups(draw, max_degree: int = 7):
+    """The permutation group of degree 2..max_degree generated by one to
+    three random permutations: often S_d or A_d, sometimes smaller."""
+    d = draw(st.integers(2, max_degree))
+    gens = draw(st.lists(st.permutations(range(d)).map(tuple), min_size=1, max_size=3))
+    return PermGroup(d, gens, budget=factorial(max_degree))
+
+
+@settings(PROPS, max_examples=20)
+@given(perm_groups())
+def test_stable_elements_on_random_perm_groups(G):
+    # the invariants of N_G(P)/P equal the double-coset intersection row
+    # for row, and their dimension the orbit count, at every prime dividing
+    # |G| with an abelian Sylow P and every n with |P|^n <= 256
+    for p in SMALL_PRIMES:
+        P = sylow(G, p)
+        if P.order == 1 or not P.is_abelian():
+            continue
+        for n in range(1, 9):
+            if P.order ** n > 256:
+                break
+            got = stable_elements(G, p, n).lim_basis
+            want = stable_basis_by_intersection(G, p, n)
+            assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert len(got) == rank_by_orbit_count(G, p, n)
 
 
 JSON_SCALARS = (st.text() | st.integers() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
