@@ -240,10 +240,11 @@ class _LocalAlgebraOps:
         """Least e with m^e = 0: m^{e+1} = m^e m is spanned by the products
         of a basis of m^e with the ideal generators (m^e is an ideal)."""
         span = self.radical_span_vecs()
+        gens = np.array([g for g, _ in self.ideal_generators])
         e = 1
         while span:
-            span = row_space_basis(np.vstack([fp_matmul(np.array(span), M.T, self.p)
-                                              for _, M in self.ideal_generators]), self.dim, self.p)
+            span = row_space_basis(self.outer_products(np.array(span), gens).reshape(-1, self.dim),
+                                   self.dim, self.p)
             e += 1
             if e > self.dim + 1:
                 raise ExactKernelError("radical fails to be nilpotent")
@@ -656,8 +657,8 @@ class Subalgebra(_LocalAlgebraOps):
     m = span(G) + G m.  G lies in the nilpotent ideal of the ambient
     algebra, so iterating this (Nakayama) gives m in the span of the
     monomials in G; those lie in S as each g S lies in S.  So S is the
-    algebra generated by G, and closed.  It costs one ambient
-    multiplication matrix per generator, not one per basis row.
+    algebra generated by G, and closed.  It costs one outer_products call
+    per generator, the products of the whole basis with it.
 
     G m = m^2, and the e_i chosen are exactly those whose index is no pivot
     of m^2: a product g u, u in m, has its leading index after g's, so an
@@ -682,7 +683,7 @@ class Subalgebra(_LocalAlgebraOps):
         span, lead = np.zeros((0, k), dtype=np.int64), set()  # D in RREF, its pivots
         while len(lead) < k - 1:
             i = next(j for j in range(1, k) if j not in lead)
-            prods = fp_matmul(B, ambient.mult_matrix(rows[i]).T, self.p)  # rows b_j b_i
+            prods = ambient.outer_products(B, rows[i][None])[:, 0]  # rows b_j b_i
             if not self._spans(prods):
                 raise ExactKernelError("subspace is not closed under multiplication")
             coords = prods[:, self.pivots]  # row 0 is e_i itself, the rest b_i m
@@ -785,10 +786,9 @@ def subalgebra_close(A, vectors) -> Subalgebra:
     for every given v, so C holds every monomial in them and is the algebra
     they generate.  Subalgebra proves it closed on its own generators."""
     vecs = [v.vec if isinstance(v, El) else np.asarray(v, dtype=np.int64) for v in vectors]
-    mats = [A.mult_matrix(v).T for v in vecs]
     span = fresh = row_space_basis(vecs + [A.one_vec()], A.dim, A.p)
-    while mats:
-        fresh = row_space_basis(np.vstack([fp_matmul(np.array(fresh), M, A.p) for M in mats]),
+    while vecs:
+        fresh = row_space_basis(A.outer_products(np.array(fresh), np.array(vecs)).reshape(-1, A.dim),
                                 A.dim, A.p)
         grown = row_space_basis(span + fresh, A.dim, A.p)
         if len(grown) == len(span):

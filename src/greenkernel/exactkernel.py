@@ -41,15 +41,6 @@ class ScopeError(ExactKernelError):
     """The request falls outside the modeled scope (e.g. non-abelian Sylow)."""
 
 
-class SingularError(ExactKernelError):
-    """A square matrix found singular by its failed inverse, with its rank
-    read from that row reduction."""
-
-    def __init__(self, message: str, matrix: np.ndarray, rank: int):
-        super().__init__(message)
-        self.matrix, self.rank = matrix, rank
-
-
 @lru_cache(maxsize=256)
 def _is_prime(p: int) -> bool:
     """Trial division; memoized, since every matrix and algebra checks its
@@ -198,8 +189,7 @@ class FpMatrix:
         """The inverse.  A monomial matrix, with one nonzero entry d_i =
         M[i, s(i)] in each row and column, is D P with P a permutation and
         inverts as P^T D^{-1}: entry (s(i), i) is 1/d_i.  Every other matrix
-        is inverted by row reduction of [M | I]; a singular one raises
-        SingularError with its rank, the pivots left of column n."""
+        is inverted by row reduction of [M | I]; a singular one raises."""
         n = len(self.a)
         if self.a.shape != (n, n):
             raise ExactKernelError("only square matrices are invertible")
@@ -210,7 +200,7 @@ class FpMatrix:
             return out
         R, pivots = FpMatrix(np.hstack([self.a, np.eye(n, dtype=np.int64)]), self.p).rref()
         if pivots != list(range(n)):
-            raise SingularError("matrix is singular", self.a, sum(c < n for c in pivots))
+            raise ExactKernelError("matrix is singular")
         return R[:, n:].copy()
 
     def __repr__(self):

@@ -2,40 +2,58 @@
 parametrization of forms, form modification to prescribed values, Gysin
 (wrong-way) maps adjoint to algebra maps, and socle-extension maps.
 
-A linear form is Frobenius exactly when its pairing matrix <u|v> = lam(uv)
-is invertible; for a local algebra with one-dimensional socle this is the
-same as being nonzero on the socle (both criteria are computed and must
-agree -- a mismatch is an internal error).
+A linear form lam on a local algebra with one-dimensional socle, spanned by
+s, is Frobenius exactly when lam(s) != 0: every nonzero ideal contains s, so
+the kernel of u -> lam(u .) is an ideal that misses s, hence zero.  That
+test is the one decision; a form's pairing and dual basis are built when
+read, and a dual whose inverse fails is an internal error.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .exactkernel import ExactKernelError, FpMatrix, SingularError, fp_matmul, memo, subspace_contains
-from .borel import AlgebraMap, El
+from .exactkernel import ExactKernelError, FpMatrix, fp_matmul, memo, subspace_contains
+from .borel import AlgebraMap, El, _read_only
+
+_DISAGREE = "internal consistency: socle criterion disagrees with pairing rank"
+
+
+def _nonzero_on_socle(A, vec) -> bool:
+    """Is the covector vec nonzero on the socle generator of A?  Refuses an
+    algebra whose socle is not one-dimensional (socle_generator)."""
+    return bool(fp_matmul(vec, socle_generator(A).vec, A.p))
 
 
 class FrobeniusForm:
-    """A validated Frobenius form: covector with invertible pairing.  Its
-    arrays (vec, pairing, dual) are read-only, so a form can be shared.  A
-    degenerate covector raises SingularError with its pairing and rank."""
-
-    __slots__ = ("algebra", "vec", "pairing", "dual")
+    """A Frobenius form, decided by lam(s) != 0 on the socle generator s; a
+    covector that vanishes there raises.  Its pairing and dual basis are
+    built on first read.  Its arrays (vec, pairing, dual) are read-only, so
+    a form can be shared."""
 
     def __init__(self, algebra, covector):
         self.algebra = algebra
-        self.vec = np.asarray(covector, dtype=np.int64) % algebra.p
-        if self.vec.shape != (algebra.dim,):
+        vec = np.asarray(covector, dtype=np.int64) % algebra.p
+        if vec.shape != (algebra.dim,):
             raise ExactKernelError("covector has wrong length")
-        self.pairing = algebra.pairing_matrix(self.vec)
+        if not _nonzero_on_socle(algebra, vec):
+            raise ExactKernelError("covector is not a Frobenius form (zero on the socle)")
+        self.vec = _read_only([vec])[0]
+
+    @cached_property
+    def pairing(self) -> np.ndarray:
+        """G[i, j] = lam(e_i e_j)."""
+        return _read_only([self.algebra.pairing_matrix(self.vec)])[0]
+
+    @cached_property
+    def dual(self) -> np.ndarray:
+        """G^{-1}: column j is the dual basis vector v_j, <e_i|v_j> = [i = j]."""
         try:
-            self.dual = FpMatrix(self.pairing, algebra.p).inv()  # column j is the dual basis vector v_j
-        except SingularError as ex:
-            raise SingularError("covector is not a Frobenius form (degenerate pairing)",
-                                self.pairing, ex.rank) from None
-        for a in (self.vec, self.pairing, self.dual):
-            a.flags.writeable = False
+            return _read_only([FpMatrix(self.pairing, self.algebra.p).inv()])[0]
+        except ExactKernelError:
+            raise ExactKernelError(_DISAGREE) from None
 
     def value(self, el) -> int:
         v = el.vec if isinstance(el, El) else np.asarray(el, dtype=np.int64)
@@ -79,8 +97,8 @@ def socle_generator(A) -> El:
 def canonical_form(A) -> FrobeniusForm:
     """The coefficient-of-socle-generator functional (dual of the top
     monomial on a Borel algebra).  Built once per algebra instance and kept
-    in its __dict__, so every transfer reuses one pairing and dual basis
-    and the form lives and dies with its algebra."""
+    in its __dict__, so every transfer reuses one form (and the pairing and
+    dual basis it builds on first read), which lives and dies with A."""
     return memo(A.__dict__, "_canonical_form", _canonical_form, A)
 
 
@@ -93,29 +111,24 @@ def _canonical_form(A) -> FrobeniusForm:
 
 
 def is_frobenius_form(A, covector) -> tuple[FrobeniusForm | None, np.ndarray, int]:
-    """(form, pairing, rank) of a covector on A: its FrobeniusForm, or None
-    with the degenerate pairing and the rank its one failed inverse read.
-    An already-decided FrobeniusForm on A is taken as it is.  When
-    dim soc = 1 the invertibility criterion is cross-checked against
-    nonvanishing on the socle."""
+    """(form, pairing, rank) of a covector on A: its FrobeniusForm with its
+    pairing and rank dim A, or None with the degenerate pairing and its rank.
+    An already-decided FrobeniusForm on A is taken as it is.  A raw covector
+    is decided on the socle; a degenerate one is ranked, and full rank there
+    is an internal error."""
     if isinstance(covector, FrobeniusForm):
         if covector.algebra != A:
             raise ExactKernelError("the covector is a form on another algebra")
-        form = covector
-    else:
-        try:
-            form = FrobeniusForm(A, covector)
-        except SingularError as ex:
-            form, G, rank = None, ex.matrix, ex.rank
-    if form is not None:
-        G, rank = form.pairing, A.dim
-    soc = A.socle_vecs()
-    # row 0 of the pairing is the covector itself, as e_0 = 1
-    if len(soc) == 1 and bool(fp_matmul(G[0], soc[0], A.p)) != (form is not None):
-        raise ExactKernelError(
-            "internal consistency: socle criterion disagrees with pairing rank"
-        )
-    return form, G, rank
+        return covector, covector.pairing, A.dim
+    vec = np.asarray(covector, dtype=np.int64) % A.p
+    if vec.shape != (A.dim,) or _nonzero_on_socle(A, vec):
+        form = FrobeniusForm(A, vec)  # which refuses a wrong length
+        return form, form.pairing, A.dim
+    G = A.pairing_matrix(vec)
+    rank = FpMatrix(G, A.p).rank()
+    if rank == A.dim:
+        raise ExactKernelError(_DISAGREE)
+    return None, G, rank
 
 
 def modify_form(A, form: FrobeniusForm, basis_els, targets) -> FrobeniusForm:

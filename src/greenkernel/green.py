@@ -37,11 +37,10 @@ from .exactkernel import (
     fp_matmul,
     memo,
     row_space_basis,
-    subspace_contains,
 )
 from .borel import AlgebraMap, BorelAlgebra, El, Subalgebra
 from .fgl import HondaParams, m_series
-from .frobform import FrobeniusForm, canonical_form, check_gysin_input, gysin
+from .frobform import FrobeniusForm, canonical_form, check_gysin_input, gysin, socle_generator
 from .grp import (
     AbelianHom,
     AbelianPGroup,
@@ -122,13 +121,11 @@ class GreenValue:
     @cached_property
     def ind_one(self) -> El:
         """ind^G_1(1), the transfer of 1 along the augmentation: the z with
-        form(z a) = aug(a) for every a, i.e. the dual-basis vector of 1.
-        Checked on first read to be a nonzero socle element (Assumption (B)),
-        which is what gysin's module-map and socle checks come to here."""
-        z = El(self.algebra, self.form.dual[:, 0])
-        if z.is_zero() or not subspace_contains(self.algebra.socle_vecs(), z.vec, self.p):
-            raise ExactKernelError("internal consistency: ind_one misses the socle")
-        return z
+        form(z a) = aug(a) for every a.  That is s / form(s) for the socle
+        generator s, as s a = aug(a) s; form(s) != 0 is what decided the
+        form, so no dual basis is read."""
+        s = socle_generator(self.algebra)
+        return El(self.algebra, s.vec * pow(self.form.value(s), -1, self.p))
 
 
 def value_form(v: GreenValue) -> FrobeniusForm:

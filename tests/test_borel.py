@@ -291,17 +291,18 @@ def test_subalgebra_rejects_non_closed():
         Subalgebra(A, [A.one_vec(), A.gen().vec])  # x^2 missing
 
 
-def _count_ambient_matrices(monkeypatch, A) -> list:
-    """The vectors A.mult_matrix is called on from now on (patched on the
-    class: A may be a cached algebra that later tests patch there too)."""
+def _count_ambient_products(monkeypatch, A) -> list:
+    """The right-hand stacks A.outer_products is called with from now on
+    (patched on the class: A may be a cached algebra that later tests patch
+    there too)."""
     seen = []
 
-    def counting(self, vec, _orig=BorelAlgebra.mult_matrix):
+    def counting(self, U, V, _orig=BorelAlgebra.outer_products):
         if self is A:
-            seen.append(np.asarray(vec).copy())
-        return _orig(self, vec)
+            seen.append(np.asarray(V).copy())
+        return _orig(self, U, V)
 
-    monkeypatch.setattr(BorelAlgebra, "mult_matrix", counting)
+    monkeypatch.setattr(BorelAlgebra, "outer_products", counting)
     return seen
 
 
@@ -314,10 +315,10 @@ def test_subalgebra_refuses_on_a_later_generator(monkeypatch):
     rows = [A.one_vec(), y.vec, x.vec, (x * y).vec]
     y_s = [(y * El(A, r)).vec for r in rows]
     assert len(row_space_basis(rows + y_s, A.dim, 2)) == len(rows)
-    seen = _count_ambient_matrices(monkeypatch, A)
+    seen = _count_ambient_products(monkeypatch, A)
     with pytest.raises(ExactKernelError, match="not closed under multiplication"):
         Subalgebra(A, rows)
-    assert [v.tolist() for v in seen] == [y.vec.tolist(), x.vec.tolist()]
+    assert [v.tolist() for v in seen] == [[y.vec.tolist()], [x.vec.tolist()]]
 
 
 def _closure(p, profile, exps) -> Subalgebra:
@@ -331,16 +332,16 @@ def _closure(p, profile, exps) -> Subalgebra:
     lambda: value_general(named_group("A4"), 2, 3).algebra,
 ], ids=["p3-9x3", "p2-16x16", "a4-value"])
 def test_subalgebra_builds_one_ambient_matrix_per_generator(monkeypatch, build):
-    # every pair product would take dim - 1 ambient matrices, one per row
+    # every pair product would take dim - 1 ambient products, one per row;
+    # the proof takes one outer_products of the whole basis per generator
     S0 = build()
     A = S0.ambient
-    seen = _count_ambient_matrices(monkeypatch, A)
+    seen = _count_ambient_products(monkeypatch, A)
     S = Subalgebra(A, S0.basis_matrix)
     gens = S.ideal_generators
     assert len(seen) == len(gens) < S.dim - 1
-    assert [v.tolist() for v in seen] == [S.from_sub(g).tolist() for g, _ in gens]
+    assert [v.tolist() for v in seen] == [[S.from_sub(g).tolist()] for g, _ in gens]
     assert all(np.array_equal(M, S.mult_matrix(g)) for g, M in gens)
-    assert len(seen) == 2 * len(gens)  # the check above built its own, once each
 
 
 def test_subalgebra_must_contain_one():

@@ -122,11 +122,14 @@ def test_green_value_a4_frontier_output_pinned(capsys, argv, digest):
     (["--n", "5"], "d8bfc8d12c10346e9292ecff06ee07267c9fc01db4dc63f97026b4a01a36ed0a"),
     (["--n", "6", "--budget", "1024"],
      "357c041e29afac059d48c77fedda5ac433f7b94612d0688b68b33e71c9f7131a"),
+    (["--n", "7", "--budget", "4096"],
+     "5696863752d7abf57dc46656d7deb5438c335758c3cd7365526fc0a4456773ad"),
 ])
 def test_green_value_s3_frontier_output_pinned(capsys, argv, digest):
-    # A(S3) at p = 3: the stable subalgebras of F_3[x]/(x^243) and of
-    # F_3[x]/(x^729) (about 0.2 s and 3 s); digests recorded while closure
-    # was still tested on every pair product of the basis
+    # A(S3) at p = 3: the stable subalgebras of F_3[x]/(x^243), of
+    # F_3[x]/(x^729) and of F_3[x]/(x^2187); the first two digests were
+    # recorded while closure was still tested on every pair product of the
+    # basis, the n = 7 one while ind_one was read off the form's dual basis
     code, out, _ = run(capsys, "green", "value", "--group", "S3", "--p", "3", *argv,
                        "--format", "json", "--no-timing")
     assert code == EXIT_OK
@@ -358,12 +361,13 @@ def test_frob_check_output_is_byte_identical(capsys, key):
 
 
 @pytest.mark.parametrize("covector,want", [
-    # (row-reduction shapes, forms built): one form each, and one inverse,
-    # which decides and gives the dual basis, or fails and gives the rank
+    # (row-reduction shapes, forms built): the socle decides each covector;
+    # a form's one inverse gives the dual basis it prints, and a degenerate
+    # covector builds no form and ranks its pairing once
     ("x1^8*x2^2+x1", ([(27, 54)], 1)),
-    ("aug", ([(27, 54)], 1)),
+    ("aug", ([(27, 27)], 0)),
     ("canonical", ([], 1)),  # the reversal-permutation pairing inverts with no row reduction
-    ("x1^7*x2^2+x1", ([(27, 54)], 1)),
+    ("x1^7*x2^2+x1", ([(27, 27)], 0)),
 ])
 def test_frob_check_row_reductions(capsys, monkeypatch, covector, want):
     forms = []

@@ -224,6 +224,24 @@ def test_fp_matmul_is_the_only_product_over_gf_p():
         ("m", "f", "@"): 2, ("m", "f", ".matmul"): 1, ("m", "f", ".tensordot"): 1}
 
 
+def _pairing_reads(tree: ast.AST) -> list[str]:
+    """Every attribute read in a module named pairing, dual or
+    pairing_matrix, as the names in the order they appear."""
+    return [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and node.attr in ("pairing", "dual", "pairing_matrix")]
+
+
+def test_the_value_path_reads_no_pairing():
+    # green decides a value's form on the socle and reads ind_one as
+    # s / lam(s): it forms no pairing and inverts none (transfers build them
+    # inside frobform.gysin)
+    tree = ast.parse((Path(greenkernel.__file__).parent / "green.py").read_text())
+    assert _pairing_reads(tree) == []
+    # the scan itself sees each spelling
+    probe = "def f(lam, A):\n    return lam.pairing, lam.dual[:, 0], A.pairing_matrix(lam.vec)\n"
+    assert sorted(_pairing_reads(ast.parse(probe))) == ["dual", "pairing", "pairing_matrix"]
+
+
 def _cache_reads(tree: ast.AST) -> tuple[Counter, set]:
     """(reads of a `_*_cache` name or attribute, by whether each is the first
     argument of a memo call; the modules imported from threading)."""

@@ -5,15 +5,14 @@ import itertools
 import sys
 import threading
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from greenkernel import green, hopftower
+from greenkernel import cli, green, hopftower
 from greenkernel.audit import DEFAULT_BATTERY
 from greenkernel.exactkernel import BudgetError, ExactKernelError, FpMatrix, ScopeError
-from greenkernel.borel import AlgebraMap, El, Subalgebra
+from greenkernel.borel import AlgebraMap, BorelAlgebra, El, Subalgebra
 from greenkernel.fgl import HondaParams, honda_fgl, m_series
 from greenkernel.frobform import FrobeniusForm
 from greenkernel.green import (
@@ -44,6 +43,7 @@ from greenkernel.grp import (
 )
 from polyoracle import (
     ind_one_by_gysin,
+    rref_counter,
     rank_by_orbit_count,
     restrict_by_coproduct,
     stable_basis_by_intersection,
@@ -83,8 +83,9 @@ def _oracle_values():
 
 
 def test_ind_one_is_the_gysin_transfer_of_one():
-    # the dual-basis vector of 1 equals the old route, gysin along the
-    # augmentation, on every kind: abelian (type () included), trivial, general
+    # s / lam(s) equals two independent routes, gysin along the augmentation
+    # and the dual-basis vector of 1, on every kind: abelian (type ()
+    # included), trivial, general
     kinds = Counter()
     for v in _oracle_values():
         assert v.ind_one == ind_one_by_gysin(v), (v.kind, v.abelian_type, v.group, v.p, v.n)
@@ -93,17 +94,19 @@ def test_ind_one_is_the_gysin_transfer_of_one():
     assert set(kinds) == {"abelian", "trivial", "general"}
 
 
-@pytest.mark.parametrize("dual0", ["one", "zero"])
-def test_ind_one_read_refuses_a_form_off_the_socle(monkeypatch, dual0):
-    # a planted value_form whose dual column 0 is 1 (not in the socle) or 0
+@pytest.mark.parametrize("planted", ["one", "zero"])
+def test_ind_one_read_refuses_a_form_off_the_socle(monkeypatch, planted):
+    # a planted value_form covector that vanishes on the socle, the
+    # augmentation or 0, is refused when the form is built, so ind_one never
+    # divides by lam(s) = 0
     v = dataclasses.replace(value_abelian((1,), 3, 1))  # a fresh instance: ind_one not yet read
-    dual = np.eye(v.dim, dtype=np.int64) if dual0 == "one" else np.zeros((v.dim, v.dim), np.int64)
-    monkeypatch.setattr(green, "value_form", lambda _: SimpleNamespace(dual=dual))
-    with pytest.raises(ExactKernelError, match="ind_one misses the socle"):
+    cov = v.algebra.one_vec() if planted == "one" else np.zeros(v.dim, np.int64)
+    monkeypatch.setattr(green, "value_form", lambda w: FrobeniusForm(w.algebra, cov))
+    with pytest.raises(ExactKernelError, match="not a Frobenius form"):
         v.ind_one
 
 
-def test_value_holds_only_what_is_read(monkeypatch):
+def test_value_holds_only_what_is_read(monkeypatch, capsys):
     # A(G) for A4 at p=2 builds no form; reading ind_one builds one, on A(G),
     # and none on the ambient A(P) (cold values, so no form is cached)
     monkeypatch.setattr(green, "_general_cache", {})
@@ -124,6 +127,19 @@ def test_value_holds_only_what_is_read(monkeypatch):
     assert len(built) == 1  # read once, kept on the algebra
     dec = v.sylow_decomp
     assert value_for_decomposition(dec, 2, 1).form is value_abelian(dec.exponents, 2, 1).form
+    # the `green value` job at n = 3, cold, forms no pairing and inverts
+    # none: no pairing_matrix call and no (k, 2k) row reduction of [G | I]
+    monkeypatch.setattr(green, "_general_cache", {})
+    monkeypatch.setattr(green, "_value_cache", {})
+    pairings = []
+    for cls in (BorelAlgebra, Subalgebra):
+        monkeypatch.setattr(cls, "pairing_matrix", lambda self, lam, _real=cls.pairing_matrix:
+                            pairings.append(self) or _real(self, lam))
+    with rref_counter() as shapes:
+        code = cli.dispatch(["green", "value", "--group", "A4", "--p", "2", "--n", "3",
+                             "--format", "json", "--no-timing"])
+    assert code == cli.EXIT_OK and '"ind_one"' in capsys.readouterr().out
+    assert pairings == [] and shapes and not any(c == 2 * r for r, c in shapes)
 
 
 def test_value_abelian_kuenneth_dims():

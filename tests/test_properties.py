@@ -17,7 +17,9 @@ generate the subalgebra and give the nilpotency exponent and socle
 extensions of the whole radical basis, and that the pivots of m^2 read off
 the closure proof equal those of every radical pair product.  Subalgebra
 accepts exactly the spans that contain 1 and hold the products of all their
-rows.
+rows.  On Borel algebras and monogenic subalgebras a covector is a Frobenius
+form (nonzero on the socle) exactly when its pairing has full rank, and the
+accepted form's dual basis inverts the pairing and begins with s/lam(s).
 Gysin adjointness and restrict functoriality are checked on homomorphisms
 between small abelian p-groups.  The CLI's JSON writer is compared byte for
 byte with json.dumps on nested dicts and lists of scalars.  Every run draws the same examples and
@@ -45,7 +47,14 @@ from greenkernel.exactkernel import (
     row_space_basis,
     subspace_contains,
 )
-from greenkernel.frobform import FrobeniusForm, canonical_form, extend_socle_map, gysin
+from greenkernel.frobform import (
+    FrobeniusForm,
+    canonical_form,
+    extend_socle_map,
+    gysin,
+    is_frobenius_form,
+    socle_generator,
+)
 from greenkernel.green import restrict, stable_elements
 from greenkernel.grp import PermGroup, abelian_decompose, hom_between, named_group, sylow
 from polyoracle import (
@@ -322,11 +331,12 @@ def sparse_radical_vectors(A):
 
 
 @st.composite
-def subalgebras(draw, sparse=False):
+def subalgebras(draw, sparse=False, monogenic=False):
     """The closure of one or two random elements of a Borel algebra of dim
-    <= 32 at a small prime; one element gives a monogenic, hence Gorenstein,
-    subalgebra.  With sparse, one to three elements of sparse_radical_vectors,
-    whose closures often need several generators."""
+    <= 32 at a small prime; one element (always, with monogenic) gives a
+    monogenic, hence Gorenstein, subalgebra.  With sparse, one to three
+    elements of sparse_radical_vectors, whose closures often need several
+    generators."""
     p = draw(st.sampled_from(SMALL_PRIMES))
     profile, dim = [], 1
     for _ in range(draw(st.integers(1, 2))):
@@ -339,7 +349,7 @@ def subalgebras(draw, sparse=False):
     if sparse:
         gens = [draw(sparse_radical_vectors(A)) for _ in range(draw(st.integers(1, 3)))]
     else:
-        gens = [draw(vectors(A)) for _ in range(draw(st.integers(1, 2)))]
+        gens = [draw(vectors(A)) for _ in range(1 if monogenic else draw(st.integers(1, 2)))]
     return subalgebra_close(A, gens)
 
 
@@ -367,6 +377,37 @@ def test_subalgebra_invariants_products_and_form(data):
         lam = canonical_form(S)
         assert is_fp_array(lam.pairing, p) and is_fp_array(lam.dual, p)
         assert np.array_equal((lam.dual @ lam.pairing) % p, np.eye(d, dtype=np.int64))
+
+
+# -- Frobenius forms: the socle criterion against the pairing rank -------------
+
+
+@settings(PROPS, max_examples=100)
+@given(st.data())
+def test_socle_criterion_equals_the_pairing_rank(data):
+    # on Borel algebras and monogenic subalgebras, a covector is accepted
+    # exactly when its pairing has full rank; its value t on the socle
+    # generator s is drawn first, 0 as often as not, so degenerate covectors
+    # come as often as forms.  An accepted form's dual inverts its pairing,
+    # and its column 0 is s/lam(s)
+    A = data.draw(st.one_of(algebras(), subalgebras(monogenic=True)))
+    p, d = A.p, A.dim
+    s = socle_generator(A).vec
+    t = data.draw(st.one_of(st.just(0), st.integers(1, p - 1)))
+    lam = data.draw(vectors(A))
+    i = int(np.flatnonzero(s)[0])
+    lam[i] = (int(lam[i]) + (t - int(fp_matmul(lam, s, p))) * pow(int(s[i]), -1, p)) % p
+    rank = FpMatrix(A.pairing_matrix(lam), p).rank()
+    form, G, got = is_frobenius_form(A, lam)
+    assert (form is not None) == (rank == d) and got == rank
+    assert np.array_equal(G, A.pairing_matrix(lam))
+    if form is None:
+        with pytest.raises(ExactKernelError, match="not a Frobenius form"):
+            FrobeniusForm(A, lam)
+        return
+    assert np.array_equal(fp_matmul(form.dual, form.pairing, p), np.eye(d, dtype=np.int64))
+    c = pow(form.value(s), -1, p)
+    assert [int(x) * c % p for x in s] == form.dual[:, 0].tolist()
 
 
 @settings(PROPS, max_examples=100)
