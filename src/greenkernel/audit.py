@@ -32,6 +32,7 @@ from .green import (
     induced_map,
     hom_by_generator_images,
     restrict,
+    transfer,
     unit_map,
     value_abelian,
     value_general,
@@ -370,10 +371,10 @@ def audit_assumptions(battery=None, p: int = 2, n: int = 1,
             return _bool_row(bool(np.array_equal(comp.matrix, [[1]])))
         _timed(report, "residue-field", "Assumption (A) residue field", nm, residue)
         _timed(report, "AssumptionB-ind-one-nonzero", "Assumption (B)", nm,
-               lambda v=v: _bool_row(not v.ind_one.is_zero()))
+               lambda v=v: _ind_one_row(v, lambda z: not z.is_zero()))
         _timed(report, "ind^G_1-in-socle", "Prop ind^G_1(a)", nm,
-               lambda v=v: _bool_row(
-                   subspace_contains(v.algebra.socle_vecs(), v.ind_one.vec, p)))
+               lambda v=v: _ind_one_row(
+                   v, lambda z: subspace_contains(v.algebra.socle_vecs(), z.vec, p)))
         if G.order % p != 0:
             _timed(report, "ind^G_1-unit-for-p'-group", "Prop ind^G_1(b)", nm,
                    lambda v=v: _bool_row(v.ind_one.is_unit()))
@@ -499,6 +500,17 @@ def audit_assumptions(battery=None, p: int = 2, n: int = 1,
                    "%s->>C%d" % (nm, H.order), gcp)
 
     return report.finalize()
+
+
+def _ind_one_row(v, holds):
+    """A row on ind^G_1(1): v.ind_one, which is s / form(s) for the socle
+    generator s, must equal the Gysin transfer of 1 along the augmentation,
+    a route that reads no socle generator, and holds must accept it."""
+    aug = augmentation_map(v.algebra)
+    z = transfer(aug, v.form).apply(aug.target.one())
+    if z != v.ind_one:
+        return FAIL, None, "ind_one %s vs Gysin transfer of 1 %s" % (v.ind_one, z)
+    return _bool_row(holds(z))
 
 
 def _epi_onto_cyclic(G: PermGroup, H: PermGroup):

@@ -16,8 +16,10 @@ from greenkernel.audit import (
     frobenius_axiom,
     _mackey_sum,
 )
-from greenkernel.borel import AlgebraMap, make_algebra
+from greenkernel import green
+from greenkernel.borel import AlgebraMap, El, make_algebra
 from greenkernel.exactkernel import ExactKernelError
+from greenkernel.frobform import socle_generator
 from greenkernel.green import SubgroupGreenFunctor
 from greenkernel.grp import named_group
 
@@ -160,6 +162,21 @@ def test_assumptions_specific_rows():
     row = d[("res-of-ind-one", "S3")]
     assert row.status in (EXACT, UP_TO_UNIT)
     assert ("ind^G_P-surjective", "S3") in d and d[("ind^G_P-surjective", "S3")].status == EXACT
+
+
+def test_ind_one_rows_compare_it_with_the_gysin_transfer(monkeypatch):
+    # a planted ind_one of twice s / form(s) is still nonzero and in the
+    # socle; the two rows catch it because the Gysin transfer of 1 along the
+    # augmentation, which reads no socle generator, disagrees
+    def planted(v):
+        s = socle_generator(v.algebra)
+        return El(v.algebra, 2 * s.vec * pow(v.form.value(s), -1, v.p))
+
+    monkeypatch.setattr(green.GreenValue, "ind_one", property(planted))
+    rows = [r for r in audit_assumptions(p=3, n=1).checks
+            if r.name in ("AssumptionB-ind-one-nonzero", "ind^G_1-in-socle")]
+    assert len(rows) == 2 * len(DEFAULT_BATTERY)
+    assert all(r.status == FAIL and "Gysin transfer of 1" in r.witness for r in rows)
 
 
 def test_report_schema_and_determinism():

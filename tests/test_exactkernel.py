@@ -2,6 +2,7 @@
 test-side capped polynomials (polyoracle) that other tests compare against."""
 
 import ast
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import greenkernel
+from greenkernel.green import GreenValue
 from greenkernel.exactkernel import (
     ExactKernelError,
     FpMatrix,
@@ -313,6 +315,25 @@ def test_only_value_form_decides_a_form():
     # the scan itself sees a call, a bare reference and an attribute
     probe = "def f(x):\n    g = gysin\n    return canonical_form(x), frobform.gysin\n"
     assert _name_uses(ast.parse(probe), names) == {("f", "gysin"): 2, ("f", "canonical_form"): 1}
+
+
+def _attribute_reads(tree: ast.AST, attr: str) -> int:
+    return sum(isinstance(node, ast.Attribute) and node.attr == attr
+               and isinstance(node.ctx, ast.Load) for node in ast.walk(tree))
+
+
+def test_a_value_holds_six_fields_and_only_the_cli_reads_its_kind():
+    # a value's kind is derived from its algebra and printed by the CLI; no
+    # map or value is built by asking it, since a p'-group's value carries
+    # the trivial Sylow like any other
+    readers = [path.stem for path in sorted(Path(greenkernel.__file__).parent.glob("*.py"))
+               if _attribute_reads(ast.parse(path.read_text()), "kind")]
+    assert readers == ["cli"]
+    assert [f.name for f in dataclasses.fields(GreenValue)] == [
+        "p", "n", "algebra", "abelian_type", "sylow_decomp", "levels"]
+    # the scan itself sees a read and not a definition or a write
+    probe = "class V:\n    def kind(self):\n        v.kind = 1\n        return w.kind == 'x'\n"
+    assert _attribute_reads(ast.parse(probe), "kind") == 1
 
 
 def _name_uses(tree: ast.AST, names: set) -> Counter:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from greenkernel import cli, green, hopftower
-from greenkernel.audit import DEFAULT_BATTERY
+from greenkernel.audit import DEFAULT_BATTERY, _epi_onto_cyclic, default_subgroup_family
 from greenkernel.exactkernel import BudgetError, ExactKernelError, FpMatrix, ScopeError
 from greenkernel.borel import AlgebraMap, BorelAlgebra, El, Subalgebra
 from greenkernel.fgl import HondaParams, honda_fgl, m_series
@@ -25,6 +25,7 @@ from greenkernel.green import (
     restrict,
     stable_elements,
     transfer,
+    unit_map,
     value_abelian,
     value_for_decomposition,
     value_general,
@@ -88,7 +89,7 @@ def test_ind_one_is_the_gysin_transfer_of_one():
     # included), trivial, general
     kinds = Counter()
     for v in _oracle_values():
-        assert v.ind_one == ind_one_by_gysin(v), (v.kind, v.abelian_type, v.group, v.p, v.n)
+        assert v.ind_one == ind_one_by_gysin(v), (v.kind, v.abelian_type, v.sylow_decomp, v.p, v.n)
         assert np.array_equal(v.ind_one.vec, v.form.dual[:, 0])
         kinds[v.kind] += 1
     assert set(kinds) == {"abelian", "trivial", "general"}
@@ -705,9 +706,10 @@ def test_value_general_computes_no_colimit(monkeypatch, name, p):
     monkeypatch.setattr(green, "transfer", counted("transfer", green.transfer))
     monkeypatch.setattr(green, "double_cosets", counted("double_cosets", green.double_cosets))
     monkeypatch.setattr(AlgebraMap, "compose", counted("compose", AlgebraMap.compose))
-    v = value_general(named_group(name), p, 1)
+    G = named_group(name)
+    v = value_general(G, p, 1)
+    st = stable_elements(G, p, 1)
     assert v.kind == "general" and not any(calls.values())
-    st = v.stable
     assert st.colim_dim == st.lim_dim == v.dim and all(calls.values())
     seen = dict(calls)
     assert st.colim_dim == st.lim_dim and calls == seen  # read once, kept
@@ -884,6 +886,69 @@ def test_inflation_inverse_rejects_non_epi():
     beta = hom_by_generator_images(C6, C3, [C3.identity()])
     with pytest.raises(ExactKernelError, match="epimorphism"):
         inflation_inverse(C6, C3, beta, 3, 1)
+
+
+# -- p'-groups: the value of the trivial Sylow subgroup ---------------------------
+
+
+@pytest.mark.parametrize("name,p", [("S3", 3), ("A4", 3), ("S4", 3), ("D5", 5)])
+def test_p_prime_subgroups_take_the_augmentation_and_the_identity(name, p):
+    # a p'-subgroup K carries the trivial Sylow, so the one Sylow transport
+    # gives res^H_K = the augmentation of A(H) and c_g = the identity of F_p
+    G = named_group(name)
+    fx = SubgroupGreenFunctor(G, p, 1)
+    fam = default_subgroup_family(G)
+    p_prime = [K for K in fam if K.order % p]
+    pairs = [(H, K) for K in p_prime for H in fam if K.is_subgroup_of(H)]
+    assert any(H.order % p == 0 for H, _ in pairs)
+    for H, K in pairs:
+        got, want = fx.res(H, K), augmentation_map(fx.value(H).algebra)
+        assert np.array_equal(got.matrix, want.matrix) and got.is_algebra_map, (H, K)
+    for K in p_prime:
+        for g in G.elements:
+            got, want = fx.conj(g, K), AlgebraMap.identity(fx.value(K).algebra)
+            assert np.array_equal(got.matrix, want.matrix) and got.is_algebra_map, (K, g)
+
+
+def test_induced_map_between_p_prime_groups_is_the_identity():
+    S3, C2 = named_group("S3"), named_group("C2")
+    beta = _epi_onto_cyclic(S3, C2)  # the sign
+    vG, vH = value_general(S3, 5, 1), value_general(C2, 5, 1)
+    m = induced_map(S3, C2, beta, vG, vH, 5, 1)
+    assert np.array_equal(m.matrix, [[1]]) and m.is_algebra_map
+    bstar, blower = inflation_inverse(S3, C2, beta, 5, 1)
+    assert np.array_equal(bstar.matrix, [[1]]) and np.array_equal(blower.matrix, [[1]])
+
+
+def test_induced_map_into_a_p_prime_group_is_the_unit():
+    # A(C2) = F_3 -> A(S3) along the sign is the unit map: the Sylow C3 goes
+    # onto C2's trivial Sylow
+    S3, C2 = named_group("S3"), named_group("C2")
+    vG, vH = value_general(S3, 3, 1), value_general(C2, 3, 1)
+    m = induced_map(S3, C2, _epi_onto_cyclic(S3, C2), vG, vH, 3, 1)
+    assert np.array_equal(m.matrix, unit_map(vG.algebra).matrix) and m.is_algebra_map
+
+
+def test_induced_map_refuses_a_p_prime_group_into_a_p_group():
+    # C2 -> S3 at p = 3 does not reach the Sylow C3 of S3
+    C2, S3 = named_group("C2"), named_group("S3")
+    beta = hom_by_generator_images(C2, S3, [parse_cycles("(1 2)", 3)])
+    vG, vH = value_general(C2, 3, 1), value_general(S3, 3, 1)
+    with pytest.raises(ExactKernelError, match="beta does not carry the Sylow isomorphically"):
+        induced_map(C2, S3, beta, vG, vH, 3, 1)
+
+
+def test_p_prime_value_is_the_value_of_the_trivial_sylow(monkeypatch):
+    C3 = named_group("C3")
+    for n in (1, 2):
+        v = value_general(C3, 2, n)
+        assert v.sylow_decomp.exponents == () and v.kind == "trivial" and v.dim == 1
+    # dim A(1) = 1 is what the budget must cover, on a hit as on a cold call
+    with pytest.raises(BudgetError):
+        value_general(C3, 2, 1, budget=0)
+    monkeypatch.setattr(green, "_general_cache", {})
+    with pytest.raises(BudgetError):
+        value_general(C3, 2, 1, budget=0)
 
 
 def test_hom_by_generator_images_validates():

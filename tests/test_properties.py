@@ -37,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from greenkernel.audit import EXACT, audit_mackey
 from greenkernel.borel import AlgebraMap, BorelAlgebra, Subalgebra, subalgebra_close
 from greenkernel.cli import _json_dumps
 from greenkernel.exactkernel import (
@@ -626,6 +627,23 @@ def test_stable_elements_on_random_perm_groups(G):
             want = stable_basis_by_intersection(G, p, n)
             assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
             assert len(got) == rank_by_orbit_count(G, p, n)
+
+
+@settings(PROPS, max_examples=80)
+@given(perm_groups(max_degree=4))
+def test_functor_rows_on_random_perm_groups(G):
+    # every MF1, MF2, MF3, GF1 and GF2 row of the subgroup audit is an exact
+    # pass at n = 1 and every small prime with an abelian Sylow, 5 and 7
+    # included, which divide no order here, so every value is F_p = A(1)
+    # and every map goes through the trivial Sylow (MF4 and MF5 rows await
+    # coherent forms)
+    for p in SMALL_PRIMES:
+        if not sylow(G, p).is_abelian():
+            continue
+        rows = [r for r in audit_mackey(G, p, 1).checks
+                if r.name.split("-")[0] in ("MF1", "MF2", "MF3", "GF1", "GF2")]
+        assert rows and all(r.status == EXACT for r in rows), (
+            p, [(r.name, r.instance, r.witness) for r in rows if r.status != EXACT][:3])
 
 
 JSON_SCALARS = (st.text() | st.integers() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
