@@ -494,7 +494,7 @@ def audit_assumptions(battery=None, p: int = 2, n: int = 1,
             def gcp(G=G, H=H, beta=beta):
                 vG = value_general(G, p, n, budget)
                 vH = value_general(H, p, n, budget)
-                m = induced_map(G, H, beta, vG, vH, p, n, budget)
+                m = induced_map(H, beta.__getitem__, vG, vH, p, n, budget)
                 return _bool_row(m.is_injective(), "pi^* has a kernel")
             _timed(report, "epi-to-cyclic-monomorphism", "Prop G->Cp",
                    "%s->>C%d" % (nm, H.order), gcp)

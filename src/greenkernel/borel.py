@@ -619,9 +619,11 @@ class AlgebraMap:
 
         Decided on a = 1 and the ideal generators a = g of A as
         X . M_B(f(a)) = M_A(a) . X for X the matrix of self, with M_A(g) read
-        from A's cache and M_A(1) the identity; since f is multiplicative,
-        induction on monomials gives the identity for every a.  The
-        exhaustive check over basis pairs is kept in the tests as an oracle.
+        from A's cache; since f is multiplicative, induction on monomials
+        gives the identity for every a.  For a = 1 it reads X = X once f(1)
+        = 1, so a = 1 is f.check_unital(), with no product (a non-unital f
+        is refused).  The exhaustive check over basis pairs is kept in the
+        tests as an oracle.
         """
         A, B = self.target, self.source
         if f.source != A or f.target != B:
@@ -629,7 +631,7 @@ class AlgebraMap:
         if not f.is_algebra_map:
             raise ExactKernelError("module structure map must be an algebra map")
         X, F, p = self.matrix, f.matrix, A.p
-        if not np.array_equal(fp_matmul(X, B.mult_matrix(F[:, 0]), p), X):  # f(1): column 0
+        if not f.check_unital():
             return False
         return _intertwines(X, ((B.mult_matrix(fp_matmul(F, g, p)), M)
                                 for g, M in A.ideal_generators), p)

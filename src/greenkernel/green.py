@@ -13,8 +13,9 @@ are the subalgebra of A(P) fixed by N_G(P)/P, which is the stable elements
 double cosets P\\G/P is computed only when read (by `green stable` and the
 tests), and the double-coset limit is the tests' oracle.
 Every value carries its Sylow decomposition, the trivial one (A(1) = F_p)
-for a p'-group, so each res, c_g and induced map is one Sylow transport;
-F_p's maps come out of it as the augmentation, the unit and the identity.
+for a p'-group, so induced_map, beta^* along any homomorphism beta, is the
+one map between values: res and c_g are beta^* along an inclusion and a
+conjugation, and F_p's maps are the augmentation, the unit and the identity.
 Restriction depends only on the abstract hom and a transfer only on its
 map and forms, so each is built once per distinct input and shared, with
 a read-only matrix; every cache here is read through exactkernel.memo.
@@ -161,6 +162,14 @@ def unit_map(A) -> AlgebraMap:
     return AlgebraMap(F, A, col, is_algebra_map=True)
 
 
+def _check_budget(exponents, p: int, n: int, budget: int) -> None:
+    """The one budget check: refuse A(P), P abelian of the given type, when
+    dim A(P) = (p^n)^(sum of the exponents) exceeds the budget."""
+    dim = (p ** n) ** sum(exponents)
+    if dim > budget:
+        raise BudgetError("value dimension %d exceeds budget %d" % (dim, budget), required=dim)
+
+
 _value_cache: dict = {}
 
 
@@ -170,10 +179,7 @@ def value_abelian(exponents, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGET) 
     exponents = tuple(int(r) for r in exponents)
     if any(r < 1 for r in exponents):
         raise ExactKernelError("abelian type entries must be >= 1")
-    q = p ** n
-    dim = q ** sum(exponents)
-    if dim > budget:
-        raise BudgetError("value dimension %d exceeds budget %d" % (dim, budget), required=dim)
+    _check_budget(exponents, p, n, budget)
     return memo(_value_cache, (exponents, p, n), _value_abelian, exponents, p, n)
 
 
@@ -240,20 +246,22 @@ def restrict(alpha: AbelianHom, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGE
     component images, one per cyclic factor of the source, folded from 0,
     the unit of +_F (so a trivial source sends every generator to 0).
 
-    The map depends only on the abstract hom, so it is built once per
-    (source type, target type, matrix, p, n) and shared, with a read-only
-    matrix.  Both values are read first: a hit checks the budget as a cold
-    call does.
+    alpha need not be injective.  The map depends only on the abstract hom,
+    so it is built once per (source type, target type, matrix, p, n) and
+    shared, with a read-only matrix.  Both budgets are checked on the types
+    first: a hit raises as a cold call does, and reads no value.
     """
-    v_src = value_abelian(alpha.source.exponents, p, n, budget)
-    v_tgt = value_abelian(alpha.target.exponents, p, n, budget)
+    src, tgt = alpha.source.exponents, alpha.target.exponents
+    _check_budget(src, p, n, budget)
+    _check_budget(tgt, p, n, budget)
     matrix = tuple(tuple(int(m) for m in row) for row in alpha.matrix)
-    key = (v_src.abelian_type, v_tgt.abelian_type, matrix, p, n)
-    return memo(_restrict_cache, key, _restrict, matrix, v_src, v_tgt)
+    key = (src, tgt, matrix, p, n)
+    return memo(_restrict_cache, key, _restrict, matrix, src, tgt, p, n, budget)
 
 
-def _restrict(matrix, v_src: GreenValue, v_tgt: GreenValue) -> AlgebraMap:
-    """restrict computed cold, along the hom with the given matrix."""
+def _restrict(matrix, src: tuple, tgt: tuple, p: int, n: int, budget: int) -> AlgebraMap:
+    """restrict computed cold, along the hom of the given types and matrix."""
+    v_src, v_tgt = value_abelian(src, p, n, budget), value_abelian(tgt, p, n, budget)
     A_src: BorelAlgebra = v_src.algebra
     images = []
     for j, (s_j, level_j) in enumerate(zip(v_tgt.abelian_type, v_tgt.levels)):
@@ -358,9 +366,7 @@ def value_general(G: PermGroup, p: int, n: int,
     Memoized per (degree, element set, p, n); a hit re-checks the budget
     against dim A(P) = (p^n)^(sum of P's exponents), as a cold call would."""
     v = memo(_general_cache, (G.degree, G._eset, p, n), _value_general, G, p, n, budget)
-    need = (p ** n) ** sum(v.sylow_decomp.exponents)
-    if need > budget:
-        raise BudgetError("value dimension %d exceeds budget %d" % (need, budget), required=need)
+    _check_budget(v.sylow_decomp.exponents, p, n, budget)
     return v
 
 
@@ -424,7 +430,7 @@ def inflation_inverse(G: PermGroup, H: PermGroup, beta: dict, p: int, n: int,
         raise ExactKernelError("kernel order is divisible by p")
     v_G = value_general(G, p, n, budget)
     v_H = value_general(H, p, n, budget)
-    bstar = induced_map(G, H, beta, v_G, v_H, p, n, budget)
+    bstar = induced_map(H, beta.__getitem__, v_G, v_H, p, n, budget)
     try:
         inv = FpMatrix(bstar.matrix, p).inv()
     except ExactKernelError:
@@ -436,45 +442,34 @@ def inflation_inverse(G: PermGroup, H: PermGroup, beta: dict, p: int, n: int,
     return bstar, blower
 
 
-def induced_map(G: PermGroup, H: PermGroup, beta: dict, v_G: GreenValue, v_H: GreenValue,
+def induced_map(H: PermGroup, beta, v_G: GreenValue, v_H: GreenValue,
                 p: int, n: int, budget: int = DEFAULT_SIZE_BUDGET) -> AlgebraMap:
-    """beta^*: A(H) -> A(G) for beta: G -> H via stable-elements
-    functoriality: push the Sylow of G into the chosen Sylow of H (up to an
-    inner twist, which acts trivially on stable elements).  A p'-group's
-    value carries the trivial Sylow, so the one check and transport also
-    cover F_p = A(1)."""
-    images = [beta[b] for b in v_G.sylow_decomp.basis]
-    if H.subgroup(images).order != v_H.sylow_decomp.group.order:
-        raise ExactKernelError("beta does not carry the Sylow isomorphically")
-    return _transport(H, images, v_H, v_G, p, n, budget)
-
-
-def _transport(H: PermGroup, images, v_H: GreenValue, v_to: GreenValue,
-               p: int, n: int, budget: int) -> AlgebraMap:
-    """A(H) -> A(K), v_to the value of K, along a homomorphism from the
-    Sylow of K (v_to.sylow_decomp) to H that sends its basis to images.
-
-    The first h in H with h S h^{-1} <= P_H (S the subgroup the images
-    generate; tested on the images) twists them into the Sylow P_H of H;
-    an inner twist acts trivially on stable elements.  The map is restrict
-    along the twisted hom, cut down to the stable values."""
-    dec_src, dec_H = v_to.sylow_decomp, v_H.sylow_decomp
+    """beta^*: A(H) -> A(G) for any homomorphism beta: G -> H, given as a
+    function on G's elements and read only on the basis of P_G =
+    v_G.sylow_decomp.  beta(P_G) is a p-subgroup of H, so (Sylow) the first
+    h in H with h beta(P_G) h^{-1} <= P_H (tested on the images) twists it
+    into v_H's Sylow P_H; an inner twist acts trivially on stable elements.
+    The map is restrict along the twisted hom, injective or not, cut down to
+    the stable values.  A p'-group's value has the trivial Sylow, so F_p's
+    maps come out of the same transport."""
+    dec_G, dec_H = v_G.sylow_decomp, v_H.sylow_decomp
+    images = [beta(b) for b in dec_G.basis]
     for h in H.elements:
         hi = perm_inv(h)
         twisted = [perm_mul(perm_mul(h, b), hi) for b in images]
         if all(t in dec_H.group for t in twisted):
-            full = restrict(hom_between(dec_src, dec_H, twisted), p, n, budget)
-            return _restrict_to_stable(full, v_H, v_to)
-    raise ExactKernelError("internal consistency: Sylow transport failed")
+            full = restrict(hom_between(dec_G, dec_H, twisted), p, n, budget)
+            return _restrict_to_stable(full, v_H, v_G)
+    raise ExactKernelError("beta(P_G) is not conjugate into P_H: beta is not a hom into H")
 
 
 class SubgroupGreenFunctor:
     """Mackey/Green data on the subgroups of a fixed finite group G.
 
-    Values are cached per subgroup; res/ind/c_g between subgroups are built
-    by transporting through chosen Sylow subgroups (the inner twist used to
-    align Sylows acts trivially on stable elements, so the choice drops
-    out).  ind is always the Gysin transfer for the values' forms.
+    Values are cached per subgroup; res and c_g are induced_map along the
+    inclusion and the conjugation (the inner twist used to align Sylows
+    acts trivially on stable elements, so the choice drops out).  ind is
+    always the Gysin transfer for the values' forms.
     """
 
     def __init__(self, G: PermGroup, p: int, n: int, budget: int = DEFAULT_SIZE_BUDGET):
@@ -492,8 +487,7 @@ class SubgroupGreenFunctor:
     def _res(self, H: PermGroup, K: PermGroup) -> AlgebraMap:
         if not K.is_subgroup_of(H):
             raise ExactKernelError("res needs K <= H")
-        vH, vK = self.value(H), self.value(K)
-        return _transport(H, vK.sylow_decomp.basis, vH, vK, self.p, self.n, self.budget)
+        return induced_map(H, lambda x: x, self.value(K), self.value(H), self.p, self.n, self.budget)
 
     def ind(self, H: PermGroup, K: PermGroup) -> AlgebraMap:
         """ind^H_K: A(K) -> A(H), the Gysin transfer of res^H_K.  This
@@ -514,11 +508,10 @@ class SubgroupGreenFunctor:
     def _conj(self, g: tuple, H: PermGroup) -> AlgebraMap:
         if g not in self.G:
             raise ExactKernelError("conjugating element must lie in G")
-        vH, vH2 = self.value(H), self.value(self.G.conjugate_subgroup(H, g))
         gi = perm_inv(g)
-        # hom P_{H2} -> H, x -> g^{-1} x g, then twisted into P_H
-        images = [perm_mul(perm_mul(gi, b), g) for b in vH2.sylow_decomp.basis]
-        return _transport(H, images, vH, vH2, self.p, self.n, self.budget)
+        return induced_map(H, lambda x: perm_mul(perm_mul(gi, x), g),  # gHg^{-1} -> H
+                           self.value(self.G.conjugate_subgroup(H, g)), self.value(H),
+                           self.p, self.n, self.budget)
 
 
 def _restrict_to_stable(full: AlgebraMap, v_src: GreenValue, v_tgt: GreenValue) -> AlgebraMap:

@@ -439,6 +439,16 @@ def test_check_module_map_requires_algebra_map():
         AlgebraMap.identity(A).check_module_map(f)
 
 
+def test_check_module_map_refuses_a_non_unital_structure_map():
+    # f(1) = 1 + x on F_2[x]/(x^2), flagged as an algebra map.  X: 1 -> x,
+    # x -> 0 kills x, so X(f(1) b) = X(b) and X(f(x) b) = x X(b) for every b:
+    # only f(1) != 1, read off column 0, refuses it
+    A = make_algebra(2, (2,))
+    f = AlgebraMap(A, A, np.array([[1, 0], [1, 1]]), is_algebra_map=True)
+    assert not f.check_unital()
+    assert not AlgebraMap(A, A, np.array([[0, 0], [1, 0]])).check_module_map(f)
+
+
 # -- the canonical form is built once per algebra and is read-only ------------
 
 

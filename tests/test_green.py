@@ -1,10 +1,12 @@
 """Green functor engine: values, restriction, transfers, stable elements."""
 
+import ast
 import dataclasses
 import itertools
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,15 +380,32 @@ def test_shared_maps_refuse_writes(monkeypatch):
 
 
 def test_restrict_memo_rechecks_budget(monkeypatch):
+    # at budget 8, C9 (dim 9) is refused as both endpoints, as the target of
+    # C3 -> C9 and as the source of C9 ->> C3, on a cold call and a hit alike
     monkeypatch.setattr(green, "_restrict_cache", {})
-    alpha = hom_between(dec("C9"), dec("C9"), [_perm_pow(dec("C9").basis[0], 2)])
-    with pytest.raises(BudgetError) as cold:
-        restrict(alpha, 3, 1, budget=8)
-    restrict(alpha, 3, 1)
-    with pytest.raises(BudgetError) as warm:
-        restrict(alpha, 3, 1, budget=8)
-    assert str(warm.value) == str(cold.value)
-    assert warm.value.required == cold.value.required
+    C9 = dec("C9")
+    C3 = abelian_decompose(C9.group.subgroup([_perm_pow(C9.basis[0], 3)]), 3)
+    homs = (hom_between(C9, C9, [_perm_pow(C9.basis[0], 2)]),
+            hom_between(C3, C9, C3.basis), hom_between(C9, C3, C3.basis))
+    for alpha in homs:
+        with pytest.raises(BudgetError) as cold:
+            restrict(alpha, 3, 1, budget=8)
+        restrict(alpha, 3, 1)
+        with pytest.raises(BudgetError) as warm:
+            restrict(alpha, 3, 1, budget=8)
+        assert str(warm.value) == str(cold.value)
+        assert warm.value.required == cold.value.required == 9
+
+
+def test_restrict_hit_reads_no_value(monkeypatch):
+    # a hit checks both budgets by arithmetic: no value_abelian call
+    monkeypatch.setattr(green, "_restrict_cache", {})
+    alpha = _two_c4_in_s4()[0]
+    cold = restrict(alpha, 2, 1)
+    calls = []
+    real = green.value_abelian
+    monkeypatch.setattr(green, "value_abelian", lambda *a: calls.append(a) or real(*a))
+    assert restrict(alpha, 2, 1) is cold and calls == []
 
 
 def test_memos_build_once_across_threads(monkeypatch):
@@ -849,7 +868,7 @@ def test_epi_to_cyclic_is_monomorphism():
         assert beta is not None, (gname, hname)
         vG = value_general(G, p, 1)
         vH = value_general(H, p, 1)
-        m = induced_map(G, H, beta, vG, vH, p, 1)
+        m = induced_map(H, beta.__getitem__, vG, vH, p, 1)
         assert m.is_injective(), (gname, hname, p)
 
 
@@ -914,7 +933,7 @@ def test_induced_map_between_p_prime_groups_is_the_identity():
     S3, C2 = named_group("S3"), named_group("C2")
     beta = _epi_onto_cyclic(S3, C2)  # the sign
     vG, vH = value_general(S3, 5, 1), value_general(C2, 5, 1)
-    m = induced_map(S3, C2, beta, vG, vH, 5, 1)
+    m = induced_map(C2, beta.__getitem__, vG, vH, 5, 1)
     assert np.array_equal(m.matrix, [[1]]) and m.is_algebra_map
     bstar, blower = inflation_inverse(S3, C2, beta, 5, 1)
     assert np.array_equal(bstar.matrix, [[1]]) and np.array_equal(blower.matrix, [[1]])
@@ -925,17 +944,66 @@ def test_induced_map_into_a_p_prime_group_is_the_unit():
     # onto C2's trivial Sylow
     S3, C2 = named_group("S3"), named_group("C2")
     vG, vH = value_general(S3, 3, 1), value_general(C2, 3, 1)
-    m = induced_map(S3, C2, _epi_onto_cyclic(S3, C2), vG, vH, 3, 1)
+    m = induced_map(C2, _epi_onto_cyclic(S3, C2).__getitem__, vG, vH, 3, 1)
     assert np.array_equal(m.matrix, unit_map(vG.algebra).matrix) and m.is_algebra_map
 
 
-def test_induced_map_refuses_a_p_prime_group_into_a_p_group():
-    # C2 -> S3 at p = 3 does not reach the Sylow C3 of S3
+def test_induced_map_from_a_p_prime_group_into_a_p_group_is_the_augmentation():
+    # A(S3) -> A(C2) = F_3 along C2 -> S3 at p = 3: the trivial Sylow of C2
+    # goes into the Sylow C3 of S3, and beta^* is the augmentation
     C2, S3 = named_group("C2"), named_group("S3")
     beta = hom_by_generator_images(C2, S3, [parse_cycles("(1 2)", 3)])
     vG, vH = value_general(C2, 3, 1), value_general(S3, 3, 1)
-    with pytest.raises(ExactKernelError, match="beta does not carry the Sylow isomorphically"):
-        induced_map(C2, S3, beta, vG, vH, 3, 1)
+    m = induced_map(S3, beta.__getitem__, vG, vH, 3, 1)
+    assert np.array_equal(m.matrix, augmentation_map(vH.algebra).matrix) and m.is_algebra_map
+
+
+def test_induced_map_c2_into_c4_and_v4_onto_c2_pinned():
+    # p = 2.  C2 -> C4 is not onto the Sylow: x -> y, the restriction
+    # F_2[x]/(x^4) -> F_2[y]/(y^2).  C2xC2 ->> C2, both basis elements to the
+    # generator, is not injective: x -> x1 +_F x2 = x1 + x2 + x1 x2 in the
+    # basis 1, x2, x1, x1 x2
+    C4 = named_group("C4")
+    C2 = C4.subgroup([_perm_pow(C4.generators[0], 2)])
+    m = induced_map(C4, lambda x: x, value_general(C2, 2, 1), value_general(C4, 2, 1), 2, 1)
+    assert np.array_equal(m.matrix, [[1, 0, 0, 0], [0, 1, 0, 0]]) and m.is_algebra_map
+    V4, Cq = named_group("V4"), named_group("C2")
+    v_V4 = value_general(V4, 2, 1)
+    beta = hom_by_generator_images(V4, Cq, [Cq.generators[0]] * len(V4.generators))
+    assert {beta[b] for b in v_V4.sylow_decomp.basis} == {Cq.generators[0]}
+    m = induced_map(Cq, beta.__getitem__, v_V4, value_general(Cq, 2, 1), 2, 1)
+    assert np.array_equal(m.matrix, [[1, 0], [0, 1], [0, 1], [0, 1]]) and m.is_algebra_map
+
+
+def _functions(tree: ast.Module) -> dict:
+    """The module's functions and methods, by name and Class.method."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            out.update(("%s.%s" % (node.name, f.name), f) for f in node.body
+                       if isinstance(f, ast.FunctionDef))
+    return out
+
+
+def _budget_raises(node: ast.AST) -> int:
+    return sum(isinstance(n, ast.Raise) and n.exc is not None
+               and getattr(getattr(n.exc, "func", n.exc), "id", None) == "BudgetError"
+               for n in ast.walk(node))
+
+
+def test_green_has_one_induced_map_and_one_budget_check():
+    tree = ast.parse((Path(green.__file__).parent / "green.py").read_text())
+    defined = {getattr(n, "name", None) for n in ast.walk(tree)}
+    defined |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    assert "_transport" not in defined
+    fns = _functions(tree)
+    for name in ("SubgroupGreenFunctor._res", "SubgroupGreenFunctor._conj", "inflation_inverse"):
+        assert any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "induced_map"
+                   for n in ast.walk(fns[name])), name
+    assert _budget_raises(tree) == _budget_raises(fns["_check_budget"]) == 1
+    assert _budget_raises(ast.parse("raise BudgetError('x')\nraise BudgetError")) == 2
 
 
 def test_p_prime_value_is_the_value_of_the_trivial_sylow(monkeypatch):

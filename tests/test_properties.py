@@ -37,10 +37,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from greenkernel.audit import EXACT, audit_mackey
+from greenkernel.audit import EXACT, audit_mackey, default_subgroup_family
 from greenkernel.borel import AlgebraMap, BorelAlgebra, Subalgebra, subalgebra_close
 from greenkernel.cli import _json_dumps
 from greenkernel.exactkernel import (
+    BudgetError,
     ExactKernelError,
     FpMatrix,
     ScopeError,
@@ -56,8 +57,23 @@ from greenkernel.frobform import (
     is_frobenius_form,
     socle_generator,
 )
-from greenkernel.green import restrict, stable_elements
-from greenkernel.grp import PermGroup, abelian_decompose, hom_between, named_group, sylow
+from greenkernel.green import (
+    SubgroupGreenFunctor,
+    hom_by_generator_images,
+    induced_map,
+    restrict,
+    stable_elements,
+    value_general,
+)
+from greenkernel.grp import (
+    PermGroup,
+    abelian_decompose,
+    hom_between,
+    named_group,
+    perm_inv,
+    perm_mul,
+    sylow,
+)
 from polyoracle import (
     TruncPoly,
     _pair_products,
@@ -644,6 +660,55 @@ def test_functor_rows_on_random_perm_groups(G):
                 if r.name.split("-")[0] in ("MF1", "MF2", "MF3", "GF1", "GF2")]
         assert rows and all(r.status == EXACT for r in rows), (
             p, [(r.name, r.instance, r.witness) for r in rows if r.status != EXACT][:3])
+
+
+def _coset_action(G: PermGroup, L: PermGroup):
+    """gamma: G -> Sym(G/L), g(xL) = gxL, as its image group and its element
+    map (hom_by_generator_images checks that it is a homomorphism)."""
+    cosets = sorted({tuple(sorted(perm_mul(g, x) for x in L.elements)) for g in G.elements})
+    where = {x: i for i, c in enumerate(cosets) for x in c}
+    images = [tuple(where[perm_mul(g, c[0])] for c in cosets) for g in G.generators]
+    H = PermGroup(len(cosets), images)
+    return H, hom_by_generator_images(G, H, images)
+
+
+@settings(PROPS, max_examples=40)
+@given(perm_groups(max_degree=5))
+def test_induced_maps_compose_along_coset_actions(G):
+    # beta: K -> G the inclusion and gamma: G -> Sym(G/L) the coset action,
+    # which is neither injective nor onto a Sylow in general: (gamma beta)^*
+    # = beta^* gamma^*, the identity goes to the identity, every map is an
+    # algebra map, and beta^* along an inclusion or a conjugation is what
+    # SubgroupGreenFunctor's res and c_g give
+    family = default_subgroup_family(G)[:6]
+    for p in SMALL_PRIMES:
+        try:
+            v_G = value_general(G, p, 1)
+        except (ScopeError, BudgetError):
+            continue
+        fx = SubgroupGreenFunctor(G, p, 1)
+        one = induced_map(G, lambda x: x, v_G, v_G, p, 1)
+        assert np.array_equal(one.matrix, np.eye(v_G.dim, dtype=np.int64))
+        for L in family:
+            H, gamma = _coset_action(G, L)
+            try:
+                v_H = value_general(H, p, 1)
+            except (ScopeError, BudgetError):
+                continue
+            gamma_star = induced_map(H, gamma.__getitem__, v_G, v_H, p, 1)
+            for K in family:
+                v_K = value_general(K, p, 1)
+                beta_star = induced_map(G, lambda x: x, v_K, v_G, p, 1)
+                both = induced_map(H, gamma.__getitem__, v_K, v_H, p, 1)
+                assert np.array_equal(both.matrix, beta_star.compose(gamma_star).matrix)
+                assert all(m.is_algebra_map and m.check_multiplicative()
+                           for m in (gamma_star, beta_star, both))
+                assert np.array_equal(beta_star.matrix, fx.res(G, K).matrix)
+                for g in G.generators:
+                    gi = perm_inv(g)
+                    c = induced_map(K, lambda x: perm_mul(perm_mul(gi, x), g),
+                                    value_general(G.conjugate_subgroup(K, g), p, 1), v_K, p, 1)
+                    assert np.array_equal(c.matrix, fx.conj(g, K).matrix)
 
 
 JSON_SCALARS = (st.text() | st.integers() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
