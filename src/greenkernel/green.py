@@ -11,14 +11,17 @@ values on a general finite group G with abelian Sylow p-subgroup P
 are the subalgebra of A(P) fixed by N_G(P)/P, which is the stable elements
 (Swan), so the value path visits no double coset.  The colimit over the
 double cosets P\\G/P is computed only when read (by `green stable` and the
-tests), and the double-coset limit is the tests' oracle.
+tests), from SubgroupGreenFunctor's ind and c_g, and the double-coset limit
+is the tests' oracle.
 Every value carries its Sylow decomposition, the trivial one (A(1) = F_p)
 for a p'-group, so induced_map, beta^* along any homomorphism beta, is the
-one map between values: res and c_g are beta^* along an inclusion and a
-conjugation, and F_p's maps are the augmentation, the unit and the identity.
+one map between values: res, c_g and the N_G(P)/P action are beta^* along
+an inclusion and conjugations, and F_p's maps are the augmentation, the
+unit and the identity.
 Restriction depends only on the abstract hom and a transfer only on its
 map and forms, so each is built once per distinct input and shared, with
-a read-only matrix; every cache here is read through exactkernel.memo.
+a read-only matrix (between abelian values induced_map hands on restrict's
+own); every cache here is read through exactkernel.memo.
 
 Orientation conventions: a group homomorphism alpha: G -> H induces
 restrict(alpha): A(H) -> A(G); conjugation c_g: A(H) -> A(gHg^{-1}) is
@@ -83,19 +86,17 @@ class StableResult:
     @cached_property
     def colim_dim(self) -> int:
         """dim A(P) minus the span of the images of ind^P_H - ind^P_K c_{g^{-1}}
-        over the double cosets PgP, H = gPg^{-1} cap P and K = P cap g^{-1}Pg;
-        the cross-check, computed on first read."""
-        G, dec_P, n, budget = self.group, self.sylow, self.n, self.budget
-        P, p, A_P = dec_P.group, dec_P.p, self.subalgebra.ambient
+        over the double cosets PgP, H = P cap gPg^{-1} and K = P cap g^{-1}Pg:
+        the cross-check, computed on first read from one SubgroupGreenFunctor,
+        so it reads the ind and c_g that the audit checks."""
+        G, P, A_P = self.group, self.sylow.group, self.subalgebra.ambient
+        fx = SubgroupGreenFunctor(G, self.sylow.p, self.n, self.budget)
         images = []
         for g in double_cosets(G, P, P):
             gi = perm_inv(g)
-            dec_H, dec_K = (abelian_decompose(P.intersection(G.conjugate_subgroup(P, x)), p)
-                            for x in (g, gi))
-            res_H, res_K = (restrict(_inclusion_hom(d, dec_P), p, n, budget) for d in (dec_H, dec_K))
-            cginv = restrict(_conjugation_hom(dec_K, dec_H, gi), p, n, budget)  # A(H) -> A(K)
-            images.extend((transfer(res_H) - transfer(res_K).compose(cginv)).matrix.T)
-        return A_P.dim - len(row_space_basis(images, A_P.dim, p))
+            H, K = (P.intersection(G.conjugate_subgroup(P, x)) for x in (g, gi))
+            images.extend((fx.ind(P, H) - fx.ind(P, K).compose(fx.conj(gi, H))).matrix.T)
+        return A_P.dim - len(row_space_basis(images, A_P.dim, A_P.p))
 
 
 @dataclass
@@ -299,21 +300,11 @@ def transfer(f: AlgebraMap, form_source: FrobeniusForm | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _inclusion_hom(sub: AbelianPGroup, amb: AbelianPGroup) -> AbelianHom:
-    return hom_between(sub, amb, list(sub.basis))
-
-
-def _conjugation_hom(src: AbelianPGroup, tgt: AbelianPGroup, g) -> AbelianHom:
-    """The hom src -> tgt, x -> g^{-1} x g (requires g^{-1} src g = tgt)."""
-    gi = perm_inv(g)
-    images = [perm_mul(perm_mul(gi, b), g) for b in src.basis]
-    return hom_between(src, tgt, images)
-
-
 def stable_elements(G: PermGroup, p: int, n: int,
                     budget: int = DEFAULT_SIZE_BUDGET) -> StableResult:
     """A(G) inside A(P) for P an abelian Sylow p-subgroup: the invariants of
-    W = N_G(P)/P, one restriction of A(P) to itself per generator of W.
+    W = N_G(P)/P, one induced_map of A(P) to itself along x -> g^{-1} x g
+    per generator g of W.
 
     These are the stable elements: by Burnside's fusion theorem N_G(P)
     controls G-fusion in P, so on each P cap g^{-1}Pg conjugation by g
@@ -323,14 +314,17 @@ def stable_elements(G: PermGroup, p: int, n: int,
     if not P.is_abelian():
         raise ScopeError("Sylow %d-subgroup is non-abelian: out of modeled scope" % p)
     dec_P = abelian_decompose(P, p)
-    gens, N = [], P  # N_G(P) over P, greedily: g normalizes P iff it conjugates P's basis into P
+    v_P = value_for_decomposition(dec_P, p, n, budget)
+    # N_G(P) over P, greedily: g normalizes P iff it conjugates P's basis into P
+    gens, actions, N = [], [], P
     for g in G.elements:
         gi = perm_inv(g)
         if g not in N and all(perm_mul(perm_mul(gi, b), g) in P for b in dec_P.basis):
             gens.append(g)
             N = PermGroup(G.degree, list(dec_P.basis) + gens)
-    actions = [restrict(_conjugation_hom(dec_P, dec_P, g), p, n, budget) for g in gens]
-    sub = invariants(value_for_decomposition(dec_P, p, n, budget), actions)
+            actions.append(induced_map(P, lambda x, g=g, gi=gi: perm_mul(perm_mul(gi, x), g),
+                                       v_P, v_P, p, n, budget))
+    sub = invariants(v_P, actions)
     return StableResult(group=G, sylow=dec_P, n=n, budget=budget, subalgebra=sub)
 
 
@@ -516,8 +510,12 @@ class SubgroupGreenFunctor:
 
 def _restrict_to_stable(full: AlgebraMap, v_src: GreenValue, v_tgt: GreenValue) -> AlgebraMap:
     """Restrict a map A(P_src) -> A(P_tgt) to the stable values
-    A(src) -> A(tgt), asserting that stable vectors map to stable vectors."""
+    A(src) -> A(tgt), asserting that stable vectors map to stable vectors.
+    Between two abelian values it is full itself, the shared read-only map
+    that restrict memoizes."""
     src_alg, tgt_alg = v_src.algebra, v_tgt.algebra
+    if not (isinstance(src_alg, Subalgebra) or isinstance(tgt_alg, Subalgebra)):
+        return full
     X = full.matrix
     if isinstance(src_alg, Subalgebra):
         X = fp_matmul(X, src_alg.basis_matrix.T, src_alg.p)

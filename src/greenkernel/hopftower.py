@@ -149,9 +149,8 @@ def integrals(H: HopfStructure) -> list[El]:
 @dataclass
 class HondaLevel:
     """Level r of the height-n tower: F_p[x]/(x^{q^r}) with its Hopf data,
-    built on first read of hopf."""
+    built on first read of hopf; q is read off the law."""
 
-    params: HondaParams
     r: int
     fgl: Fgl
     algebra: BorelAlgebra
@@ -164,7 +163,7 @@ class HondaLevel:
 
     @property
     def q(self) -> int:
-        return self.params.q
+        return self.fgl.q
 
     @property
     def dim(self) -> int:
@@ -196,7 +195,7 @@ def honda_level(params: HondaParams, r: int, budget: int = DEFAULT_BUDGET) -> Ho
 
 def _honda_level(params: HondaParams, r: int) -> HondaLevel:
     Q = params.q ** r
-    return HondaLevel(params, r, honda_fgl(HondaParams(params.p, params.n, Q)),
+    return HondaLevel(r, honda_fgl(HondaParams(params.p, params.n, Q)),
                       BorelAlgebra(params.p, (Q,), ("x",)))
 
 
@@ -228,7 +227,7 @@ def _down(src: HondaLevel, tgt: HondaLevel) -> AlgebraMap:
 def _up(src: HondaLevel, tgt: HondaLevel, t: int) -> AlgebraMap:
     """The tower injection H_src -> H_tgt, x -> x^{q^t}."""
     return AlgebraMap.from_generator_images(src.algebra, tgt.algebra,
-                                            [tgt.x() ** (tgt.params.q ** t)])
+                                            [tgt.x() ** (tgt.q ** t)])
 
 
 @dataclass

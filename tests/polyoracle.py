@@ -35,7 +35,7 @@ from greenkernel.exactkernel import (
 from greenkernel.fgl import Fgl, HondaParams, _check_cap, _honda_phi, m_series
 from greenkernel.frobform import canonical_form, gysin, socle_generator
 from greenkernel.green import value_abelian
-from greenkernel.grp import abelian_decompose, double_cosets, perm_inv, sylow
+from greenkernel.grp import abelian_decompose, double_cosets, hom_between, perm_inv, sylow
 
 
 class TruncPoly:
@@ -347,17 +347,20 @@ def subspace_intersect(bases, d: int, p: int) -> list[np.ndarray]:
 
 def stable_basis_by_intersection(G, p: int, n: int) -> list:
     """The RREF basis of A(G) inside A(P): one kernel of res_H - c_g res_K
-    per double coset PgP, intersected pairwise."""
+    per double coset PgP, intersected pairwise.  Each map is restrict along
+    a hom built here with hom_between, not through induced_map."""
     P = sylow(G, p)
     dec_P = abelian_decompose(P, p)
     A_P = value_abelian(dec_P.exponents, p, n).algebra
     kernels = []
     for g in double_cosets(G, P, P):
+        gi = perm_inv(g)
         dec_H = abelian_decompose(P.intersection(G.conjugate_subgroup(P, g)), p)
-        dec_K = abelian_decompose(P.intersection(G.conjugate_subgroup(P, perm_inv(g))), p)
-        res_H = green.restrict(green._inclusion_hom(dec_H, dec_P), p, n)
-        res_K = green.restrict(green._inclusion_hom(dec_K, dec_P), p, n)
-        cg = green.restrict(green._conjugation_hom(dec_H, dec_K, g), p, n)
+        dec_K = abelian_decompose(P.intersection(G.conjugate_subgroup(P, gi)), p)
+        res_H = green.restrict(hom_between(dec_H, dec_P, list(dec_H.basis)), p, n)
+        res_K = green.restrict(hom_between(dec_K, dec_P, list(dec_K.basis)), p, n)
+        conj = [perm_mul_by_images(perm_mul_by_images(gi, b), g) for b in dec_H.basis]
+        cg = green.restrict(hom_between(dec_H, dec_K, conj), p, n)  # x -> g^{-1} x g
         kernels.append(FpMatrix((res_H - cg.compose(res_K)).matrix, p).kernel())
     return subspace_intersect(kernels, A_P.dim, p)
 

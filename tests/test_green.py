@@ -706,7 +706,10 @@ def test_invariants_do_not_depend_on_the_generators_picked(name, p, order_W):
         normalizer = [g for g in G.elements
                       if all(perm_mul(perm_mul(perm_inv(g), x), g) in P for x in P.elements)]
         assert len(normalizer) == order_W * P.order
-        actions = [restrict(green._conjugation_hom(dec_P, dec_P, g), p, n) for g in normalizer]
+        # restrict along x -> g^{-1} x g, built here with hom_between
+        actions = [restrict(hom_between(dec_P, dec_P, [perm_mul(perm_mul(perm_inv(g), b), g)
+                                                       for b in dec_P.basis]), p, n)
+                   for g in normalizer]
         assert invariants(value_abelian(dec_P.exponents, p, n), actions) == st.subalgebra
 
 
@@ -1004,6 +1007,60 @@ def test_green_has_one_induced_map_and_one_budget_check():
                    for n in ast.walk(fns[name])), name
     assert _budget_raises(tree) == _budget_raises(fns["_check_budget"]) == 1
     assert _budget_raises(ast.parse("raise BudgetError('x')\nraise BudgetError")) == 2
+
+
+def _calls(node: ast.AST, name: str) -> int:
+    return sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name
+               for n in ast.walk(node))
+
+
+def test_green_turns_homs_into_maps_only_in_induced_map():
+    # the W-action and the colimit read induced_map and the functor's ind,
+    # so no private hom builder goes around them
+    tree = ast.parse((Path(green.__file__).parent / "green.py").read_text())
+    defined = {getattr(n, "name", None) for n in ast.walk(tree)}
+    assert not defined & {"_inclusion_hom", "_conjugation_hom"}
+    fns = _functions(tree)
+    for name, home in (("hom_between", "induced_map"), ("restrict", "induced_map"),
+                       ("transfer", "SubgroupGreenFunctor._ind")):
+        assert _calls(tree, name) == _calls(fns[home], name) >= 1, name
+    assert _calls(ast.parse("restrict(a)\nf(restrict(b))"), "restrict") == 2
+
+
+def test_abelian_maps_are_restricts_shared_read_only_map():
+    # between abelian values res, c_g and induced_map hand back the map
+    # restrict memoizes, not a copy
+    C4 = named_group("C4")
+    C2 = C4.subgroup([_perm_pow(C4.generators[0], 2)])
+    fx = SubgroupGreenFunctor(C4, 2, 1)
+    v4, v2 = fx.value(C4), fx.value(C2)
+    d4, d2 = v4.sylow_decomp, v2.sylow_decomp
+    res = fx.res(C4, C2)
+    memoized = restrict(hom_between(d2, d4, list(d2.basis)), 2, 1)
+    assert res is memoized and induced_map(C4, lambda x: x, v2, v4, 2, 1) is memoized
+    assert not res.matrix.flags.writeable
+    A4 = named_group("A4")
+    V = sylow(A4, 2)
+    g = next(x for x in A4.elements if x not in V)  # order 3: it permutes V's involutions
+    fx = SubgroupGreenFunctor(A4, 2, 1)
+    dec = fx.value(V).sylow_decomp
+    gi = perm_inv(g)
+    auto = restrict(hom_between(dec, dec, [perm_mul(perm_mul(gi, b), g) for b in dec.basis]), 2, 1)
+    assert fx.conj(g, V) is auto and not auto.matrix.flags.writeable
+    assert not np.array_equal(auto.matrix, np.eye(auto.matrix.shape[0]))
+
+
+@pytest.mark.parametrize("name,p", [("S3", 3), ("A4", 2), ("S4", 3), ("S5", 5)])
+def test_stable_elements_hands_invariants_read_only_actions(monkeypatch, name, p):
+    seen = []
+
+    def recording(v, actions):
+        seen.extend(actions)
+        return invariants(v, actions)
+
+    monkeypatch.setattr(green, "invariants", recording)
+    stable_elements(named_group(name), p, 1)
+    assert seen and not any(a.matrix.flags.writeable for a in seen)
 
 
 def test_p_prime_value_is_the_value_of_the_trivial_sylow(monkeypatch):

@@ -1,5 +1,6 @@
 """Hopf structure, the Honda tower, p-divisibility diagnostics, integrals."""
 
+import dataclasses
 import threading
 from collections import Counter
 
@@ -28,6 +29,17 @@ from polyoracle import from_exp_dict
 
 def params(p, n):
     return HondaParams(p, n, max(p ** n, 4))
+
+
+def test_honda_level_reads_q_off_its_law():
+    # the level cache is keyed on (p, n, r), so a level keeps no caller's
+    # HondaParams: q and the law's truncation are the level's own
+    L = honda_level(HondaParams(2, 1, 4), 3)
+    assert [f.name for f in dataclasses.fields(L)] == ["r", "fgl", "algebra"]
+    assert (L.r, L.q, L.dim, L.fgl.params.trunc, L.algebra.profile) == (3, 2, 8, 8, (8,))
+    assert honda_level(HondaParams(2, 1, 64), 3) is L
+    L = honda_level(HondaParams(3, 2, 9), 1)
+    assert (L.q, L.dim, L.fgl.q, L.fgl.params.trunc) == (9, 9, 9, 9)
 
 
 def test_level_one_coproducts():

@@ -660,6 +660,10 @@ def test_functor_rows_on_random_perm_groups(G):
                 if r.name.split("-")[0] in ("MF1", "MF2", "MF3", "GF1", "GF2")]
         assert rows and all(r.status == EXACT for r in rows), (
             p, [(r.name, r.instance, r.witness) for r in rows if r.status != EXACT][:3])
+        # the colimit over P\\G/P, read off the functor's ind and c_g, has
+        # the dimension of the stable elements
+        st = stable_elements(G, p, 1)
+        assert st.colim_dim == st.lim_dim, p
 
 
 def _coset_action(G: PermGroup, L: PermGroup):
